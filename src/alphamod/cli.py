@@ -13,8 +13,7 @@ Subcommands wire the library into reproducible file-based runs:
 
 Exit codes: 0 success, 1 a quantitative threshold failed, 2 bad
 configuration, 3 numerical failure.  Options may come from a JSON config
-file (--config); explicit flags override file values.  The environment
-variable ALPHAMOD_THREADS caps worker threads.
+file (--config); explicit flags override file values.
 """
 
 from __future__ import annotations
@@ -268,8 +267,7 @@ def cmd_diagnostics(cfg: RunConfig) -> int:
     if not cfg.eps_list:
         raise ConfigError("eps_list must not be empty")
     tab = admissibility_scan(cfg.window, cfg.alpha, cfg.scan_config())
-    trunc = TruncationConfig(x_max=cfg.x_max, omega_max=cfg.omega_max,
-                             seed=cfg.seed)
+    trunc = TruncationConfig(x_max=cfg.x_max, omega_max=cfg.omega_max)
     report = diagnostics_report(cfg.window, cfg.window_spec, cfg.alpha,
                                 cfg.s, tab, cfg.eps_list, cfg.c, trunc)
     _write_json(report, cfg.output_dir / "diagnostics.json")
@@ -279,7 +277,7 @@ def cmd_diagnostics(cfg: RunConfig) -> int:
                fmt="%.17g", header="eps,gamma,lhs", comments="")
     print(json.dumps({"rho": report["rho"], "gamma": report["gamma"],
                       "pass": report["pass"]}, default=float))
-    return EXIT_OK
+    return EXIT_OK if all(report["pass"]) else EXIT_THRESHOLD
 
 
 def cmd_coorbit_norm(cfg: RunConfig, input_path: str) -> int:

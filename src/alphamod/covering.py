@@ -281,22 +281,63 @@ def covering_diagnostics(cov: AlphaCovering, s: float = 0.0,
     )
 
 
+def _row_boxes(cov: AlphaCovering, t, omegas):
+    """Boxes containing the points (t[m], omegas[i]), one covering row at
+    a time.
+
+    Yields (r, band, k, inside) for every row r (an index into
+    _row_arrays) whose frequency band meets omegas.  band marks the
+    omegas inside the band; k has shape (len(t), 2) and holds the only
+    two boxes of the row that can contain t[m], and inside marks those
+    that do and lie in the row's k-range.
+    """
+    js, ws, bs, halves, klo, khi = _row_arrays(cov)
+    t = np.asarray(t, dtype=float)
+    bands = np.abs(np.asarray(omegas, dtype=float)[None, :]
+                   - ws[:, None]) < halves[:, None]
+    for r in np.nonzero(bands.any(axis=1))[0]:
+        u = t / (cov.eps * bs[r])
+        k = np.floor(u)[:, None] + np.array([0.0, 1.0])
+        inside = ((np.abs(u[:, None] - k) < 1.0)
+                  & (k >= klo[r]) & (k <= khi[r]))
+        yield r, bands[r], k, inside
+
+
 def q_neighborhood(cov: AlphaCovering, point: tuple[float, float]):
     """Boxes containing the point and their union's bounding box.
 
     Returns (boxes, (x_lo, x_hi, w_lo, w_hi)).
     """
     x, omega = float(point[0]), float(point[1])
-    js, ws, bs, halves, klo, khi = _row_arrays(cov)
-    hits: list[Box] = []
-    rows = np.nonzero(np.abs(omega - ws) < halves)[0]
-    for i in rows:
-        u = x / (cov.eps * bs[i])
-        for k in range(math.floor(u), math.floor(u) + 2):
-            if klo[i] <= k <= khi[i] and abs(u - k) < 1.0:
-                hits.append(cov.box(int(js[i]), int(k)))
+    js = _row_arrays(cov)[0]
+    hits = [cov.box(int(js[r]), int(kk))
+            for r, _, k, inside in _row_boxes(cov, [x], [omega])
+            for kk in k[inside]]
     if not hits:
         raise UncoveredPointError(f"point ({x}, {omega}) is not covered")
     bbox = (min(b.x_lo for b in hits), max(b.x_hi for b in hits),
             min(b.w_lo for b in hits), max(b.w_hi for b in hits))
     return hits, bbox
+
+
+def q_samples(cov: AlphaCovering, t, omegas, density: int):
+    """Interior density x density samples of every box containing a
+    point (t[m], omegas[i]), one covering row at a time.
+
+    Yields (band, z_t, inside, z_w) for every row whose frequency band
+    meets omegas: band marks the omegas inside the band, z_w holds the
+    row's density sample frequencies, and z_t, of shape
+    (len(t), 2 * density), the sample times of the two boxes of the row
+    that can contain t[m]; inside marks the samples whose box contains
+    t[m] and lies in the row's k-range.  Each box side is sampled at
+    linspace(lo, hi, density + 2)[1:-1].
+    """
+    js, ws, bs, halves, klo, khi = _row_arrays(cov)
+    frac = np.arange(1, density + 1) / (density + 1)
+    for r, band, k, inside in _row_boxes(cov, t, omegas):
+        # equal to linspace up to rounding; the rounding of this form is
+        # kept because snapped sample times can sit on exact grid ties
+        z_t = cov.eps * bs[r] * (k[..., None] - 1.0 + 2.0 * frac)
+        z_w = ws[r] - halves[r] + 2.0 * halves[r] * frac
+        yield (band, z_t.reshape(len(k), -1),
+               np.repeat(inside, density, axis=1), z_w)

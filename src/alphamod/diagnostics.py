@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covering import AlphaCovering, q_neighborhood
+from .covering import AlphaCovering, UncoveredPointError, q_samples
 from .grids import Weight
 from .symbol import NotAdmissibleError, SymbolTable, beta
 from .transform import kernel_K
@@ -51,7 +51,6 @@ class TruncationConfig:
     n_probes: int = 9
     probe_omega_max: float = 8.0
     z_density: int = 7
-    seed: int = 42
 
 
 @dataclass(frozen=True)
@@ -152,22 +151,25 @@ class _SliceEngine:
                            * np.arange(n))
         self._post = self.dxi * np.exp(-2j * np.pi * self.u * self.xi[0])
 
-    def spectral_profiles(self, omegas: np.ndarray,
-                          eta: float) -> np.ndarray:
-        """G matrix, one row per omega."""
-        b_eta = float(beta(eta, self.alpha))
-        right = np.conj(self.w.fourier(b_eta * (self.xi - eta)))
+    def _atoms_hat(self, ws) -> np.ndarray:
+        """sqrt(b_w) psi_hat(b_w (xi - w)), one row per frequency w."""
+        ws = np.atleast_1d(np.asarray(ws, dtype=float))
+        b = beta(ws, self.alpha)
+        F = self.w.fourier((b[:, None] * (self.xi[None, :]
+                                          - ws[:, None])).ravel())
+        return F.reshape(ws.size, self.n) * np.sqrt(b)[:, None]
+
+    def spectral_profiles(self, omegas, etas) -> np.ndarray:
+        """G matrix, one row per (omega, eta) pair; a single frequency on
+        either side pairs with every frequency on the other."""
+        right = np.conj(self._atoms_hat(etas))
         if self._m_pow is not None:
             right = right * self._m_pow
-        b = beta(omegas, self.alpha)
-        G = self.w.fourier((b[:, None] * (self.xi[None, :]
-                                          - omegas[:, None])).ravel())
-        G = G.reshape(omegas.size, self.n)
-        return G * right[None, :] * np.sqrt(b_eta * b)[:, None]
+        return self._atoms_hat(omegas) * right
 
-    def slices(self, omegas: np.ndarray, eta: float) -> np.ndarray:
-        """P[i, m] = R(((u_m + t), omegas[i]), (t, eta)) for any t."""
-        G = self.spectral_profiles(omegas, eta)
+    def slices(self, omegas, etas) -> np.ndarray:
+        """P[i, m] = R(((u_m + t), omegas[i]), (t, etas[i])) for any t."""
+        G = self.spectral_profiles(omegas, etas)
         return self._post[None, :] * np.fft.fft(G * self._pre[None, :],
                                                 axis=1)
 
@@ -187,21 +189,25 @@ def _probe_omegas(trunc: TruncationConfig) -> np.ndarray:
                        trunc.n_probes)
 
 
+def _weighted_mass(values: np.ndarray, omegas: np.ndarray,
+                   omega_star: float, weight: Weight, du: float) -> float:
+    """d_omega sum_i w_s(omegas[i], omega_star) du sum_u values[i, u]:
+    the weighted integral of nonnegative values on an (omega, u) grid."""
+    d_omega = omegas[1] - omegas[0]
+    x_int = du * values.sum(axis=1)
+    return d_omega * float(np.sum(weight.mutual(omegas, omega_star) * x_int))
+
+
 def _rho_once(w: Window, alpha: float, s: float, tab: SymbolTable,
               x_max: float, omega_max: float,
               probes: np.ndarray) -> float:
     engine = _SliceEngine(w, alpha, tab, 1, omega_max, x_max)
     omegas = _omega_grid(omega_max)
-    d_omega = omegas[1] - omegas[0]
     in_x = np.abs(engine.u) <= x_max
     weight = Weight(s)
-    best = 0.0
-    for eta in probes:
-        P = engine.slices(omegas, float(eta))
-        x_int = engine.du * np.abs(P[:, in_x]).sum(axis=1)
-        val = d_omega * float(np.sum(weight.mutual(omegas, eta) * x_int))
-        best = max(best, val)
-    return best
+    return max((_weighted_mass(np.abs(engine.slices(omegas, eta)[:, in_x]),
+                               omegas, eta, weight, engine.du)
+                for eta in probes), default=0.0)
 
 
 def estimate_rho(w: Window, alpha: float, s: float, tab: SymbolTable,
@@ -239,133 +245,69 @@ def estimate_rho(w: Window, alpha: float, s: float, tab: SymbolTable,
     )
 
 
-def _z_samples(cov: AlphaCovering, point, density: int):
-    """Dense sample of Q_point: density x density points per box, plus
-    the point itself."""
-    boxes, _ = q_neighborhood(cov, point)
-    zs = [tuple(map(float, point))]
-    for b in boxes:
-        zt = np.linspace(b.x_lo, b.x_hi, density + 2)[1:-1]
-        zw = np.linspace(b.w_lo, b.w_hi, density + 2)[1:-1]
-        for t in zt:
-            for om in zw:
-                zs.append((float(t), float(om)))
-    return zs
-
-
 def oscillation_kernel(w: Window, alpha: float, tab: SymbolTable,
                        cov: AlphaCovering, p1, p2,
                        z_density: int = 7) -> float:
-    """osc(p1, p2) = sup over sampled z in Q_{p2} of
+    """osc(p1, p2) = sup over the sampled z in Q_{p2} of
     |R(p1, p2) - Gamma(p2, z) R(p1, z)| with the explicit phase
-    Gamma(p2, z) = exp(-2*pi*i*w2*(x2 - z_t))."""
+    Gamma(p2, z) = exp(-2*pi*i*w2*(x2 - z_t)), by quadrature at the
+    unsnapped z: the pointwise reference for the FFT path of
+    estimate_gamma."""
     x2, w2 = float(p2[0]), float(p2[1])
+    zs = [(float(zt), float(zw))
+          for _, z_t, inside, z_w in q_samples(cov, [x2], [w2], z_density)
+          for zt in z_t[inside] for zw in z_w]
+    if not zs:
+        raise UncoveredPointError(f"point ({x2}, {w2}) is not covered")
     R_base = kernel_K(w, w, alpha, tab, 1, p1, (x2, w2))
-    worst = 0.0
-    for z in _z_samples(cov, (x2, w2), z_density):
-        gamma_phase = np.exp(-2j * np.pi * w2 * (x2 - z[0]))
-        R_z = kernel_K(w, w, alpha, tab, 1, p1, z)
-        worst = max(worst, abs(R_base - gamma_phase * R_z))
-    return worst
+    return max(abs(R_base - np.exp(-2j * np.pi * w2 * (x2 - zt))
+                   * kernel_K(w, w, alpha, tab, 1, p1, (zt, zw)))
+               for zt, zw in zs)
 
 
-def _gamma2_once(w: Window, alpha: float, s: float, tab: SymbolTable,
-                 cov: AlphaCovering, x_max: float, omega_max: float,
-                 probes: np.ndarray, density: int) -> float:
-    """sup over probe base points y of int |osc(x, y)| w_s dmu(x)."""
-    engine = _SliceEngine(w, alpha, tab, 1, omega_max, x_max + 4.0)
-    omegas = _omega_grid(omega_max)
-    d_omega = omegas[1] - omegas[0]
-    weight = Weight(s)
-    n = engine.n
-    in_x = np.abs(engine.u) <= x_max
-    shift0 = n // 2  # u = 0 sits here
-    best = 0.0
-    for eta in probes:
-        y = (0.0, float(eta))
-        zs = _z_samples(cov, y, density)
-        # group z by frequency so each row batch costs one FFT
-        by_eta: dict[float, list[float]] = {}
-        for zt, zw in zs:
-            by_eta.setdefault(zw, []).append(zt)
-        base = engine.slices(omegas, float(eta))  # R(x, y), y_t = 0
-        osc = np.zeros((omegas.size, n))
-        for zw, zts in by_eta.items():
-            P = engine.slices(omegas, zw)
-            for zt in zts:
-                k = int(np.rint(zt / engine.du))
-                zt_snap = k * engine.du
-                phase = np.exp(-2j * np.pi * eta * (0.0 - zt_snap))
-                # R(x, z) on the x grid = P shifted by k samples
-                shifted = np.roll(P, k, axis=1)
-                np.maximum(osc, np.abs(base - phase * shifted), out=osc)
-        x_int = engine.du * osc[:, in_x].sum(axis=1)
-        val = d_omega * float(np.sum(weight.mutual(omegas, eta) * x_int))
-        best = max(best, val)
-    return best
+# complex elements per (frequency x time x z) gather in _osc: 4 MiB
+_GATHER = 1 << 18
 
 
-def _gamma1_once(w: Window, alpha: float, s: float, tab: SymbolTable,
-                 cov: AlphaCovering, x_max: float, omega_max: float,
-                 probes: np.ndarray, density: int) -> float:
-    """sup over probe points x of int |osc(x, y)| w_s dmu(y)."""
-    engine = _SliceEngine(w, alpha, tab, 1, omega_max, x_max + 4.0)
-    omega_ys = _omega_grid(omega_max)
-    d_omega = omega_ys[1] - omega_ys[0]
-    weight = Weight(s)
-    eps, c = cov.eps, cov.c
-    u = engine.u
-    in_y = np.abs(u) <= x_max
-    yt = u[in_y]
-    # rows of the covering reachable inside the frequency domain
-    js = np.arange(cov.j_range[0], cov.j_range[1] + 1)
-    row_w = np.array([cov.omega_nodes[j] for j in js])
-    row_b = beta(row_w, alpha)
-    row_half = 2.0 * eps * c / row_b
-    # z frequency samples per row (density points inside the band)
-    row_zw = [np.linspace(wj - h, wj + h, density + 2)[1:-1]
-              for wj, h in zip(row_w, row_half)]
-    best = 0.0
-    offsets = (np.arange(density) + 1) / (density + 1) * 2.0  # in (0, 2)
-    for om_x in probes:
-        # R((0, om_x), (y_t, eta)) = P_{om_x,eta}(-y_t); the batch axis
-        # of slices() is the analysis frequency, so build row by row
-        P_y = np.empty((omega_ys.size, engine.n), dtype=complex)
-        for i, eta in enumerate(omega_ys):
-            P_y[i] = engine.slices(np.array([om_x]), float(eta))[0]
-        P_z = {}
-        for r, zws in enumerate(row_zw):
-            for zw in zws:
-                P_z[float(zw)] = engine.slices(np.array([om_x]),
-                                               float(zw))[0]
-        neg_idx = engine.u_index(-yt)
-        total = 0.0
-        for i, eta in enumerate(omega_ys):
-            rows = np.nonzero(np.abs(eta - row_w) < row_half)[0]
-            if rows.size == 0:
-                continue
-            R_y = P_y[i][neg_idx]
-            osc = np.zeros(yt.size)
-            for r in rows:
-                bw = eps * row_b[r]  # half box x-width
-                kf = np.floor(yt / bw)
-                for dk in (0.0, 1.0):
-                    k = kf + dk
-                    inside = np.abs(yt / bw - k) < 1.0
-                    for off in offsets:
-                        zt = bw * (k - 1.0 + off)
-                        zt_idx = engine.u_index(-zt)
-                        zt_snap = -engine.u[zt_idx]
-                        phase = np.exp(-2j * np.pi * eta * (yt - zt_snap))
-                        for zw in row_zw[r]:
-                            R_z = P_z[float(zw)][zt_idx]
-                            diff = np.abs(R_y - phase * R_z)
-                            np.maximum(osc, np.where(inside, diff, 0.0),
-                                       out=osc)
-            total_i = engine.du * osc.sum()
-            total += d_omega * weight.mutual(om_x, eta) * total_i
-        best = max(best, total)
-    return best
+def _osc(engine: _SliceEngine, cov: AlphaCovering, density: int,
+         x_t, x_w, y_t, y_w) -> np.ndarray:
+    """osc(x, y) = max over the sampled z in Q_y of
+    |R(x, y) - Gamma(y, z) R(x, z)| with
+    Gamma(y, z) = exp(-2 pi i y_w (y_t - z_t)), on the pairs
+    x = (x_t[b], x_w[a]), y = (y_t[b], y_w[a]).
+
+    Frequencies run along a and times along b; a side with one frequency
+    or one time pairs it with every entry of the other.  The times lie on
+    the engine's u grid, and each x_t - z_t is snapped onto it by
+    u_index.  Each z frequency costs one batch of slices, used at once
+    and dropped.  Returns the (a, b) array.
+    """
+    x_t, x_w, y_t, y_w = (np.atleast_1d(np.asarray(v, dtype=float))
+                          for v in (x_t, x_w, y_t, y_w))
+    base = engine.slices(x_w, y_w)[:, engine.u_index(x_t - y_t)]
+    osc = np.zeros(base.shape)
+    for band, z_t, inside, z_w in q_samples(cov, y_t, y_w, density):
+        rows = np.broadcast_to(band, osc.shape[:1])
+        xw, yw = (v[rows] if v.size > 1 else v for v in (x_w, y_w))
+        keep = inside.any(axis=0)
+        inside = inside[:, keep]
+        # R(x, z) = P[:, at] for the slices P of one z frequency
+        at = engine.u_index(x_t[:, None] - z_t[:, keep])
+        z_t = x_t[:, None] - engine.u[at]
+        phase = np.exp(-2j * np.pi * yw[:, None, None]
+                       * (y_t[:, None] - z_t))
+        R_y = base[rows][:, :, None]
+        row_osc = osc[rows]
+        step = max(1, _GATHER // R_y.size)
+        for zw in z_w:
+            P = engine.slices(xw, zw)
+            for c in range(0, z_t.shape[1], step):
+                cs = slice(c, c + step)
+                diff = np.abs(R_y - phase[..., cs] * P[:, at[:, cs]])
+                np.maximum(row_osc, (diff * inside[:, cs]).max(axis=2),
+                           out=row_osc)
+        osc[rows] = row_osc
+    return osc
 
 
 def estimate_gamma(w: Window, alpha: float, s: float, tab: SymbolTable,
@@ -373,19 +315,26 @@ def estimate_gamma(w: Window, alpha: float, s: float, tab: SymbolTable,
                    trunc: TruncationConfig = TruncationConfig()):
     """(gamma1, gamma2, gamma) over the truncated domain.
 
-    gamma1 takes the sup over analysis points and integrates over the
-    oscillation base point; gamma2 is the transpose direction.  Both use
-    probe grids in frequency; the time coordinate of the probe is fixed
-    at 0 (the kernel is covariant under joint time shifts and the box
-    quantization only perturbs this periodically at sub-probe scale).
+    gamma1 takes the sup over analysis points x and integrates
+    osc(x, y) w_s over the oscillation base point y; gamma2 takes the
+    sup over y and integrates over x.  Both use probe grids in
+    frequency; the time coordinate of the probe is fixed at 0 (the
+    kernel is covariant under joint time shifts and the box quantization
+    only perturbs this periodically at sub-probe scale).
     """
     if not tab.admissible:
         raise NotAdmissibleError("gamma needs an admissible window")
-    probes = _probe_omegas(trunc)
-    g1 = _gamma1_once(w, alpha, s, tab, cov, trunc.x_max, trunc.omega_max,
-                      probes, trunc.z_density)
-    g2 = _gamma2_once(w, alpha, s, tab, cov, trunc.x_max, trunc.omega_max,
-                      probes, trunc.z_density)
+    engine = _SliceEngine(w, alpha, tab, 1, trunc.omega_max,
+                          trunc.x_max + 4.0)
+    omegas = _omega_grid(trunc.omega_max)
+    u_in = engine.u[np.abs(engine.u) <= trunc.x_max]
+    weight = Weight(s)
+    g1 = g2 = 0.0
+    for probe in _probe_omegas(trunc):
+        osc = _osc(engine, cov, trunc.z_density, 0.0, probe, u_in, omegas)
+        g1 = max(g1, _weighted_mass(osc, omegas, probe, weight, engine.du))
+        osc = _osc(engine, cov, trunc.z_density, u_in, omegas, 0.0, probe)
+        g2 = max(g2, _weighted_mass(osc, omegas, probe, weight, engine.du))
     return g1, g2, max(g1, g2)
 
 
@@ -396,7 +345,7 @@ def diagnostics_report(w: Window, window_spec: str, alpha: float, s: float,
     """Full sweep: rho once, (gamma, C_w, verdict) per epsilon."""
     from .covering import build_covering, mutual_weight_bound
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     rho_est = estimate_rho(w, alpha, s, tab, trunc)
     entries = []
     for eps in eps_list:
@@ -420,5 +369,5 @@ def diagnostics_report(w: Window, window_spec: str, alpha: float, s: float,
         "lhs": [e["lhs"] for e in entries],
         "pass": [e["pass"] for e in entries],
         "truncation": rho_est.truncation,
-        "runtime": time.time() - t0,
+        "runtime": time.perf_counter() - t0,
     }

@@ -195,25 +195,6 @@ def _S_block(V: np.ndarray, fr: AlphaFrame) -> np.ndarray:
     return out
 
 
-def _band_projector(fr: AlphaFrame, margin: float = 0.0):
-    """Spectral cut to the covering's frequency range (plus margin);
-    works column-wise on 1-D or 2-D arrays."""
-    dual = fr.signal_grid.dual()
-    f0, f1 = fr.covering.freq_range
-    mask = (dual.coords >= f0 - margin) & (dual.coords <= f1 + margin)
-    n = fr.signal_grid.n
-    k = np.arange(n)
-    # project in the frequency domain of the plain DFT; grid phases cancel
-    pre = np.exp(-2j * np.pi * dual.origin * fr.signal_grid.spacing * k)
-
-    def project(v: np.ndarray) -> np.ndarray:
-        if v.ndim == 1:
-            return np.fft.ifft(np.fft.fft(v * pre) * mask) / pre
-        V = np.fft.fft(v * pre[:, None], axis=0)
-        return np.fft.ifft(V * mask[:, None], axis=0) / pre[:, None]
-    return project
-
-
 def _cg(apply_op, b: np.ndarray, tol: float, max_iter: int,
         stagnation_window: int = 50):
     """Conjugate gradient for a Hermitian PSD operator; returns

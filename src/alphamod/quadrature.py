@@ -51,7 +51,6 @@ class QuadratureConfig:
     """Tolerances for the symbol / kernel integrals."""
 
     tol: float = 1e-8
-    tail_cut: float = 1e-16
     max_panels: int = 4000
 
 

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -227,20 +225,14 @@ class SymbolTable:
             json.dump(self.report(), fh, indent=2)
 
 
-def _n_workers() -> int:
-    env = os.environ.get("ALPHAMOD_THREADS", "")
-    if env.strip():
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
-
-
 def admissibility_scan(w: Window, alpha: float,
                        scan: ScanConfig = ScanConfig()) -> SymbolTable:
     """Samples m_psi on [-xi_max, xi_max] and extracts frame-type bounds.
 
-    For real windows the symbol is even, so only xi >= 0 is computed and
-    mirrored.  A and B fold in the tail limit ||psi||^2 (with the scan's
-    tail margin) since the symbol approaches it for large |xi|.
+    Every window is real, so the symbol is even: only xi >= 0 is
+    computed and mirrored.  A and B fold in the tail limit ||psi||^2
+    (with the scan's tail margin) since the symbol approaches it for
+    large |xi|.
     """
     _check_alpha(alpha)
     if scan.n_nodes % 2 == 0:
@@ -250,7 +242,6 @@ def admissibility_scan(w: Window, alpha: float,
     xi_all = grid.coords
     quad = QuadratureConfig(tol=scan.tol)
     half = scan.n_nodes // 2
-    targets = xi_all[half:] if w.is_real else xi_all
 
     def one(xi):
         try:
@@ -261,17 +252,8 @@ def admissibility_scan(w: Window, alpha: float,
                 value=exc.value, error=exc.error,
             ) from exc
 
-    workers = _n_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            vals = np.array(list(pool.map(one, targets)))
-    else:
-        vals = np.array([one(xi) for xi in targets])
-
-    if w.is_real:
-        values = np.concatenate([vals[:0:-1], vals])  # m(-xi) = m(xi)
-    else:
-        values = vals
+    vals = np.array([one(xi) for xi in xi_all[half:]])
+    values = np.concatenate([vals[:0:-1], vals])  # m(-xi) = m(xi)
     tail = w.l2_norm**2
     A = min(float(values.min()), tail * (1.0 - scan.tail_margin))
     B = max(float(values.max()), tail * (1.0 + scan.tail_margin))

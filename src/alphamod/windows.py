@@ -63,7 +63,7 @@ class Window:
 
     def __init__(self, kind, label, time_fn, fourier_fn, l2_norm,
                  max_deriv=3, decay_certificate=None, support=None,
-                 freq_support=None, is_real=True):
+                 freq_support=None):
         if not l2_norm > 0:
             raise ValueError("window must have positive L2 norm")
         self.kind = kind
@@ -75,7 +75,6 @@ class Window:
         self.decay_certificate = decay_certificate
         self.support = support
         self.freq_support = freq_support
-        self.is_real = is_real
 
     def __repr__(self):
         return f"Window({self.label!r})"
@@ -92,11 +91,6 @@ class Window:
 
     def sample(self, grid: SampledGrid) -> Signal:
         return Signal(grid, np.asarray(self.time(grid.coords), dtype=complex))
-
-
-def eval_fourier_deriv(w: Window, l: int, xi):
-    """psi_hat^(l)(xi); rejects l beyond the window's evaluable order."""
-    return w.fourier(xi, deriv=l)
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,17 @@ def test_diagnostics_empty_eps_list(tmp_path):
                "--output-dir", str(tmp_path)) == 2
 
 
+def test_diagnostics_gate_failure_exit(tmp_path, capsys):
+    code = run("diagnostics", "--eps-list", "0.25", "--alpha", "0.5",
+               "--x-max", "1", "--omega-max", "5", "--scan-nodes", "201",
+               "--xi-max", "20", "--output-dir", str(tmp_path))
+    assert code == 1
+    out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert out["pass"] == [False]
+    report = json.loads((tmp_path / "diagnostics.json").read_text())
+    assert report["pass"] == [False] and report["lhs"][0] >= 1.0
+
+
 def test_config_file_with_flag_override(tmp_path, chirp_csv):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"alpha": 0.5, "eps": 4.0,

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from alphamod.covering import (CoveringGapError, build_covering,
                                covering_diagnostics, mutual_weight_bound,
-                               p_alpha, p_alpha_inv, q_neighborhood)
+                               p_alpha, p_alpha_inv, q_neighborhood,
+                               q_samples)
 from alphamod.symbol import beta
 
 
@@ -96,6 +97,40 @@ def test_q_neighborhood_contains_point():
     x0, x1, w0, w1 = bbox
     assert x0 <= pt[0] <= x1 and w0 <= pt[1] <= w1
     assert any(b.contains(*pt) for b in boxes)
+
+
+def test_q_samples_match_q_neighborhood_boxes():
+    cov = build_covering(0.5, 0.25, 1.0, (-4, 4), (-4, 4))
+    density = 3
+    rng = np.random.default_rng(11)
+    points = list(zip(rng.uniform(-4, 4, 25), rng.uniform(-4, 4, 25)))
+    # points in the first and last box of a row, where the k-range cuts
+    # one of the two candidate boxes away
+    for j in (cov.j_range[0] + 3, 0, cov.j_range[1] - 3):
+        k0, k1 = cov.k_ranges[j]
+        half = 0.5 * cov.eps * beta(cov.omega_nodes[j], cov.alpha)
+        points += [(cov.x_node(j, k0) - half, cov.omega_nodes[j]),
+                   (cov.x_node(j, k1) + half, cov.omega_nodes[j])]
+    def key(z):  # an order that ulp differences cannot change
+        return round(z[0], 9), round(z[1], 9)
+
+    for t, omega in points:
+        boxes = [b for b in cov.boxes() if b.contains(t, omega)]
+        assert ({(b.j, b.k) for b in q_neighborhood(cov, (t, omega))[0]}
+                == {(b.j, b.k) for b in boxes})
+        want = sorted(
+            ((zt, zw)
+             for b in boxes
+             for zt in np.linspace(b.x_lo, b.x_hi, density + 2)[1:-1]
+             for zw in np.linspace(b.w_lo, b.w_hi, density + 2)[1:-1]),
+            key=key)
+        got = sorted(
+            ((zt, zw)
+             for _, z_t, inside, z_w in q_samples(cov, [t], [omega], density)
+             for zt in z_t[inside] for zw in z_w),
+            key=key)
+        assert len(got) == len(want) == density**2 * len(boxes)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_nodes_csv_roundtrip(tmp_path):

@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 from alphamod.covering import build_covering
 from alphamod.diagnostics import (KernelEstimate, TruncationConfig,
-                                  _SliceEngine, discretization_condition,
-                                  estimate_gamma, estimate_rho, lambda_fn,
+                                  _osc, _SliceEngine,
+                                  discretization_condition, estimate_gamma,
+                                  estimate_rho, lambda_fn,
                                   oscillation_kernel, theta_fn)
 from alphamod.symbol import NotAdmissibleError, beta
 from alphamod.transform import kernel_K
@@ -117,12 +118,31 @@ def test_oscillation_vanishes_at_base_point(gauss, gauss_tab):
     assert 0.0 <= osc <= 2.0 * max(direct, 1.0)
 
 
+def test_fft_oscillation_matches_quadrature_oracle(gauss, gauss_tab):
+    """The FFT path snaps x_t - z_t to its u grid (du = 0.044 here); the
+    quadrature oracle evaluates at the exact z, so they agree to about
+    the snapping step."""
+    cov = build_covering(0.5, 0.5, 1.0, (-6, 6), (-4, 4))
+    engine = _SliceEngine(gauss, 0.5, gauss_tab, 1, omega_max=4.0,
+                          u_max=6.0)
+    on_grid = lambda t: float(engine.u[engine.u_index(t)])  # noqa: E731
+    for p1, p2 in [((on_grid(0.5), 1.0), (0.0, 0.0)),
+                   ((0.0, 0.5), (on_grid(0.3), -0.7)),
+                   ((on_grid(-0.4), -1.5), (on_grid(0.2), -1.0))]:
+        ref = oscillation_kernel(gauss, 0.5, gauss_tab, cov, p1, p2,
+                                 z_density=2)
+        fast = _osc(engine, cov, 2, p1[0], p1[1], p2[0], p2[1])
+        assert fast.shape == (1, 1)
+        assert fast[0, 0] == pytest.approx(ref, rel=1e-2)
+
+
 def test_estimate_rho_converged(gauss, gauss_tab):
     est = estimate_rho(gauss, 0.5, 0.0, gauss_tab, LIGHT)
     assert est.kappa == 1
     assert est.value > 0
     assert est.truncation["converged"]
     assert len(est.truncation["history"]) >= 2
+    assert est.value == pytest.approx(2.090531430020757, rel=1e-12)
 
 
 def test_estimate_rho_weight_monotone(gauss, gauss_tab):
@@ -142,3 +162,6 @@ def test_estimate_gamma_structure(gauss, gauss_tab):
     g1, g2, g = estimate_gamma(gauss, 0.5, 0.0, gauss_tab, cov, LIGHT)
     assert g == max(g1, g2)
     assert g1 > 0 and g2 > 0
+    # pinned: any change in how Q_y is sampled or z is snapped shows here
+    assert g1 == pytest.approx(6.58263273846213, rel=1e-12)
+    assert g2 == pytest.approx(5.272478523983099, rel=1e-12)
