@@ -151,10 +151,11 @@ class RunConfig:
         return ScanConfig(xi_max=self.xi_max, n_nodes=self.scan_nodes,
                           tol=self.tol)
 
-    def frame(self) -> AlphaFrame:
+    def frame(self, grid: SampledGrid | None = None) -> AlphaFrame:
+        """Frame on the given grid, by default the configured one."""
         cov = build_covering(self.alpha, self.eps, self.c,
                              self.time_range, self.freq_range)
-        return AlphaFrame(cov, self.window, self.grid())
+        return AlphaFrame(cov, self.window, grid or self.grid())
 
 
 def _load_signal(path: str) -> Signal:
@@ -223,9 +224,7 @@ def cmd_frame_info(cfg: RunConfig) -> int:
 
 def cmd_analyze(cfg: RunConfig, input_path: str) -> int:
     f = _load_signal(input_path)
-    fr = cfg.frame()
-    if not f.grid.isclose(fr.signal_grid):
-        fr = AlphaFrame(fr.covering, cfg.window, f.grid)
+    fr = cfg.frame(f.grid)
     coeffs = analysis(f, fr)
     coeffs.save(cfg.output_dir / "coefficients.bin", cfg.window_spec)
     coeffs.save_csv(cfg.output_dir / "coefficients.csv")
@@ -236,8 +235,11 @@ def cmd_analyze(cfg: RunConfig, input_path: str) -> int:
 def cmd_synthesize(cfg: RunConfig, coeff_path: str, output: str) -> int:
     header = json.loads(Path(coeff_path + ".json").read_text())
     grid = SampledGrid(**header["grid"])
+    # files written before the ranges were stored fall back to the
+    # flags; load_coefficients rejects a covering that does not match
     cov = build_covering(header["alpha"], header["eps"], header["c"],
-                         cfg.time_range, cfg.freq_range)
+                         header.get("time_range", cfg.time_range),
+                         header.get("freq_range", cfg.freq_range))
     window = parse_window_spec(header.get("window") or cfg.window_spec)
     fr = AlphaFrame(cov, window, grid)
     coeffs = load_coefficients(coeff_path, fr)
@@ -249,9 +251,7 @@ def cmd_synthesize(cfg: RunConfig, coeff_path: str, output: str) -> int:
 
 def cmd_roundtrip(cfg: RunConfig, input_path: str) -> int:
     f = _load_signal(input_path)
-    fr = cfg.frame()
-    if not f.grid.isclose(fr.signal_grid):
-        fr = AlphaFrame(fr.covering, cfg.window, f.grid)
+    fr = cfg.frame(f.grid)
     coeffs = analysis(f, fr)
     coeffs.save(cfg.output_dir / "coefficients.bin", cfg.window_spec)
     res = reconstruct(f, fr, tol=min(cfg.threshold / 10, 1e-8))

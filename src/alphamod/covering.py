@@ -188,7 +188,16 @@ def _row_arrays(cov: AlphaCovering):
 
 
 def _probe_covers(cov: AlphaCovering, density: int = 20) -> bool:
-    """Dense probe of the rectangle; True when every point lies in a box."""
+    """Dense probe of the rectangle; True when every point lies in a box.
+
+    Row r covers the probe times x with rint(x / (eps * b_r)) in its
+    k-range; that index is nondecreasing in x, so the covered times form
+    one run [a_r, e_r) of the sorted probes.  Likewise the probe
+    frequencies inside row r's band form one run [start_r, stop_r).  The
+    set of rows over a frequency changes only at the ends of these runs,
+    so each piece between consecutive ends is checked once: the runs of
+    its rows, sorted by a_r, must chain from 0 to nx without a gap.
+    """
     t0, t1 = cov.time_range
     f0, f1 = cov.freq_range
     js, ws, bs, halves, klo, khi = _row_arrays(cov)
@@ -199,24 +208,20 @@ def _probe_covers(cov: AlphaCovering, density: int = 20) -> bool:
     nw = min(nw, 20000)
     xs = np.linspace(t0, t1, nx)
     fs = np.linspace(f0, f1, nw)
-    for omega in fs:
-        rows = np.nonzero((ws - halves < omega) & (omega < ws + halves))[0]
-        if rows.size == 0:
-            return False
-        covered = np.zeros(xs.size, dtype=bool)
-        for i in rows:
-            # x in eps*b*(k-1, k+1) for some k in [klo, khi]
-            u = xs / (cov.eps * bs[i])
-            k = np.rint(u)
-            ok = (np.abs(u - k) < 1.0) & (k >= klo[i]) & (k <= khi[i])
-            # points exactly between two boxes (u - k = +-1) still covered
-            # by the neighbor when it exists; treat half-open generously
-            edge = np.isclose(np.abs(u - k), 1.0)
-            covered |= ok | (edge & (k + np.sign(u - k) >= klo[i])
-                             & (k + np.sign(u - k) <= khi[i]))
-        if not covered.all():
-            return False
-    return True
+    k = np.rint(xs[None, :] / (cov.eps * bs[:, None]))
+    a = np.sum(k < klo[:, None], axis=1)
+    e = np.sum(k <= khi[:, None], axis=1)
+    start = np.searchsorted(fs, ws - halves, side="right")
+    stop = np.searchsorted(fs, ws + halves, side="left")
+    pieces = np.unique(np.concatenate([[0], start, stop]))
+    pieces = pieces[pieces < nw]
+    order = np.argsort(a, kind="stable")
+    a, e, start, stop = a[order], e[order], start[order], stop[order]
+    on = (start <= pieces[:, None]) & (pieces[:, None] < stop)
+    reach = np.maximum.accumulate(np.where(on, e, 0), axis=1)
+    before = np.concatenate([np.zeros((pieces.size, 1), dtype=reach.dtype),
+                             reach[:, :-1]], axis=1)
+    return bool(np.all(~on | (a <= before)) and np.all(reach[:, -1] == nx))
 
 
 def _max_overlap(cov: AlphaCovering) -> int:

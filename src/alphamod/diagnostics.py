@@ -159,17 +159,20 @@ class _SliceEngine:
                                           - ws[:, None])).ravel())
         return F.reshape(ws.size, self.n) * np.sqrt(b)[:, None]
 
-    def spectral_profiles(self, omegas, etas) -> np.ndarray:
+    def spectral_profiles(self, omegas, etas, left=None) -> np.ndarray:
         """G matrix, one row per (omega, eta) pair; a single frequency on
-        either side pairs with every frequency on the other."""
+        either side pairs with every frequency on the other.  left, if
+        given, is _atoms_hat(omegas), computed once by the caller."""
         right = np.conj(self._atoms_hat(etas))
         if self._m_pow is not None:
             right = right * self._m_pow
-        return self._atoms_hat(omegas) * right
+        if left is None:
+            left = self._atoms_hat(omegas)
+        return left * right
 
-    def slices(self, omegas, etas) -> np.ndarray:
+    def slices(self, omegas, etas, left=None) -> np.ndarray:
         """P[i, m] = R(((u_m + t), omegas[i]), (t, etas[i])) for any t."""
-        G = self.spectral_profiles(omegas, etas)
+        G = self.spectral_profiles(omegas, etas, left)
         return self._post[None, :] * np.fft.fft(G * self._pre[None, :],
                                                 axis=1)
 
@@ -279,16 +282,19 @@ def _osc(engine: _SliceEngine, cov: AlphaCovering, density: int,
     Frequencies run along a and times along b; a side with one frequency
     or one time pairs it with every entry of the other.  The times lie on
     the engine's u grid, and each x_t - z_t is snapped onto it by
-    u_index.  Each z frequency costs one batch of slices, used at once
-    and dropped.  Returns the (a, b) array.
+    u_index.  The spectra of the x frequencies are computed once; each z
+    frequency costs one batch of slices, used at once and dropped.
+    Returns the (a, b) array.
     """
     x_t, x_w, y_t, y_w = (np.atleast_1d(np.asarray(v, dtype=float))
                           for v in (x_t, x_w, y_t, y_w))
-    base = engine.slices(x_w, y_w)[:, engine.u_index(x_t - y_t)]
+    x_hat = engine._atoms_hat(x_w)
+    base = engine.slices(x_w, y_w, x_hat)[:, engine.u_index(x_t - y_t)]
     osc = np.zeros(base.shape)
     for band, z_t, inside, z_w in q_samples(cov, y_t, y_w, density):
         rows = np.broadcast_to(band, osc.shape[:1])
-        xw, yw = (v[rows] if v.size > 1 else v for v in (x_w, y_w))
+        xw, yw, xw_hat = (v[rows] if len(v) > 1 else v
+                          for v in (x_w, y_w, x_hat))
         keep = inside.any(axis=0)
         inside = inside[:, keep]
         # R(x, z) = P[:, at] for the slices P of one z frequency
@@ -300,7 +306,7 @@ def _osc(engine: _SliceEngine, cov: AlphaCovering, density: int,
         row_osc = osc[rows]
         step = max(1, _GATHER // R_y.size)
         for zw in z_w:
-            P = engine.slices(xw, zw)
+            P = engine.slices(xw, zw, xw_hat)
             for c in range(0, z_t.shape[1], step):
                 cs = slice(c, c + step)
                 diff = np.abs(R_y - phase[..., cs] * P[:, at[:, cs]])

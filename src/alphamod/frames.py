@@ -1,25 +1,26 @@
 """Discrete frames on covering nodes: analysis, synthesis, frame bounds,
 and conjugate-gradient reconstruction.
 
-The frame atoms sit at the covering nodes (x_{j,k}, w_j); all atoms in a
-frequency row share w_j, so the row's atom matrix is built in one
-vectorized pass and cached under a byte budget.
+The frame atoms sit at the covering nodes (x_{j,k}, w_j).  They are held
+as one sparse matrix with a band of samples per atom (see transform):
+analysis, synthesis and the frame operator are products with it and
+its adjoint.  A frame of a window without compact support in time other
+than the Gaussian (the bandlimited window) has dense rows, n_atoms * n
+entries, with no memory budget.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .covering import AlphaCovering
-from .grids import GridMismatchError, Signal, SampledGrid, forward_fourier
-from .transform import _atom_rows
+from .grids import GridMismatchError, Signal, SampledGrid
+from .transform import _atom_rows, _band_matrix
 from .windows import Window
 
 
@@ -31,75 +32,40 @@ class IterationError(RuntimeError):
         self.rayleigh = rayleigh
 
 
-class _RowCache:
-    """Byte-budgeted LRU of per-row atom matrices; safe for concurrent
-    reads with single-writer insertion."""
-
-    def __init__(self, budget_bytes: int):
-        self.budget = budget_bytes
-        self._data: OrderedDict[int, np.ndarray] = OrderedDict()
-        self._bytes = 0
-        self._lock = threading.Lock()
-
-    def get(self, j: int):
-        with self._lock:
-            mat = self._data.get(j)
-            if mat is not None:
-                self._data.move_to_end(j)
-            return mat
-
-    def put(self, j: int, mat: np.ndarray):
-        with self._lock:
-            if j in self._data:
-                return
-            self._data[j] = mat
-            self._bytes += mat.nbytes
-            while self._bytes > self.budget and len(self._data) > 1:
-                _, old = self._data.popitem(last=False)
-                self._bytes -= old.nbytes
-
-
 class AlphaFrame:
     """Covering nodes + window + signal grid = a finite frame."""
 
     def __init__(self, covering: AlphaCovering, window: Window,
-                 signal_grid: SampledGrid,
-                 cache_bytes: int = 512 * 1024**2):
+                 signal_grid: SampledGrid):
         self.covering = covering
         self.window = window
         self.signal_grid = signal_grid
         self.alpha = covering.alpha
-        self._cache = _RowCache(cache_bytes)
         # row layout: slices of the flat coefficient vector per j
         self._js = list(range(covering.j_range[0], covering.j_range[1] + 1))
         self._row_slices: dict[int, slice] = {}
-        self._row_xs: dict[int, np.ndarray] = {}
+        rows = []
         pos = 0
         for j in self._js:
             k0, k1 = covering.k_ranges[j]
             ks = np.arange(k0, k1 + 1)
-            b = (1.0 + abs(covering.omega_nodes[j])) ** (-covering.alpha)
-            self._row_xs[j] = covering.eps * b * ks
+            w = covering.omega_nodes[j]
+            b = (1.0 + abs(w)) ** (-covering.alpha)
+            rows.append((w, covering.eps * b * ks))
             self._row_slices[j] = slice(pos, pos + ks.size)
             pos += ks.size
         self.n_atoms = pos
+        self._matrix = _band_matrix(window, self.alpha, rows, signal_grid)
 
     def nodes(self) -> np.ndarray:
         return self.covering.nodes()
 
-    def row_matrix(self, j: int) -> np.ndarray:
-        """Atom matrix of frequency row j, shape (n_k, grid.n)."""
-        mat = self._cache.get(j)
-        if mat is None:
-            mat = _atom_rows(self.window, self.alpha,
-                             self.covering.omega_nodes[j],
-                             self._row_xs[j], self.signal_grid)
-            self._cache.put(j, mat)
-        return mat
-
     def atom(self, j: int, k: int) -> Signal:
-        k0 = self.covering.k_ranges[j][0]
-        return Signal(self.signal_grid, self.row_matrix(j)[k - k0].copy())
+        x = self.covering.x_node(j, k)
+        return Signal(self.signal_grid,
+                      _atom_rows(self.window, self.alpha,
+                                 self.covering.omega_nodes[j], [x],
+                                 self.signal_grid)[0])
 
 
 @dataclass(frozen=True)
@@ -135,6 +101,8 @@ class Coefficients:
         blob.tofile(path)
         header = {
             "alpha": cov.alpha, "eps": cov.eps, "c": cov.c,
+            "time_range": list(cov.time_range),
+            "freq_range": list(cov.freq_range),
             "window": window_spec or self.frame.window.label,
             "grid": {"n": grid.n, "spacing": grid.spacing,
                      "origin": grid.origin},
@@ -150,11 +118,18 @@ class Coefficients:
 
 
 def load_coefficients(path, frame: AlphaFrame) -> Coefficients:
+    """Reads a coefficient file; raises ValueError unless its (j, k) node
+    table is the frame's."""
     header = json.loads(Path(str(path) + ".json").read_text())
     n = int(header["n_atoms"])
     if n != frame.n_atoms:
         raise ValueError(f"file holds {n} atoms, frame has {frame.n_atoms}")
     blob = np.fromfile(path, dtype="<f8")
+    if blob.size != 4 * n:
+        raise ValueError(f"file holds {blob.size} values, expected {4 * n}")
+    if not np.array_equal(blob[:2 * n].reshape(n, 2), frame.nodes()[:, :2]):
+        raise ValueError("coefficient node table differs from the frame's "
+                         "covering")
     vals = blob[2 * n:]
     return Coefficients(frame, vals[0::2] + 1j * vals[1::2])
 
@@ -164,20 +139,14 @@ def analysis(f: Signal, fr: AlphaFrame) -> Coefficients:
     if not f.grid.isclose(fr.signal_grid):
         raise GridMismatchError("signal grid differs from the frame grid")
     dt = fr.signal_grid.spacing
-    out = np.empty(fr.n_atoms, dtype=complex)
-    for j in fr._js:
-        out[fr._row_slices[j]] = dt * (fr.row_matrix(j).conj() @ f.values)
-    return Coefficients(fr, out)
+    return Coefficients(fr, dt * np.conj(fr._matrix @ np.conj(f.values)))
 
 
 def synthesis(c: Coefficients, fr: AlphaFrame) -> Signal:
     """sum of c_{j,k} atom_{j,k}."""
     if c.frame is not fr and c.frame.n_atoms != fr.n_atoms:
         raise ValueError("coefficients indexed by a different frame")
-    out = np.zeros(fr.signal_grid.n, dtype=complex)
-    for j in fr._js:
-        out += c.values[fr._row_slices[j]] @ fr.row_matrix(j)
-    return Signal(fr.signal_grid, out)
+    return Signal(fr.signal_grid, fr._matrix.T @ c.values)
 
 
 def frame_operator_apply(f: Signal, fr: AlphaFrame) -> Signal:
@@ -187,12 +156,8 @@ def frame_operator_apply(f: Signal, fr: AlphaFrame) -> Signal:
 
 def _S_block(V: np.ndarray, fr: AlphaFrame) -> np.ndarray:
     """Frame operator applied to every column of V, shape (n, q)."""
-    dt = fr.signal_grid.spacing
-    out = np.zeros_like(V)
-    for j in fr._js:
-        M = fr.row_matrix(j)
-        out += M.T @ (dt * (M.conj() @ V))
-    return out
+    A = fr._matrix
+    return fr.signal_grid.spacing * (A.T @ np.conj(A @ np.conj(V)))
 
 
 def _cg(apply_op, b: np.ndarray, tol: float, max_iter: int,

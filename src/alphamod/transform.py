@@ -11,6 +11,12 @@ Atoms are always evaluated analytically on the signal grid, never by
 resampling a stored discrete window: the dilation rate beta(w) is not an
 integer ratio and resampling would leak interpolation error into every
 identity checked downstream.
+
+Rows of atoms, for the voice transform and for the discrete frames
+alike, are held as one sparse matrix with a band per atom: the samples
+where psi is not zero to double precision.  That is the support of a
+compact window and |t| <= 3.53 for the Gaussian; the bandlimited window
+has no such radius, so its rows fill the whole grid.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy import sparse
 
 from .grids import (Signal, SampledGrid, Weight, inner_product,
                     weighted_lp_norm)
@@ -97,9 +103,7 @@ def make_atom(w: Window, alpha: float, x: float, omega: float,
               grid: SampledGrid, spill_tol: float = 1e-6) -> Signal:
     """T_x M_w D_beta psi sampled on the grid; warns when more than
     spill_tol of the atom's mass lies outside the grid."""
-    b = beta(omega, alpha)
-    u = grid.coords - x
-    values = np.exp(2j * np.pi * omega * u) * w.time(u / b) / math.sqrt(b)
+    values = _atom_rows(w, alpha, omega, [x], grid)[0]
     mass = grid.spacing * float(np.sum(np.abs(values) ** 2))
     spill = 1.0 - mass / w.l2_norm**2
     if spill > spill_tol:
@@ -119,58 +123,73 @@ def _atom_rows(w: Window, alpha: float, omega: float, xs: np.ndarray,
     return np.exp(2j * np.pi * omega * u) * prof / math.sqrt(b)
 
 
-def _aligned_shifts(x_grid: SampledGrid, t_grid: SampledGrid):
-    """Integer sample shifts of the x nodes on the signal grid, or None."""
-    dt = t_grid.spacing
-    shifts = (x_grid.coords - t_grid.origin) / dt
-    rounded = np.rint(shifts)
-    if np.max(np.abs(shifts - rounded)) < 1e-9:
-        return rounded.astype(int)
-    return None
+# |psi| of the Gaussian window falls below 1e-17 of its peak beyond this
+_GAUSS_RADIUS = math.sqrt(17.0 * math.log(10.0) / math.pi)
+
+# matrix entries evaluated per pass of _band_matrix's fill loop
+_FILL = 1 << 20
 
 
-def _voice_row_fft(f: Signal, w: Window, alpha: float, omega: float,
-                   shifts: np.ndarray) -> np.ndarray:
-    """One frequency row by FFT cross-correlation; x nodes must sit on
-    the signal lattice (integer sample shifts)."""
-    b = beta(omega, alpha)
-    dt = f.grid.spacing
-    n = f.grid.n
-    j_lo = -int(shifts.max())
-    j_hi = (n - 1) - int(shifts.min())
-    j = np.arange(j_lo, j_hi + 1)
-    atom = np.exp(2j * np.pi * omega * j * dt) * w.time(j * dt / b) \
-        / math.sqrt(b)
-    h = np.conj(atom)
-    full = fftconvolve(f.values, h[::-1])
-    idx = shifts + j_lo + h.size - 1
-    return dt * full[idx]
+def _time_radius(w: Window) -> float:
+    """Radius outside which psi is zero to double precision (inf if
+    there is none)."""
+    if w.support is not None:
+        return max(-w.support[0], w.support[1])
+    return _GAUSS_RADIUS if w.kind == "gaussian" else math.inf
+
+
+def _band_matrix(w: Window, alpha: float, rows,
+                 grid: SampledGrid) -> sparse.csr_array:
+    """CSR matrix of atoms on the grid, one matrix row per atom, for
+    rows = [(omega, xs), ...] taken in order.
+
+    Each matrix row holds the entries of _atom_rows on the samples
+    within beta(omega) * _time_radius(w) of x, with one sample of slack
+    per side so that rounding never drops a nonzero sample.
+    """
+    omegas = np.concatenate([np.full(len(xs), om, dtype=float)
+                             for om, xs in rows])
+    xs = np.concatenate([np.asarray(xs, dtype=float) for _, xs in rows])
+    b = beta(omegas, alpha)
+    n, t = grid.n, grid.coords
+    reach = _time_radius(w) * b
+    lo = np.floor((xs - reach - grid.origin) / grid.spacing)
+    hi = np.ceil((xs + reach - grid.origin) / grid.spacing) + 1
+    lo = np.clip(lo, 0, n).astype(np.int64)
+    hi = np.clip(hi, lo, n).astype(np.int64)
+    counts = hi - lo
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    nnz = int(indptr[-1])
+    indices = np.empty(nnz, dtype=np.int32)
+    data = np.empty(nnz, dtype=complex)
+    # whole atoms per pass, about _FILL entries each
+    cuts = np.searchsorted(indptr, np.arange(_FILL, nnz, _FILL))
+    for a0, a1 in zip([0, *cuts], [*cuts, xs.size]):
+        s0, s1 = indptr[a0], indptr[a1]
+        m = np.repeat(np.arange(a0, a1), counts[a0:a1])
+        cols = lo[m] + np.arange(s0, s1) - indptr[m]
+        u = t[cols] - xs[m]
+        data[s0:s1] = (np.exp(2j * np.pi * omegas[m] * u)
+                       * w.time(u / b[m]) / np.sqrt(b[m]))
+        indices[s0:s1] = cols
+    return sparse.csr_array((data, indices, indptr), shape=(xs.size, n))
+
+
+def _voice_matrix(w: Window, alpha: float, x_grid: SampledGrid,
+                  omega_grid: SampledGrid, grid: SampledGrid):
+    """Atoms of the product grid in VoiceMap order (omega-major)."""
+    return _band_matrix(w, alpha, [(om, x_grid.coords)
+                                   for om in omega_grid.coords], grid)
 
 
 def voice_transform(f: Signal, w: Window, alpha: float,
-                    x_grid: SampledGrid, omega_grid: SampledGrid,
-                    method: str = "auto") -> VoiceMap:
-    """V f(x, w) = <f, a_{x,w}> on the product grid.
-
-    method "fft" uses per-row FFT cross-correlation (x nodes must lie on
-    the signal lattice), "direct" uses explicit inner products; "auto"
-    picks fft whenever the lattice alignment holds.
-    """
-    if method not in ("auto", "fft", "direct"):
-        raise ValueError(f"unknown method {method!r}")
-    shifts = _aligned_shifts(x_grid, f.grid)
-    if method == "fft" and shifts is None:
-        raise ValueError("fft path needs x nodes on the signal lattice")
-    use_fft = method != "direct" and shifts is not None
-    xs = x_grid.coords
-    rows = np.empty((omega_grid.n, x_grid.n), dtype=complex)
-    for jj, omega in enumerate(omega_grid.coords):
-        if use_fft:
-            rows[jj] = _voice_row_fft(f, w, alpha, float(omega), shifts)
-        else:
-            A = _atom_rows(w, alpha, float(omega), xs, f.grid)
-            rows[jj] = f.grid.spacing * (A.conj() @ f.values)
-    return VoiceMap(x_grid, omega_grid, rows)
+                    x_grid: SampledGrid, omega_grid: SampledGrid) -> VoiceMap:
+    """V f(x, w) = <f, a_{x,w}> on the product grid; the x nodes need not
+    lie on the signal lattice."""
+    A = _voice_matrix(w, alpha, x_grid, omega_grid, f.grid)
+    values = f.grid.spacing * np.conj(A @ np.conj(f.values))
+    return VoiceMap(x_grid, omega_grid,
+                    values.reshape(omega_grid.n, x_grid.n))
 
 
 def synthesize_voice(vm: VoiceMap, w: Window, alpha: float,
@@ -178,22 +197,18 @@ def synthesize_voice(vm: VoiceMap, w: Window, alpha: float,
     """Riemann sum of the inverse pairing:
     g = sum V(x, w) a_{x,w} dx dw over the voice grid."""
     cell = vm.x_grid.spacing * vm.omega_grid.spacing
-    out = np.zeros(grid.n, dtype=complex)
-    for jj, omega in enumerate(vm.omega_grid.coords):
-        A = _atom_rows(w, alpha, float(omega), vm.x_grid.coords, grid)
-        out += vm.values[jj] @ A
-    return Signal(grid, cell * out)
+    A = _voice_matrix(w, alpha, vm.x_grid, vm.omega_grid, grid)
+    return Signal(grid, cell * (A.T @ vm.values.ravel()))
 
 
 def dual_transform(f: Signal, w: Window, alpha: float, tab: SymbolTable,
-                   x_grid: SampledGrid, omega_grid: SampledGrid,
-                   method: str = "auto") -> VoiceMap:
+                   x_grid: SampledGrid, omega_grid: SampledGrid) -> VoiceMap:
     """W f = V(A^{-1} f): the voice transform after inverting the
     analysis multiplier."""
     if not tab.admissible:
         raise NotAdmissibleError("dual transform needs an admissible window")
     g = apply_multiplier(f, tab, -1)
-    return voice_transform(g, w, alpha, x_grid, omega_grid, method)
+    return voice_transform(g, w, alpha, x_grid, omega_grid)
 
 
 def kernel_K(w1: Window, w2: Window, alpha: float, tab: SymbolTable,
@@ -241,9 +256,9 @@ def check_reproducing(f: Signal, w: Window, alpha: float, tab: SymbolTable,
     V f = integral of V f(y) R(y, .) dmu(y).
 
     The kernel integral is evaluated as V(A^{-1} synthesize(V f)), which
-    is the same operator applied with two FFT passes instead of a dense
-    kernel matrix.  Rejects grids capturing less than mass_threshold of
-    ||f||^2 in the pairing <V f, W f> dmu.
+    is the same operator applied with the atom matrix and its adjoint
+    instead of a dense kernel matrix.  Rejects grids capturing less than
+    mass_threshold of ||f||^2 in the pairing <V f, W f> dmu.
     """
     fnorm = f.norm()
     if fnorm == 0.0:

@@ -1,9 +1,12 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from alphamod.cli import main
+from alphamod.cli import build_parser, main
 from alphamod.grids import (SampledGrid, Signal, load_signal_csv,
                             save_signal_csv)
 
@@ -117,6 +120,41 @@ def test_analyze_then_synthesize(tmp_path, chirp_csv):
     # synthesis of raw analysis coefficients is S f, not f: same energy
     # scale but not equal
     assert synth.norm() > 0
+
+
+def test_synthesize_uses_stored_covering(tmp_path, chirp_csv):
+    out = tmp_path / "an"
+    assert run("analyze", chirp_csv, "--time-range=-6,6",
+               "--freq-range=-3,3", "--output-dir", str(out)) == 0
+    header = json.loads((out / "coefficients.bin.json").read_text())
+    assert header["time_range"] == [-6.0, 6.0]
+    assert header["freq_range"] == [-3.0, 3.0]
+    # no range flags: the covering comes from the file, not the defaults
+    assert run("synthesize", str(out / "coefficients.bin"),
+               "--output-dir", str(out)) == 0
+    assert (out / "synthesized.csv").exists()
+
+
+def test_synthesize_rejects_tampered_node_table(tmp_path, chirp_csv):
+    out = tmp_path / "an"
+    assert run("analyze", chirp_csv, "--output-dir", str(out)) == 0
+    path = out / "coefficients.bin"
+    blob = np.fromfile(path, dtype="<f8")
+    blob[3] += 1.0  # k of the second atom
+    blob.tofile(path)
+    assert run("synthesize", str(path), "--output-dir", str(out)) == 2
+    assert not (out / "synthesized.csv").exists()
+
+
+def test_readme_cli_examples_parse():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = [ln for block in re.findall(r"```sh\n(.*?)```",
+                                        readme.read_text(), re.S)
+             for ln in block.splitlines() if ln.startswith("alphamod ")]
+    assert len(lines) >= 8
+    parser = build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])
 
 
 def test_coorbit_norm(tmp_path, chirp_csv, capsys):

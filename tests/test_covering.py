@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alphamod.covering import (CoveringGapError, build_covering,
-                               covering_diagnostics, mutual_weight_bound,
-                               p_alpha, p_alpha_inv, q_neighborhood,
-                               q_samples)
+from alphamod.covering import (CoveringGapError, _probe_covers, _row_arrays,
+                               build_covering, covering_diagnostics,
+                               mutual_weight_bound, p_alpha, p_alpha_inv,
+                               q_neighborhood, q_samples)
 from alphamod.symbol import beta
 
 
@@ -66,6 +66,64 @@ def test_gabor_overlap_oracle():
 def test_covering_gap_detected():
     with pytest.raises(CoveringGapError):
         build_covering(0.5, 0.25, 0.2, (-4, 4), (-4, 4))
+
+
+def _probe_covers_loop(cov, density=20):
+    """The probe one frequency at a time: oracle for _probe_covers."""
+    t0, t1 = cov.time_range
+    f0, f1 = cov.freq_range
+    js, ws, bs, halves, klo, khi = _row_arrays(cov)
+    nw = max(64, int(density * (f1 - f0) / (2.0 * halves.min())))
+    nx = max(64, int(density * (t1 - t0) / (2.0 * cov.eps * bs.min())))
+    nx = min(nx, 20000)
+    nw = min(nw, 20000)
+    xs = np.linspace(t0, t1, nx)
+    fs = np.linspace(f0, f1, nw)
+    for omega in fs:
+        rows = np.nonzero((ws - halves < omega) & (omega < ws + halves))[0]
+        if rows.size == 0:
+            return False
+        covered = np.zeros(xs.size, dtype=bool)
+        for i in rows:
+            u = xs / (cov.eps * bs[i])
+            k = np.rint(u)
+            ok = (np.abs(u - k) < 1.0) & (k >= klo[i]) & (k <= khi[i])
+            edge = np.isclose(np.abs(u - k), 1.0)
+            covered |= ok | (edge & (k + np.sign(u - k) >= klo[i])
+                             & (k + np.sign(u - k) <= khi[i]))
+        if not covered.all():
+            return False
+    return True
+
+
+def test_probe_covers_matches_loop_oracle():
+    rng = np.random.default_rng(5)
+    verdicts = []
+    for _ in range(40):
+        alpha = rng.choice([0.0, 0.25, 0.5, 0.75])
+        eps = rng.uniform(0.2, 1.0)
+        c = rng.uniform(0.1, 0.7)
+        t0, f0 = rng.uniform(-6.0, 0.0, size=2)
+        tr = (t0, t0 + rng.uniform(1.0, 8.0))
+        fr = (f0, f0 + rng.uniform(1.0, 8.0))
+        cov = build_covering(alpha, eps, c, tr, fr, validate=False)
+        if rng.random() < 0.5:
+            # trimmed k-ranges put the row ends inside the rectangle
+            cov.k_ranges = {j: (k0 + rng.integers(3), k1 - rng.integers(3))
+                            for j, (k0, k1) in cov.k_ranges.items()}
+        for density in (10, 20):
+            verdicts.append(_probe_covers(cov, density))
+            assert verdicts[-1] == _probe_covers_loop(cov, density)
+    assert any(verdicts) and not all(verdicts)
+    # a covering with gaps (see test_covering_gap_detected), a gapless
+    # one at the same geometry, and open bands that only touch: the first
+    # or the last probe frequency, 0.25, sits exactly on a band edge
+    for args, want in (((0.5, 0.25, 0.2, (-4, 4), (-4, 4)), False),
+                       ((0.5, 0.25, 1.0, (-4, 4), (-4, 4)), True),
+                       ((0.0, 0.5, 0.25, (-4, 4), (0.25, 2.0)), False),
+                       ((0.0, 0.5, 0.25, (-4, 4), (-2.0, 0.25)), False)):
+        cov = build_covering(*args, validate=False)
+        assert _probe_covers(cov) == _probe_covers_loop(cov) == want
 
 
 def test_validate_false_skips_probe():

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from alphamod.covering import build_covering
-from alphamod.frames import (AlphaFrame, Coefficients, analysis,
+from alphamod.frames import (AlphaFrame, Coefficients, _S_block, analysis,
                              estimate_frame_bounds, frame_operator_apply,
                              load_coefficients, reconstruct, synthesis)
 from alphamod.grids import (GridMismatchError, SampledGrid, Signal,
                             inner_product)
-from alphamod.windows import Window, gaussian_window
+from alphamod.transform import _atom_rows
+from alphamod.windows import Window, gaussian_window, parse_window_spec
 
 
 @pytest.fixture()
@@ -32,6 +33,35 @@ def band_limited_signal(grid, f0, f1, seed=0):
     spec = np.fft.fft(f.values * pre)
     spec[(dual.coords < f0) | (dual.coords > f1)] = 0.0
     return Signal(grid, np.fft.ifft(spec) / pre)
+
+
+def _rel(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("spec", ["gaussian", "bspline:2", "bump:1.0",
+                                  "bandlimited:1.0"])
+def test_engine_matches_dense_oracle(spec):
+    # the covering spans the whole grid, so edge atoms are cut off by
+    # the grid, and the random signal is nonzero at both edges
+    w = parse_window_spec(spec)
+    grid = SampledGrid.centered(128, 0.125)
+    cov = build_covering(0.5, 0.25, 1.0, (-8.0, 8.0), (-3.0, 3.0))
+    fr = AlphaFrame(cov, w, grid)
+    nodes = fr.nodes()
+    M = np.vstack([_atom_rows(w, 0.5, cov.omega_nodes[j],
+                              nodes[nodes[:, 0] == j, 2], grid)
+                   for j in fr._js])
+    f = rand_signal(grid, 9)
+    assert f.values[0] != 0 and f.values[-1] != 0
+    dt = grid.spacing
+    c = analysis(f, fr)
+    assert _rel(c.values, dt * (M.conj() @ f.values)) <= 1e-12
+    assert _rel(synthesis(c, fr).values, c.values @ M) <= 1e-12
+    V = np.column_stack([f.values, rand_signal(grid, 10).values])
+    assert _rel(_S_block(V, fr), M.T @ (dt * (M.conj() @ V))) <= 1e-12
+    Sf = frame_operator_apply(f, fr).values
+    assert _rel(Sf, M.T @ (dt * (M.conj() @ f.values))) <= 1e-12
 
 
 def test_atom_count_matches_covering(small_frame):

@@ -4,10 +4,16 @@ import pytest
 from alphamod.grids import SampledGrid, Signal, inner_product
 from alphamod.symbol import NotAdmissibleError, beta
 from alphamod.transform import (MassCaptureError, SupportSpillWarning,
-                                VoiceMap, check_reproducing, coorbit_norm,
-                                dual_transform, kernel_K, make_atom,
-                                reproducing_kernel, synthesize_voice,
-                                voice_transform)
+                                VoiceMap, _atom_rows, check_reproducing,
+                                coorbit_norm, dual_transform, kernel_K,
+                                make_atom, reproducing_kernel,
+                                synthesize_voice, voice_transform)
+from alphamod.windows import parse_window_spec
+
+# one window per time-support rule of the banded atom matrix: the
+# Gaussian's radius, compact supports, and dense bandlimited rows
+ORACLE_SPECS = ("gaussian", "bspline:2", "bump:1.0", "bandlimited:1.0")
+ORACLE_WINDOWS = [parse_window_spec(s) for s in ORACLE_SPECS]
 
 
 @pytest.fixture()
@@ -41,33 +47,55 @@ def test_atom_frequency_location(gauss):
     assert np.max(np.abs(A.values - expected)) < 1e-8
 
 
-def test_voice_fft_matches_direct(chirp, gauss, voice_grids):
-    gx, gw = voice_grids
-    vf = voice_transform(chirp, gauss, 0.5, gx, gw, method="fft")
-    vd = voice_transform(chirp, gauss, 0.5, gx, gw, method="direct")
-    assert np.max(np.abs(vf.values - vd.values)) < 1e-12
+def _voice_oracle(f, w, x_grid, omega_grid):
+    """Voice map from dense _atom_rows stacks, one frequency at a time."""
+    return np.vstack([
+        f.grid.spacing * (_atom_rows(w, 0.5, float(om), x_grid.coords,
+                                     f.grid).conj() @ f.values)
+        for om in omega_grid.coords])
+
+
+def _check_voice_against_oracle(x_grid):
+    # random signal, nonzero at both grid edges; the x nodes reach past
+    # both edges, so the grid cuts atoms off on either side
+    grid = SampledGrid.centered(128, 0.125)
+    rng = np.random.default_rng(11)
+    f = Signal(grid, rng.standard_normal(grid.n)
+               + 1j * rng.standard_normal(grid.n))
+    gw = SampledGrid.centered(13, 0.5)
+    vm_rand = rng.standard_normal((gw.n, x_grid.n)) \
+        + 1j * rng.standard_normal((gw.n, x_grid.n))
+    for w in ORACLE_WINDOWS:
+        V = voice_transform(f, w, 0.5, x_grid, gw).values
+        Vd = _voice_oracle(f, w, x_grid, gw)
+        assert np.linalg.norm(V - Vd) <= 1e-12 * np.linalg.norm(Vd), w
+        g = synthesize_voice(VoiceMap(x_grid, gw, vm_rand), w, 0.5, grid)
+        cell = x_grid.spacing * gw.spacing
+        gd = cell * sum(vm_rand[jj] @ _atom_rows(w, 0.5, float(om),
+                                                 x_grid.coords, grid)
+                        for jj, om in enumerate(gw.coords))
+        assert np.linalg.norm(g.values - gd) <= 1e-12 * np.linalg.norm(gd), w
+
+
+def test_voice_on_lattice_matches_dense_oracle():
+    # nodes every 3 samples, from one node before the grid to one after
+    _check_voice_against_oracle(SampledGrid(45, 0.375, -8.375))
+
+
+def test_voice_off_lattice_matches_dense_oracle():
+    # spacing 0.3 is no multiple of the sample spacing 1/8
+    _check_voice_against_oracle(SampledGrid(57, 0.3, -8.45))
 
 
 def test_voice_values_are_inner_products(chirp, gauss):
     gx = SampledGrid(3, 1.0, -1.0)
     gw = SampledGrid(3, 2.0, -2.0)
-    vm = voice_transform(chirp, gauss, 0.5, gx, gw, method="direct")
+    vm = voice_transform(chirp, gauss, 0.5, gx, gw)
     for jj, om in enumerate(gw.coords):
         for kk, x in enumerate(gx.coords):
             atom = make_atom(gauss, 0.5, float(x), float(om), chirp.grid)
             assert vm.values[jj, kk] == pytest.approx(
                 inner_product(chirp, atom), abs=1e-12)
-
-
-def test_fft_path_requires_lattice_alignment(chirp, gauss):
-    gx = SampledGrid(4, 0.3, 0.0)  # 0.3 not a multiple of 1/16
-    gw = SampledGrid(3, 1.0, -1.0)
-    with pytest.raises(ValueError):
-        voice_transform(chirp, gauss, 0.5, gx, gw, method="fft")
-    # auto silently falls back to the direct path
-    vm = voice_transform(chirp, gauss, 0.5, gx, gw, method="auto")
-    vd = voice_transform(chirp, gauss, 0.5, gx, gw, method="direct")
-    assert np.array_equal(vm.values, vd.values)
 
 
 def test_voicemap_save_load_bit_exact(tmp_path, chirp, gauss, voice_grids):
