@@ -4,9 +4,11 @@ and conjugate-gradient reconstruction.
 The frame atoms sit at the covering nodes (x_{j,k}, w_j).  They are held
 as one sparse matrix with a band of samples per atom (see transform):
 analysis, synthesis and the frame operator are products with it and
-its adjoint.  A frame of a window without compact support in time other
-than the Gaussian (the bandlimited window) has dense rows, n_atoms * n
-entries, with no memory budget.
+its adjoint.  Both frame bounds are Lanczos eigenvalues of the frame
+operator, and reconstruction is CG on the same operator.  A frame of a
+window without compact support in time other than the Gaussian (the
+bandlimited window) has dense rows, n_atoms * n entries, with no memory
+budget.
 """
 
 from __future__ import annotations
@@ -155,7 +157,8 @@ def frame_operator_apply(f: Signal, fr: AlphaFrame) -> Signal:
 
 
 def _S_block(V: np.ndarray, fr: AlphaFrame) -> np.ndarray:
-    """Frame operator applied to every column of V, shape (n, q)."""
+    """Frame operator applied to every column of V, shape (n, q); the
+    benchmark's tracer (perfbench/spans.py) wraps it by this name."""
     A = fr._matrix
     return fr.signal_grid.spacing * (A.T @ np.conj(A @ np.conj(V)))
 
@@ -204,54 +207,54 @@ def _cg(apply_op, b: np.ndarray, tol: float, max_iter: int,
     return x, it, math.sqrt(rs) / b_norm
 
 
+def _lanczos_extreme(apply, dim: int, which: str, v0: np.ndarray,
+                     tol: float, max_iter: int) -> float:
+    """Largest (which="LA") or smallest (which="SA") eigenvalue of the
+    Hermitian operator apply on C^dim, by ARPACK's restarted Lanczos."""
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+
+    op = LinearOperator((dim, dim), matvec=apply, dtype=complex)
+    try:
+        # wide Krylov space: the bottom of a loose frame's spectrum can
+        # sit near zero, where ARPACK's relative tolerance needs room,
+        # and the top of a snug frame's spectrum is a tight cluster
+        vals = eigsh(op, k=1, which=which, tol=tol, ncv=min(dim, 80),
+                     v0=v0, maxiter=max_iter, return_eigenvectors=False)
+    except ArpackNoConvergence as exc:
+        partial = exc.eigenvalues
+        raise IterationError(
+            f"Lanczos ({which}) eigensolve did not converge",
+            rayleigh=float(partial[0]) if len(partial) else None,
+        ) from exc
+    return float(vals[0])
+
+
 def estimate_frame_bounds(fr: AlphaFrame, tol: float = 1e-8,
                           max_iter: int = 10_000, seed: int = 42):
     """(A_est, B_est): extreme Rayleigh quotients of the frame operator.
 
-    B by block power iteration.  A by Lanczos on the frame operator
+    Both by Lanczos from one seeded start vector.  B is the top of the
+    frame operator's spectrum.  A is the bottom of the frame operator
     compressed to signals whose spectrum lies inside the covering's
     frequency range: out-of-band content is invisible to a truncated
     frame and would drive the raw minimum to zero.
     """
     rng = np.random.default_rng(seed)
     n = fr.signal_grid.n
+    v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
-    # block power iteration for the top of the spectrum: single-vector
-    # iteration stalls when the leading eigenvalues cluster (snug frames)
-    q = min(8, n)
-    V = rng.standard_normal((n, q)) + 1j * rng.standard_normal((n, q))
-    V, _ = np.linalg.qr(V)
-    lam = -math.inf
-    for it in range(max_iter):
-        SV = _S_block(V, fr)
-        H = V.conj().T @ SV
-        ritz = np.linalg.eigvalsh(0.5 * (H + H.conj().T))
-        lam_new = float(ritz[-1])
-        if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)) and it >= 4:
-            lam = lam_new
-            break
-        lam = lam_new
-        V, _ = np.linalg.qr(SV)
-    else:
-        raise IterationError(
-            f"power iteration did not converge in {max_iter} steps",
-            rayleigh=lam,
-        )
-    B_est = lam
+    def S(v: np.ndarray) -> np.ndarray:
+        return _S_block(v[:, None], fr)[:, 0]
 
-    # bottom of the spectrum: restrict to the band subspace (out-of-band
-    # signals are invisible to a truncated frame, so the raw minimum is
-    # zero) and run Lanczos there.  Power-type iterations stall on the
-    # dense eigenvalue cluster snug frames produce at the lower bound.
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+    B_est = _lanczos_extreme(S, n, "LA", v0, tol, max_iter)
 
+    # orthonormal basis of the in-band signals: the DFT bins inside the
+    # covering's frequency range
     dual = fr.signal_grid.dual()
     f0, f1 = fr.covering.freq_range
-    mask = (dual.coords >= f0) & (dual.coords <= f1)
-    idx = np.nonzero(mask)[0]
-    m = idx.size
-    k_arr = np.arange(n)
-    pre = np.exp(-2j * np.pi * dual.origin * fr.signal_grid.spacing * k_arr)
+    idx = np.nonzero((dual.coords >= f0) & (dual.coords <= f1))[0]
+    pre = np.exp(-2j * np.pi * dual.origin * fr.signal_grid.spacing
+                 * np.arange(n))
     root_n = math.sqrt(n)
 
     def embed(z: np.ndarray) -> np.ndarray:
@@ -262,26 +265,8 @@ def estimate_frame_bounds(fr: AlphaFrame, tol: float = 1e-8,
     def compress(w: np.ndarray) -> np.ndarray:
         return np.fft.fft(pre * w)[idx] / root_n
 
-    def T(z: np.ndarray) -> np.ndarray:
-        v = embed(np.asarray(z, dtype=complex))
-        return compress(_S_block(v[:, None], fr)[:, 0])
-
-    op = LinearOperator((m, m), matvec=T, dtype=complex)
-    v0 = compress(rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    v0 = embed(v0)
-    try:
-        # wide Krylov space: the bottom of a loose frame's spectrum can
-        # sit near zero, where ARPACK's relative tolerance needs room
-        vals = eigsh(op, k=1, which="SA", tol=tol, ncv=min(m, 80),
-                     v0=compress(v0), maxiter=max_iter,
-                     return_eigenvectors=False)
-    except ArpackNoConvergence as exc:
-        partial = exc.eigenvalues
-        raise IterationError(
-            "lower-bound eigensolve did not converge",
-            rayleigh=float(partial[0]) if len(partial) else None,
-        ) from exc
-    A_est = float(vals[0])
+    A_est = _lanczos_extreme(lambda z: compress(S(embed(z))), idx.size,
+                             "SA", compress(v0), tol, max_iter)
     return A_est, B_est
 
 
@@ -300,7 +285,7 @@ def reconstruct(f: Signal, fr: AlphaFrame, tol: float = 1e-8,
         raise GridMismatchError("signal grid differs from the frame grid")
 
     def S(v: np.ndarray) -> np.ndarray:
-        return frame_operator_apply(Signal(fr.signal_grid, v), fr).values
+        return _S_block(v[:, None], fr)[:, 0]
 
     b = S(f.values)
     x, iters, residual = _cg(S, b, tol=tol, max_iter=max_iter)

@@ -257,24 +257,28 @@ def check_reproducing(f: Signal, w: Window, alpha: float, tab: SymbolTable,
 
     The kernel integral is evaluated as V(A^{-1} synthesize(V f)), which
     is the same operator applied with the atom matrix and its adjoint
-    instead of a dense kernel matrix.  Rejects grids capturing less than
-    mass_threshold of ||f||^2 in the pairing <V f, W f> dmu.
+    instead of a dense kernel matrix; one atom matrix of the (x, w) grid
+    serves V f, W f, the synthesis and V of the result.  Rejects grids
+    capturing less than mass_threshold of ||f||^2 in the pairing
+    <V f, W f> dmu.
     """
     fnorm = f.norm()
     if fnorm == 0.0:
         return 0.0
-    V = voice_transform(f, w, alpha, x_grid, omega_grid)
-    Wm = dual_transform(f, w, alpha, tab, x_grid, omega_grid)
+    A = _voice_matrix(w, alpha, x_grid, omega_grid, f.grid)
     cell = x_grid.spacing * omega_grid.spacing
-    captured = float(np.real(cell * np.vdot(Wm.values, V.values))) / fnorm**2
+
+    def voice(g: Signal) -> np.ndarray:
+        return g.grid.spacing * np.conj(A @ np.conj(g.values))
+
+    vf = voice(f)
+    wf = voice(apply_multiplier(f, tab, -1))
+    captured = float(np.real(cell * np.vdot(wf, vf))) / fnorm**2
     if captured < mass_threshold:
         raise MassCaptureError(captured, mass_threshold)
-    g = synthesize_voice(V, w, alpha, f.grid)
-    g = apply_multiplier(g, tab, -1)
-    V2 = voice_transform(g, w, alpha, x_grid, omega_grid)
-    num = float(np.linalg.norm(V2.values - V.values))
-    den = float(np.linalg.norm(V.values))
-    return num / den
+    g = apply_multiplier(Signal(f.grid, cell * (A.T @ vf)), tab, -1)
+    num = float(np.linalg.norm(voice(g) - vf))
+    return num / float(np.linalg.norm(vf))
 
 
 def coorbit_norm(f: Signal, w: Window, alpha: float, tab: SymbolTable,

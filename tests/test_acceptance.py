@@ -201,7 +201,7 @@ def test_criterion_08_frame_bound_dense_oracle():
         S[:, k] = frame_operator_apply(Signal(grid, e), fr).values
     top = float(np.linalg.eigvalsh(0.5 * (S + S.conj().T))[-1])
     rel = abs(B_est - top) / top
-    _report(8, "power-iteration upper bound matches dense spectrum",
+    _report(8, "Lanczos upper bound matches dense spectrum",
             rel <= 1e-6, f"rel err {rel:.2e}")
 
 

@@ -18,6 +18,23 @@ def small_frame(gauss):
     return AlphaFrame(cov, gauss, grid)
 
 
+@pytest.fixture()
+def demo_frame(gauss):
+    # demos/03_frame_reconstruction.py at eps = 0.5
+    grid = SampledGrid.centered(256, 1.0 / 16.0)
+    cov = build_covering(0.5, 0.5, 1.0, (-8.0, 8.0), (-8.0, 8.0))
+    return AlphaFrame(cov, gauss, grid)
+
+
+@pytest.fixture()
+def snug_frame(gauss):
+    # oversampled alpha = 0 system: a Gabor frame whose top eigenvalues
+    # cluster
+    grid = SampledGrid.centered(64, 0.25)
+    cov = build_covering(0.0, 0.5, 1.0, (-12.0, 12.0), (-1.0, 1.0))
+    return AlphaFrame(cov, gauss, grid)
+
+
 def rand_signal(grid, seed=0):
     rng = np.random.default_rng(seed)
     return Signal(grid, rng.standard_normal(grid.n)
@@ -110,22 +127,25 @@ def test_grid_mismatch_rejected(small_frame):
         analysis(f, small_frame)
 
 
-def test_bounds_against_dense_operator(small_frame):
-    A_est, B_est = estimate_frame_bounds(small_frame)
-    grid = small_frame.signal_grid
+@pytest.mark.parametrize("name", ["small_frame", "demo_frame",
+                                  "snug_frame"])
+def test_bounds_against_dense_operator(name, request):
+    fr = request.getfixturevalue(name)
+    A_est, B_est = estimate_frame_bounds(fr)
+    grid = fr.signal_grid
     n = grid.n
     S = np.empty((n, n), dtype=complex)
     for k in range(n):
         e = np.zeros(n, dtype=complex)
         e[k] = 1.0
-        S[:, k] = frame_operator_apply(Signal(grid, e), small_frame).values
+        S[:, k] = frame_operator_apply(Signal(grid, e), fr).values
     top = float(np.linalg.eigvalsh(0.5 * (S + S.conj().T))[-1])
-    assert B_est == pytest.approx(top, rel=1e-6)
+    assert B_est == pytest.approx(top, rel=1e-10)
 
     # bottom of the in-band spectrum via the exact orthonormal basis of
     # band-limited signals
     dual = grid.dual()
-    f0, f1 = small_frame.covering.freq_range
+    f0, f1 = fr.covering.freq_range
     idx = np.nonzero((dual.coords >= f0) & (dual.coords <= f1))[0]
     k = np.arange(n)
     pre = np.exp(-2j * np.pi * dual.origin * grid.spacing * k)
@@ -161,11 +181,9 @@ def test_bounds_scale_with_window_energy(small_frame, gauss):
     assert B2 == pytest.approx(4.0 * B1, rel=1e-6)
 
 
-def test_snug_gabor_frame(gauss):
-    # oversampled alpha = 0 system: the bound ratio stays modest
-    grid = SampledGrid.centered(64, 0.25)
-    cov = build_covering(0.0, 0.5, 1.0, (-12.0, 12.0), (-1.0, 1.0))
-    A, B = estimate_frame_bounds(AlphaFrame(cov, gauss, grid))
+def test_snug_gabor_frame(snug_frame):
+    # the bound ratio of the oversampled Gabor frame stays modest
+    A, B = estimate_frame_bounds(snug_frame)
     assert B / A <= 1.5
 
 
