@@ -7,13 +7,15 @@ time nodes are spaced eps*beta(w_j) inside each frequency row.  Every box
     U_{j,k} = eps*beta(w_j)*(k-1, k+1) x (w_j - 2*eps*c/beta(w_j),
                                            w_j + 2*eps*c/beta(w_j))
 
-has area exactly 8*eps^2*c.
+has area exactly 8*eps^2*c.  A covering is the table of the rows that
+meet a rectangle, one row (j, w_j, k range) per frequency node, held as
+arrays sorted by j; every routine here reads that table.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,58 +65,77 @@ class Box:
         return (self.x_lo < x < self.x_hi) and (self.w_lo < omega < self.w_hi)
 
 
-@dataclass
+@dataclass(eq=False)
 class AlphaCovering:
+    """The boxes U_{j,k} meeting a rectangle, as a table of rows.
+
+    Row r holds the frequency index js[r], the node omegas[r] =
+    p_alpha(eps * js[r]) and the k-range [k_lo[r], k_hi[r]] of its
+    boxes.  Rows are sorted by j, and j need not be consecutive: a
+    middle row can miss the rectangle when the bands are wide.  betas,
+    halves (half the frequency width 2*eps*c/beta) and n_boxes are
+    derived from the table.
+    """
+
     alpha: float
     eps: float
     c: float
-    j_range: tuple[int, int]          # inclusive
-    k_ranges: dict[int, tuple[int, int]]
-    omega_nodes: dict[int, float]     # w_j = p_alpha(eps*j)
     time_range: tuple[float, float]
     freq_range: tuple[float, float]
+    js: np.ndarray
+    omegas: np.ndarray
+    k_lo: np.ndarray
+    k_hi: np.ndarray
+    betas: np.ndarray = field(init=False)
+    halves: np.ndarray = field(init=False)
+    n_boxes: int = field(init=False)
 
-    @property
-    def n_boxes(self) -> int:
-        return sum(k1 - k0 + 1 for k0, k1 in self.k_ranges.values())
+    def __post_init__(self):
+        self.betas = beta(self.omegas, self.alpha)
+        self.halves = 2.0 * self.eps * self.c / self.betas
+        self.n_boxes = int(np.sum(self.k_hi - self.k_lo + 1))
+
+    def row(self, j: int) -> int:
+        """Index of row j in the table; KeyError when j is not a row."""
+        r = int(np.searchsorted(self.js, j))
+        if r == self.js.size or self.js[r] != j:
+            raise KeyError(j)
+        return r
 
     def x_node(self, j: int, k: int) -> float:
-        return self.eps * beta(self.omega_nodes[j], self.alpha) * k
+        return float(self.eps * self.betas[self.row(j)] * k)
 
     def box(self, j: int, k: int) -> Box:
-        w = self.omega_nodes[j]
-        b = beta(w, self.alpha)
-        half_w = 2.0 * self.eps * self.c / b
-        return Box(j, k, self.eps * b * (k - 1), self.eps * b * (k + 1),
-                   w - half_w, w + half_w)
+        r = self.row(j)
+        w, h, step = self.omegas[r], self.halves[r], self.eps * self.betas[r]
+        return Box(j, k, step * (k - 1), step * (k + 1), w - h, w + h)
 
     def boxes(self):
-        for j in range(self.j_range[0], self.j_range[1] + 1):
-            k0, k1 = self.k_ranges[j]
+        for j, k0, k1 in zip(self.js, self.k_lo, self.k_hi):
             for k in range(k0, k1 + 1):
-                yield self.box(j, k)
+                yield self.box(int(j), k)
+
+    def _box_index(self):
+        """Row index r and k (as floats) of every box, in row-major (j, k)
+        order."""
+        counts = self.k_hi - self.k_lo + 1
+        r = np.repeat(np.arange(self.js.size), counts)
+        first = np.cumsum(counts) - counts
+        ks = np.arange(self.n_boxes) - first[r] + self.k_lo[r]
+        return r, ks.astype(float)
 
     def nodes(self):
         """Array of (j, k, x_{j,k}, w_j) rows in row-major (j, k) order."""
-        rows = []
-        for j in range(self.j_range[0], self.j_range[1] + 1):
-            w = self.omega_nodes[j]
-            b = beta(w, self.alpha)
-            k0, k1 = self.k_ranges[j]
-            ks = np.arange(k0, k1 + 1)
-            rows.append(np.column_stack([
-                np.full(ks.size, j, dtype=float), ks.astype(float),
-                self.eps * b * ks, np.full(ks.size, w),
-            ]))
-        return np.vstack(rows)
+        r, ks = self._box_index()
+        return np.column_stack([self.js[r], ks, self.eps * self.betas[r] * ks,
+                                self.omegas[r]])
 
     def save_csv(self, path):
-        rows = []
-        for box in self.boxes():
-            rows.append([box.j, box.k, self.x_node(box.j, box.k),
-                         self.omega_nodes[box.j],
-                         box.x_lo, box.x_hi, box.w_lo, box.w_hi])
-        np.savetxt(path, np.asarray(rows), delimiter=",", fmt="%.17g",
+        r, ks = self._box_index()
+        step, w, h = self.eps * self.betas[r], self.omegas[r], self.halves[r]
+        rows = np.column_stack([self.js[r], ks, step * ks, w, step * (ks - 1),
+                                step * (ks + 1), w - h, w + h])
+        np.savetxt(path, rows, delimiter=",", fmt="%.17g",
                    header="j,k,x,omega,x_lo,x_hi,w_lo,w_hi", comments="")
 
 
@@ -147,44 +168,25 @@ def build_covering(alpha: float, eps: float, c: float,
     j_lo = math.floor(p_alpha_inv(f0 - slack / beta(f0, alpha), alpha) / eps) - 1
     j_hi = math.ceil(p_alpha_inv(f1 + slack / beta(f1, alpha), alpha) / eps) + 1
 
-    omega_nodes: dict[int, float] = {}
-    k_ranges: dict[int, tuple[int, int]] = {}
-    js: list[int] = []
-    for j in range(j_lo, j_hi + 1):
-        w = p_alpha(eps * j, alpha)
-        b = beta(w, alpha)
-        half_w = 2.0 * eps * c / b
-        if w + half_w <= f0 or w - half_w >= f1:
-            continue
-        # x-interval of box k is eps*b*(k-1, k+1): one box of slack per side
-        k0 = math.floor(t0 / (eps * b)) - 1
-        k1 = math.ceil(t1 / (eps * b)) + 1
-        js.append(j)
-        omega_nodes[j] = w
-        k_ranges[j] = (k0, k1)
-    if not js:
+    js = np.arange(j_lo, j_hi + 1)
+    omegas = p_alpha(eps * js, alpha)
+    betas = beta(omegas, alpha)
+    keep = (omegas + slack / betas > f0) & (omegas - slack / betas < f1)
+    if not keep.any():
         raise ValueError("no boxes intersect the requested rectangle")
-
-    cov = AlphaCovering(alpha, eps, c, (min(js), max(js)), k_ranges,
-                        omega_nodes, (t0, t1), (f0, f1))
+    js, omegas = js[keep], omegas[keep]
+    # x-interval of box k is eps*b*(k-1, k+1): one box of slack per side
+    steps = eps * betas[keep]
+    k_lo = np.floor(t0 / steps).astype(np.int64) - 1
+    k_hi = np.ceil(t1 / steps).astype(np.int64) + 1
+    cov = AlphaCovering(alpha, eps, c, (t0, t1), (f0, f1), js, omegas,
+                        k_lo, k_hi)
     if validate and not _probe_covers(cov, density=20):
         raise CoveringGapError(
             f"eps={eps}, c={c} leaves gaps in the covering; increase c or "
             f"decrease eps"
         )
     return cov
-
-
-def _row_arrays(cov: AlphaCovering):
-    """Per-row (j, w_j, beta, half frequency width, k_lo, k_hi), sorted
-    by w_j."""
-    js = np.arange(cov.j_range[0], cov.j_range[1] + 1)
-    ws = np.array([cov.omega_nodes[j] for j in js])
-    bs = beta(ws, cov.alpha)
-    halves = 2.0 * cov.eps * cov.c / bs
-    klo = np.array([cov.k_ranges[j][0] for j in js])
-    khi = np.array([cov.k_ranges[j][1] for j in js])
-    return js, ws, bs, halves, klo, khi
 
 
 def _probe_covers(cov: AlphaCovering, density: int = 20) -> bool:
@@ -200,7 +202,7 @@ def _probe_covers(cov: AlphaCovering, density: int = 20) -> bool:
     """
     t0, t1 = cov.time_range
     f0, f1 = cov.freq_range
-    js, ws, bs, halves, klo, khi = _row_arrays(cov)
+    ws, bs, halves = cov.omegas, cov.betas, cov.halves
     # probe spacing follows the finest box dimensions present
     nw = max(64, int(density * (f1 - f0) / (2.0 * halves.min())))
     nx = max(64, int(density * (t1 - t0) / (2.0 * cov.eps * bs.min())))
@@ -209,8 +211,8 @@ def _probe_covers(cov: AlphaCovering, density: int = 20) -> bool:
     xs = np.linspace(t0, t1, nx)
     fs = np.linspace(f0, f1, nw)
     k = np.rint(xs[None, :] / (cov.eps * bs[:, None]))
-    a = np.sum(k < klo[:, None], axis=1)
-    e = np.sum(k <= khi[:, None], axis=1)
+    a = np.sum(k < cov.k_lo[:, None], axis=1)
+    e = np.sum(k <= cov.k_hi[:, None], axis=1)
     start = np.searchsorted(fs, ws - halves, side="right")
     stop = np.searchsorted(fs, ws + halves, side="left")
     pieces = np.unique(np.concatenate([[0], start, stop]))
@@ -226,47 +228,44 @@ def _probe_covers(cov: AlphaCovering, density: int = 20) -> bool:
 
 def _max_overlap(cov: AlphaCovering) -> int:
     """sup over boxes of the number of boxes meeting it, by interval
-    arithmetic on rows."""
-    js, ws, bs, halves, klo, khi = _row_arrays(cov)
-    lo = ws - halves
-    hi = ws + halves
+    arithmetic on rows.
+
+    The count is uniform in k away from the row ends, so each row i is
+    probed at its interior and end boxes.  Box k' of row r meets the
+    x-interval (x_lo, x_hi) of a probe when eps*b_r*(k'-1) < x_hi and
+    eps*b_r*(k'+1) > x_lo; its candidates lie between floor(x_lo/step)
+    and ceil(x_hi/step), and the strict comparisons are checked on them.
+    """
+    lo = cov.omegas - cov.halves
+    hi = cov.omegas + cov.halves
+    steps = cov.eps * cov.betas
     worst = 0
-    for i in range(js.size):
+    for i in range(cov.js.size):
         rows = np.nonzero((lo < hi[i]) & (hi > lo[i]))[0]
-        # count, over k in row i, boxes of each overlapping row that meet
-        # the x-interval eps*bs[i]*(k-1, k+1); uniform in k away from the
-        # row ends, so probing interior + end boxes suffices
-        k0, k1 = klo[i], khi[i]
-        probes = {k0, k0 + 1, (k0 + k1) // 2, k1 - 1, k1}
-        for k in probes:
-            x_lo = cov.eps * bs[i] * (k - 1)
-            x_hi = cov.eps * bs[i] * (k + 1)
-            count = 0
-            for r in rows:
-                # k' with eps*b_r*(k'-1) < x_hi and eps*b_r*(k'+1) > x_lo
-                k_min = max(klo[r], math.floor(x_lo / (cov.eps * bs[r])))
-                k_max = min(khi[r], math.ceil(x_hi / (cov.eps * bs[r])))
-                for kp in range(k_min, k_max + 1):
-                    if (cov.eps * bs[r] * (kp - 1) < x_hi
-                            and cov.eps * bs[r] * (kp + 1) > x_lo):
-                        count += 1
-            worst = max(worst, count)
+        k0, k1 = cov.k_lo[i], cov.k_hi[i]
+        probes = np.array([k0, k0 + 1, (k0 + k1) // 2, k1 - 1, k1])
+        x_lo = (steps[i] * (probes - 1))[:, None, None]
+        x_hi = (steps[i] * (probes + 1))[:, None, None]
+        step = steps[rows][:, None]
+        k_min = np.maximum(cov.k_lo[rows][:, None], np.floor(x_lo / step))
+        k_max = np.minimum(cov.k_hi[rows][:, None], np.ceil(x_hi / step))
+        width = max(int(np.max(k_max - k_min)) + 1, 0)
+        kp = k_min + np.arange(width)
+        meets = ((kp <= k_max) & (step * (kp - 1) < x_hi)
+                 & (step * (kp + 1) > x_lo))
+        worst = max(worst, int(meets.sum(axis=(1, 2)).max()))
     return worst
 
 
 def mutual_weight_bound(cov: AlphaCovering, s: float) -> float:
     """C_w = max over boxes of the extreme ratio of (1+|w|)^s inside."""
-    weight = Weight(s)
-    js, ws, bs, halves, klo, khi = _row_arrays(cov)
-    worst = 1.0
-    for w, h in zip(ws, halves):
-        w_lo, w_hi = w - h, w + h
-        # |w| extremes over the box frequency interval
-        cands = [abs(w_lo), abs(w_hi)]
-        if w_lo < 0 < w_hi:
-            cands.append(0.0)
-        worst = max(worst, float(weight.mutual(min(cands), max(cands))))
-    return worst
+    lo, hi = cov.omegas - cov.halves, cov.omegas + cov.halves
+    # |w| extremes over each row's frequency interval
+    near = np.where((lo < 0) & (hi > 0), 0.0, np.minimum(abs(lo), abs(hi)))
+    far = np.maximum(abs(lo), abs(hi))
+    # the weight ratio grows with (1+far)/(1+near): the widest row wins
+    i = np.argmax((1.0 + far) / (1.0 + near))
+    return max(1.0, float(Weight(s).mutual(near[i], far[i])))
 
 
 def covering_diagnostics(cov: AlphaCovering, s: float = 0.0,
@@ -275,7 +274,8 @@ def covering_diagnostics(cov: AlphaCovering, s: float = 0.0,
         raise ValueError("probe_density must be at least 10 per box side")
     if cov.n_boxes == 0:
         raise ValueError("empty covering")
-    areas = np.array([b.area for b in cov.boxes()])
+    # every box of a row has the row's width 2*eps*b and height 2*half
+    areas = (2.0 * cov.eps * cov.betas) * (2.0 * cov.halves)
     moderate = bool(np.allclose(areas, 8.0 * cov.eps**2 * cov.c,
                                 rtol=1e-12) and areas.min() > 0)
     return CoveringDiagnostics(
@@ -290,21 +290,20 @@ def _row_boxes(cov: AlphaCovering, t, omegas):
     """Boxes containing the points (t[m], omegas[i]), one covering row at
     a time.
 
-    Yields (r, band, k, inside) for every row r (an index into
-    _row_arrays) whose frequency band meets omegas.  band marks the
-    omegas inside the band; k has shape (len(t), 2) and holds the only
+    Yields (r, band, k, inside) for every row r (an index into the row
+    table) whose frequency band meets omegas.  band marks the omegas
+    inside the band; k has shape (len(t), 2) and holds the only
     two boxes of the row that can contain t[m], and inside marks those
     that do and lie in the row's k-range.
     """
-    js, ws, bs, halves, klo, khi = _row_arrays(cov)
     t = np.asarray(t, dtype=float)
     bands = np.abs(np.asarray(omegas, dtype=float)[None, :]
-                   - ws[:, None]) < halves[:, None]
+                   - cov.omegas[:, None]) < cov.halves[:, None]
     for r in np.nonzero(bands.any(axis=1))[0]:
-        u = t / (cov.eps * bs[r])
+        u = t / (cov.eps * cov.betas[r])
         k = np.floor(u)[:, None] + np.array([0.0, 1.0])
         inside = ((np.abs(u[:, None] - k) < 1.0)
-                  & (k >= klo[r]) & (k <= khi[r]))
+                  & (k >= cov.k_lo[r]) & (k <= cov.k_hi[r]))
         yield r, bands[r], k, inside
 
 
@@ -314,8 +313,7 @@ def q_neighborhood(cov: AlphaCovering, point: tuple[float, float]):
     Returns (boxes, (x_lo, x_hi, w_lo, w_hi)).
     """
     x, omega = float(point[0]), float(point[1])
-    js = _row_arrays(cov)[0]
-    hits = [cov.box(int(js[r]), int(kk))
+    hits = [cov.box(int(cov.js[r]), int(kk))
             for r, _, k, inside in _row_boxes(cov, [x], [omega])
             for kk in k[inside]]
     if not hits:
@@ -337,12 +335,12 @@ def q_samples(cov: AlphaCovering, t, omegas, density: int):
     t[m] and lies in the row's k-range.  Each box side is sampled at
     linspace(lo, hi, density + 2)[1:-1].
     """
-    js, ws, bs, halves, klo, khi = _row_arrays(cov)
     frac = np.arange(1, density + 1) / (density + 1)
     for r, band, k, inside in _row_boxes(cov, t, omegas):
+        w, h = cov.omegas[r], cov.halves[r]
         # equal to linspace up to rounding; the rounding of this form is
         # kept because snapped sample times can sit on exact grid ties
-        z_t = cov.eps * bs[r] * (k[..., None] - 1.0 + 2.0 * frac)
-        z_w = ws[r] - halves[r] + 2.0 * halves[r] * frac
+        z_t = cov.eps * cov.betas[r] * (k[..., None] - 1.0 + 2.0 * frac)
+        z_w = w - h + 2.0 * h * frac
         yield (band, z_t.reshape(len(k), -1),
                np.repeat(inside, density, axis=1), z_w)

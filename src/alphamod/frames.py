@@ -43,30 +43,19 @@ class AlphaFrame:
         self.window = window
         self.signal_grid = signal_grid
         self.alpha = covering.alpha
-        # row layout: slices of the flat coefficient vector per j
-        self._js = list(range(covering.j_range[0], covering.j_range[1] + 1))
-        self._row_slices: dict[int, slice] = {}
-        rows = []
-        pos = 0
-        for j in self._js:
-            k0, k1 = covering.k_ranges[j]
-            ks = np.arange(k0, k1 + 1)
-            w = covering.omega_nodes[j]
-            b = (1.0 + abs(w)) ** (-covering.alpha)
-            rows.append((w, covering.eps * b * ks))
-            self._row_slices[j] = slice(pos, pos + ks.size)
-            pos += ks.size
-        self.n_atoms = pos
-        self._matrix = _band_matrix(window, self.alpha, rows, signal_grid)
+        nodes = covering.nodes()
+        self.n_atoms = len(nodes)
+        self._matrix = _band_matrix(window, self.alpha, nodes[:, 3],
+                                    nodes[:, 2], signal_grid)
 
     def nodes(self) -> np.ndarray:
         return self.covering.nodes()
 
     def atom(self, j: int, k: int) -> Signal:
-        x = self.covering.x_node(j, k)
+        cov = self.covering
         return Signal(self.signal_grid,
                       _atom_rows(self.window, self.alpha,
-                                 self.covering.omega_nodes[j], [x],
+                                 cov.omegas[cov.row(j)], [cov.x_node(j, k)],
                                  self.signal_grid)[0])
 
 
@@ -87,8 +76,14 @@ class Coefficients:
         object.__setattr__(self, "values", values)
 
     def value_at(self, j: int, k: int) -> complex:
-        k0 = self.frame.covering.k_ranges[j][0]
-        return complex(self.values[self.frame._row_slices[j]][k - k0])
+        """Coefficient of atom (j, k); KeyError when the covering has no
+        such box."""
+        cov = self.frame.covering
+        r = cov.row(j)
+        if not cov.k_lo[r] <= k <= cov.k_hi[r]:
+            raise KeyError((j, k))
+        start = int(np.sum(cov.k_hi[:r] - cov.k_lo[:r] + 1))
+        return complex(self.values[start + k - cov.k_lo[r]])
 
     def save(self, path, window_spec: str = ""):
         """Binary node table + interleaved complex values, JSON header."""
@@ -237,10 +232,20 @@ def estimate_frame_bounds(fr: AlphaFrame, tol: float = 1e-8,
     frame operator's spectrum.  A is the bottom of the frame operator
     compressed to signals whose spectrum lies inside the covering's
     frequency range: out-of-band content is invisible to a truncated
-    frame and would drive the raw minimum to zero.
+    frame and would drive the raw minimum to zero.  Raises ValueError
+    when fewer than 3 DFT bins lie in that range.
     """
-    rng = np.random.default_rng(seed)
     n = fr.signal_grid.n
+    # orthonormal basis of the in-band signals: the DFT bins inside the
+    # covering's frequency range
+    dual = fr.signal_grid.dual()
+    f0, f1 = fr.covering.freq_range
+    idx = np.nonzero((dual.coords >= f0) & (dual.coords <= f1))[0]
+    if idx.size < 3:  # ARPACK needs dimension 3 or more
+        raise ValueError(
+            f"frame bounds need at least 3 in-band DFT bins; the grid has "
+            f"n={n} samples and {idx.size} in-band bins")
+    rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
     def S(v: np.ndarray) -> np.ndarray:
@@ -248,11 +253,6 @@ def estimate_frame_bounds(fr: AlphaFrame, tol: float = 1e-8,
 
     B_est = _lanczos_extreme(S, n, "LA", v0, tol, max_iter)
 
-    # orthonormal basis of the in-band signals: the DFT bins inside the
-    # covering's frequency range
-    dual = fr.signal_grid.dual()
-    f0, f1 = fr.covering.freq_range
-    idx = np.nonzero((dual.coords >= f0) & (dual.coords <= f1))[0]
     pre = np.exp(-2j * np.pi * dual.origin * fr.signal_grid.spacing
                  * np.arange(n))
     root_n = math.sqrt(n)

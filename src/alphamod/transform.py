@@ -138,18 +138,15 @@ def _time_radius(w: Window) -> float:
     return _GAUSS_RADIUS if w.kind == "gaussian" else math.inf
 
 
-def _band_matrix(w: Window, alpha: float, rows,
-                 grid: SampledGrid) -> sparse.csr_array:
-    """CSR matrix of atoms on the grid, one matrix row per atom, for
-    rows = [(omega, xs), ...] taken in order.
+def _band_matrix(w: Window, alpha: float, omegas: np.ndarray,
+                 xs: np.ndarray, grid: SampledGrid) -> sparse.csr_array:
+    """CSR matrix of atoms on the grid, one matrix row per atom (x, omega)
+    = (xs[m], omegas[m]).
 
     Each matrix row holds the entries of _atom_rows on the samples
     within beta(omega) * _time_radius(w) of x, with one sample of slack
     per side so that rounding never drops a nonzero sample.
     """
-    omegas = np.concatenate([np.full(len(xs), om, dtype=float)
-                             for om, xs in rows])
-    xs = np.concatenate([np.asarray(xs, dtype=float) for _, xs in rows])
     b = beta(omegas, alpha)
     n, t = grid.n, grid.coords
     reach = _time_radius(w) * b
@@ -178,8 +175,8 @@ def _band_matrix(w: Window, alpha: float, rows,
 def _voice_matrix(w: Window, alpha: float, x_grid: SampledGrid,
                   omega_grid: SampledGrid, grid: SampledGrid):
     """Atoms of the product grid in VoiceMap order (omega-major)."""
-    return _band_matrix(w, alpha, [(om, x_grid.coords)
-                                   for om in omega_grid.coords], grid)
+    return _band_matrix(w, alpha, np.repeat(omega_grid.coords, x_grid.n),
+                        np.tile(x_grid.coords, omega_grid.n), grid)
 
 
 def voice_transform(f: Signal, w: Window, alpha: float,

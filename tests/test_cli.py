@@ -178,6 +178,29 @@ def test_covering_dump(tmp_path):
     assert data.shape[1] == 8
 
 
+def test_covering_with_a_missing_row(tmp_path):
+    # rows -3..-1 and 1..4 at alpha = 0.9: row 0 misses the rectangle
+    cfg = ("--alpha", "0.9", "--eps", "1", "--c", "1", "--time-range=-4,4",
+           "--freq-range=3,4")
+    out = tmp_path / "cov"
+    assert run("covering-dump", *cfg, "--output-dir", str(out)) == 0
+    data = np.loadtxt(out / "covering.csv", delimiter=",", skiprows=1)
+    assert sorted(set(data[:, 0])) == [-3, -2, -1, 1, 2, 3, 4]
+    assert run("frame-info", *cfg, "--grid-n", "64",
+               "--output-dir", str(tmp_path / "fi")) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    # fewer than 3 DFT bins of the grid inside the frequency range
+    ("--alpha", "0.5", "--eps", "0.5", "--time-range=-4,4",
+     "--freq-range=-0.1,0.1", "--grid-n", "64"),
+    ("--grid-n", "2"),
+])
+def test_frame_info_tiny_dimension_exit(tmp_path, capsys, argv):
+    assert run("frame-info", *argv, "--output-dir", str(tmp_path)) == 2
+    assert "in-band" in capsys.readouterr().err
+
+
 def test_diagnostics_empty_eps_list(tmp_path):
     assert run("diagnostics", "--eps-list", "", "--alpha", "0.5",
                "--output-dir", str(tmp_path)) == 2

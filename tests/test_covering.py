@@ -1,9 +1,12 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alphamod.covering import (CoveringGapError, _probe_covers, _row_arrays,
+from alphamod.covering import (CoveringGapError, _max_overlap, _probe_covers,
                                build_covering, covering_diagnostics,
                                mutual_weight_bound, p_alpha, p_alpha_inv,
                                q_neighborhood, q_samples)
@@ -32,16 +35,16 @@ def test_p_alpha_odd_and_increasing():
 
 def test_frequency_nodes_follow_parametrization():
     cov = build_covering(0.5, 0.25, 1.0, (-4, 4), (-4, 4))
-    j0, j1 = cov.j_range
-    for j in range(j0, j1 + 1):
-        assert cov.omega_nodes[j] == pytest.approx(p_alpha(0.25 * j, 0.5))
+    assert np.array_equal(cov.js, np.arange(cov.js[0], cov.js[-1] + 1))
+    for j, w in zip(cov.js, cov.omegas):
+        assert w == pytest.approx(p_alpha(0.25 * j, 0.5))
 
 
 def test_box_geometry():
     eps, c, alpha = 0.25, 1.0, 0.5
     cov = build_covering(alpha, eps, c, (-4, 4), (-4, 4))
     for box in cov.boxes():
-        b = beta(cov.omega_nodes[box.j], alpha)
+        b = beta(cov.omegas[cov.row(box.j)], alpha)
         assert box.x_hi - box.x_lo == pytest.approx(2 * eps * b)
         assert box.w_hi - box.w_lo == pytest.approx(4 * eps * c / b)
         assert box.area == pytest.approx(8 * eps**2 * c, rel=1e-14)
@@ -53,12 +56,36 @@ def test_boxes_contain_their_nodes():
         assert cov.box(int(j), int(k)).contains(x, om)
 
 
+def _max_overlap_loop(cov):
+    """The overlap count one k' at a time: oracle for _max_overlap."""
+    bs, klo, khi = cov.betas, cov.k_lo, cov.k_hi
+    lo = cov.omegas - cov.halves
+    hi = cov.omegas + cov.halves
+    worst = 0
+    for i in range(cov.js.size):
+        rows = np.nonzero((lo < hi[i]) & (hi > lo[i]))[0]
+        k0, k1 = klo[i], khi[i]
+        for k in {k0, k0 + 1, (k0 + k1) // 2, k1 - 1, k1}:
+            x_lo = cov.eps * bs[i] * (k - 1)
+            x_hi = cov.eps * bs[i] * (k + 1)
+            count = 0
+            for r in rows:
+                k_min = max(klo[r], math.floor(x_lo / (cov.eps * bs[r])))
+                k_max = min(khi[r], math.ceil(x_hi / (cov.eps * bs[r])))
+                for kp in range(k_min, k_max + 1):
+                    if (cov.eps * bs[r] * (kp - 1) < x_hi
+                            and cov.eps * bs[r] * (kp + 1) > x_lo):
+                        count += 1
+            worst = max(worst, count)
+    return worst
+
+
 def test_gabor_overlap_oracle():
     # alpha = 0, eps = c = 1: squares 2x4 on the unit lattice; interval
     # arithmetic gives 3 time neighbors x 7 frequency rows per point
     cov = build_covering(0.0, 1.0, 1.0, (-6, 6), (-4, 4))
     diag = covering_diagnostics(cov)
-    assert diag.max_overlap == 21
+    assert diag.max_overlap == 21 == _max_overlap_loop(cov)
     assert diag.covers_region
     assert diag.moderate
 
@@ -72,7 +99,8 @@ def _probe_covers_loop(cov, density=20):
     """The probe one frequency at a time: oracle for _probe_covers."""
     t0, t1 = cov.time_range
     f0, f1 = cov.freq_range
-    js, ws, bs, halves, klo, khi = _row_arrays(cov)
+    ws, bs, halves = cov.omegas, cov.betas, cov.halves
+    klo, khi = cov.k_lo, cov.k_hi
     nw = max(64, int(density * (f1 - f0) / (2.0 * halves.min())))
     nx = max(64, int(density * (t1 - t0) / (2.0 * cov.eps * bs.min())))
     nx = min(nx, 20000)
@@ -108,12 +136,15 @@ def test_probe_covers_matches_loop_oracle():
         fr = (f0, f0 + rng.uniform(1.0, 8.0))
         cov = build_covering(alpha, eps, c, tr, fr, validate=False)
         if rng.random() < 0.5:
-            # trimmed k-ranges put the row ends inside the rectangle
-            cov.k_ranges = {j: (k0 + rng.integers(3), k1 - rng.integers(3))
-                            for j, (k0, k1) in cov.k_ranges.items()}
+            # trimmed k-ranges put the row ends inside the rectangle; one
+            # (k_lo, k_hi) pair of draws per row, in row order
+            d = rng.integers(3, size=(cov.js.size, 2))
+            cov = dataclasses.replace(cov, k_lo=cov.k_lo + d[:, 0],
+                                      k_hi=cov.k_hi - d[:, 1])
         for density in (10, 20):
             verdicts.append(_probe_covers(cov, density))
             assert verdicts[-1] == _probe_covers_loop(cov, density)
+        assert _max_overlap(cov) == _max_overlap_loop(cov)
     assert any(verdicts) and not all(verdicts)
     # a covering with gaps (see test_covering_gap_detected), a gapless
     # one at the same geometry, and open bands that only touch: the first
@@ -124,6 +155,23 @@ def test_probe_covers_matches_loop_oracle():
                        ((0.0, 0.5, 0.25, (-4, 4), (-2.0, 0.25)), False)):
         cov = build_covering(*args, validate=False)
         assert _probe_covers(cov) == _probe_covers_loop(cov) == want
+
+
+def test_covering_with_a_missing_row():
+    # at alpha = 0.9 the bands are wide enough that row 0 (band (-2, 2))
+    # misses the rectangle while rows -1 and 1 on both sides of it meet it
+    cov = build_covering(0.9, 1.0, 1.0, (-4, 4), (3, 4))
+    assert cov.js.tolist() == [-3, -2, -1, 1, 2, 3, 4]
+    with pytest.raises(KeyError):
+        cov.row(0)
+    boxes = list(cov.boxes())
+    nodes = cov.nodes()
+    assert cov.n_boxes == len(boxes) == len(nodes)
+    assert np.array_equal(nodes[:, :2], [(b.j, b.k) for b in boxes])
+    assert all(b.contains(x, om) for b, (_, _, x, om) in zip(boxes, nodes))
+    diag = covering_diagnostics(cov)
+    assert diag.covers_region and diag.moderate
+    assert diag.max_overlap == _max_overlap_loop(cov)
 
 
 def test_validate_false_skips_probe():
@@ -164,11 +212,12 @@ def test_q_samples_match_q_neighborhood_boxes():
     points = list(zip(rng.uniform(-4, 4, 25), rng.uniform(-4, 4, 25)))
     # points in the first and last box of a row, where the k-range cuts
     # one of the two candidate boxes away
-    for j in (cov.j_range[0] + 3, 0, cov.j_range[1] - 3):
-        k0, k1 = cov.k_ranges[j]
-        half = 0.5 * cov.eps * beta(cov.omega_nodes[j], cov.alpha)
-        points += [(cov.x_node(j, k0) - half, cov.omega_nodes[j]),
-                   (cov.x_node(j, k1) + half, cov.omega_nodes[j])]
+    for j in (cov.js[0] + 3, 0, cov.js[-1] - 3):
+        r = cov.row(j)
+        k0, k1, w = cov.k_lo[r], cov.k_hi[r], cov.omegas[r]
+        half = 0.5 * cov.eps * beta(w, cov.alpha)
+        points += [(cov.x_node(j, k0) - half, w),
+                   (cov.x_node(j, k1) + half, w)]
     def key(z):  # an order that ulp differences cannot change
         return round(z[0], 9), round(z[1], 9)
 

@@ -66,9 +66,8 @@ def test_engine_matches_dense_oracle(spec):
     cov = build_covering(0.5, 0.25, 1.0, (-8.0, 8.0), (-3.0, 3.0))
     fr = AlphaFrame(cov, w, grid)
     nodes = fr.nodes()
-    M = np.vstack([_atom_rows(w, 0.5, cov.omega_nodes[j],
-                              nodes[nodes[:, 0] == j, 2], grid)
-                   for j in fr._js])
+    M = np.vstack([_atom_rows(w, 0.5, om, nodes[nodes[:, 0] == j, 2], grid)
+                   for j, om in zip(cov.js, cov.omegas)])
     f = rand_signal(grid, 9)
     assert f.values[0] != 0 and f.values[-1] != 0
     dt = grid.spacing
@@ -89,12 +88,32 @@ def test_atom_count_matches_covering(small_frame):
 def test_analysis_values_are_inner_products(small_frame):
     f = rand_signal(small_frame.signal_grid)
     coeffs = analysis(f, small_frame)
-    j = small_frame._js[len(small_frame._js) // 2]
-    k0, k1 = small_frame.covering.k_ranges[j]
+    cov = small_frame.covering
+    r = cov.js.size // 2
+    j, k0, k1 = cov.js[r], cov.k_lo[r], cov.k_hi[r]
     for k in (k0, (k0 + k1) // 2, k1):
         atom = small_frame.atom(j, k)
         assert coeffs.value_at(j, k) == pytest.approx(
             inner_product(f, atom), abs=1e-12)
+    # a k past either end of the row, or a j that is not a row, is not
+    # an atom of the frame
+    for jj, kk in ((j, k0 - 1), (j, k1 + 1), (cov.js[-1] + 1, k0)):
+        with pytest.raises(KeyError):
+            coeffs.value_at(jj, kk)
+
+
+def test_frame_on_a_covering_with_a_missing_row(gauss):
+    # rows -3..-1 and 1..4: row 0 misses the rectangle
+    cov = build_covering(0.9, 1.0, 1.0, (-4, 4), (3, 4))
+    fr = AlphaFrame(cov, gauss, SampledGrid.centered(64, 0.125))
+    assert fr.n_atoms == cov.n_boxes
+    f = rand_signal(fr.signal_grid, 12)
+    coeffs = analysis(f, fr)
+    for j in (-1, 1, 4):
+        r = cov.row(j)
+        for k in (cov.k_lo[r], cov.k_hi[r]):
+            assert coeffs.value_at(j, k) == pytest.approx(
+                inner_product(f, fr.atom(j, k)), abs=1e-12)
 
 
 def test_analysis_synthesis_adjoint(small_frame):
