@@ -13,7 +13,7 @@ from .grids import (GridMismatchError, SampledGrid, Signal, Weight,
                     forward_fourier, inner_product, inverse_fourier,
                     load_signal_csv, load_signal_raw, save_signal_csv,
                     save_signal_raw, weighted_lp_norm)
-from .quadrature import QuadratureConfig, QuadratureError, adaptive_quad
+from .quadrature import QuadratureConfig, QuadratureError, integrate
 from .windows import (HypothesisVerdict, Purpose, Window, bandlimited_window,
                       bspline_window, bump_window, check_hypotheses,
                       estimate_decay_rate, gaussian_window,

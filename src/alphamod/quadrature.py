@@ -1,9 +1,12 @@
-"""Adaptive Gauss-Kronrod panel quadrature with vectorized integrands.
+"""Batched adaptive Gauss-Kronrod panel quadrature.
 
-The integrand is called with a flat numpy array of abscissae and must
-return an array of the same shape (real or complex).  Panels carrying the
-largest error estimates are bisected until the summed estimate drops
-below the tolerance or the panel budget is exhausted.
+One call integrates a batch of integrals held as flat panel arrays; the
+integrand gets flat arrays of abscissae and of the integral each belongs
+to and returns an array of the same shape (real or complex).  Panels get
+the 15-point Kronrod rule with its embedded 7-point Gauss rule (QUADPACK,
+Piessens et al. 1983).  In every integral the panels with the largest
+error estimates are bisected until its summed estimate drops below the
+tolerance or its panel budget is exhausted.
 """
 
 from __future__ import annotations
@@ -40,10 +43,11 @@ _GAUSS_WEIGHTS = np.array([
 class QuadratureError(RuntimeError):
     """Adaptive quadrature did not reach the requested tolerance."""
 
-    def __init__(self, message, value=None, error=None):
+    def __init__(self, message, value=None, error=None, index=None):
         super().__init__(message)
         self.value = value
         self.error = error
+        self.index = index  # row of the batch that failed
 
 
 @dataclass(frozen=True)
@@ -54,73 +58,79 @@ class QuadratureConfig:
     max_panels: int = 4000
 
 
-def _eval_panels(f, lefts: np.ndarray, rights: np.ndarray):
+def _eval_panels(f, ends: np.ndarray, owner: np.ndarray):
     """Kronrod estimates and error indicators for a batch of panels."""
-    half = 0.5 * (rights - lefts)
-    mid = 0.5 * (rights + lefts)
+    half = 0.5 * (ends[:, 1] - ends[:, 0])
+    mid = 0.5 * (ends[:, 1] + ends[:, 0])
     # abscissae: shape (n_panels, 15), flattened for one integrand call
     xs = mid[:, None] + half[:, None] * _KRONROD_NODES[None, :]
-    fx = np.asarray(f(xs.ravel())).reshape(xs.shape)
+    fx = np.asarray(f(xs.ravel(), np.repeat(owner, 15))).reshape(xs.shape)
     k15 = half * (fx @ _KRONROD_WEIGHTS)
     g7 = half * (fx @ _GAUSS_WEIGHTS)
     err = (200.0 * np.abs(k15 - g7)) ** 1.5
     return k15, err
 
 
-def adaptive_quad(f, a: float, b: float, tol: float = 1e-10,
-                  points=(), max_panels: int = 4000):
-    """Integrate ``f`` over [a, b], splitting panels where the error is worst.
+def _sum_by(owner: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
+    """Per-integral sums of panel quantities."""
+    out = np.zeros(n, dtype=x.dtype)
+    np.add.at(out, owner, x)
+    return out
 
-    ``points`` lists interior break locations (critical points of the
-    integrand); they become initial panel boundaries.  Returns
-    ``(value, error_estimate)`` and raises :class:`QuadratureError` when the
-    estimate stays above ``tol`` after ``max_panels`` panels.
+
+def integrate(f, edges, tol: float = 1e-10, max_panels: int = 4000):
+    """Integrals of ``f`` over the rows of ``edges``, as one batch.
+
+    ``edges`` holds one row of nondecreasing break points per integral:
+    its limits and the critical points between them; panels of zero
+    width are dropped.  ``f(x, i)`` gets flat arrays of abscissae and of
+    their rows.  Each sweep bisects, in every integral whose summed
+    error estimate is above ``tol``, its worst min(count // 2, 32,
+    max_panels - count) panels above tol / (4 count), and at least its
+    worst one, so an integral gets the same panels in any batch.
+    Returns arrays of values and error estimates; raises
+    :class:`QuadratureError`, with ``index`` naming the row, when an
+    integral is above ``tol`` with ``max_panels`` panels.
     """
-    if not b > a:
-        raise ValueError(f"need b > a, got [{a}, {b}]")
-    edges = sorted({a, b, *(p for p in points if a < p < b)})
-    lefts = np.array(edges[:-1], dtype=float)
-    rights = np.array(edges[1:], dtype=float)
-    vals, errs = _eval_panels(f, lefts, rights)
-    panels_l = list(lefts)
-    panels_r = list(rights)
-    panels_v = list(vals)
-    panels_e = list(errs)
-
+    edges = np.atleast_2d(np.asarray(edges, dtype=float))
+    if np.any(np.diff(edges, axis=1) < 0):
+        raise ValueError("break points of each integral must be nondecreasing")
+    n = edges.shape[0]
+    ends = np.stack([edges[:, :-1], edges[:, 1:]], axis=-1).reshape(-1, 2)
+    owner = np.repeat(np.arange(n), edges.shape[1] - 1)
+    keep = ends[:, 1] > ends[:, 0]
+    ends, owner = ends[keep], owner[keep]
+    vals, errs = _eval_panels(f, ends, owner)
     while True:
-        total_err = float(np.sum(panels_e))
-        if total_err <= tol:
-            break
-        if len(panels_l) >= max_panels:
-            value = complex(np.sum(panels_v))
-            if abs(value.imag) == 0.0:
-                value = value.real
+        count = np.bincount(owner, minlength=n)
+        total = np.bincount(owner, errs, n)
+        busy = total > tol
+        if not busy.any():
+            return _sum_by(owner, vals, n), total
+        stuck = np.flatnonzero(busy & (count >= max_panels))
+        if stuck.size:
+            i = stuck[0]
             raise QuadratureError(
-                f"no convergence with {len(panels_l)} panels: "
-                f"error {total_err:.3e} > tol {tol:.3e}",
-                value=value, error=total_err,
+                f"no convergence with {count[i]} panels: "
+                f"error {total[i]:.3e} > tol {tol:.3e}",
+                value=_sum_by(owner, vals, n)[i], error=total[i], index=i,
             )
-        # split the worst panels in one vectorized batch
-        n_split = max(1, min(len(panels_e) // 2, 32,
-                             max_panels - len(panels_l)))
-        order = np.argsort(panels_e)[::-1][:n_split]
-        order = [int(i) for i in order if panels_e[i] > tol / (4 * len(panels_e))]
-        if not order:
-            order = [int(np.argmax(panels_e))]
-        new_l, new_r = [], []
-        for i in order:
-            m = 0.5 * (panels_l[i] + panels_r[i])
-            new_l.extend([panels_l[i], m])
-            new_r.extend([m, panels_r[i]])
-        vals, errs = _eval_panels(f, np.array(new_l), np.array(new_r))
-        for j, i in enumerate(sorted(order, reverse=True)):
-            del panels_l[i], panels_r[i], panels_v[i], panels_e[i]
-        panels_l.extend(new_l)
-        panels_r.extend(new_r)
-        panels_v.extend(vals)
-        panels_e.extend(errs)
-
-    value = complex(np.sum(panels_v))
-    if value.imag == 0.0:
-        value = value.real
-    return value, float(np.sum(panels_e))
+        # the panels of each busy integral, worst first
+        order = np.flatnonzero(busy[owner])
+        order = order[np.lexsort((-errs[order], owner[order]))]
+        own = owner[order]
+        rank = np.arange(order.size) - np.searchsorted(own, own)
+        n_split = np.maximum(1, np.minimum(np.minimum(count // 2, 32),
+                                           max_panels - count))
+        split = order[(rank == 0) | ((rank < n_split[own])
+                                     & (errs[order] > tol / (4 * count[own])))]
+        mids = 0.5 * (ends[split, 0] + ends[split, 1])
+        new_ends = np.column_stack([ends[split, 0], mids,
+                                    mids, ends[split, 1]]).reshape(-1, 2)
+        new_owner = np.repeat(owner[split], 2)
+        new_vals, new_errs = _eval_panels(f, new_ends, new_owner)
+        rest = np.bincount(split, minlength=owner.size) == 0
+        ends = np.concatenate([ends[rest], new_ends])
+        owner = np.concatenate([owner[rest], new_owner])
+        vals = np.concatenate([vals[rest], new_vals])
+        errs = np.concatenate([errs[rest], new_errs])

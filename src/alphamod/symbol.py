@@ -15,14 +15,13 @@ beta(w)(xi - w); panels are anchored there.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .grids import Signal, SampledGrid, forward_fourier, inverse_fourier
-from .quadrature import QuadratureConfig, QuadratureError, adaptive_quad
+from .quadrature import QuadratureConfig, QuadratureError, integrate
 from .windows import Window
 
 
@@ -72,57 +71,75 @@ def rxi_profile(xi: float, alpha: float) -> RxiProfile:
     return RxiProfile(xi, omega_star, min_value, float(xi))
 
 
-def _breakpoints(xi: float, alpha: float):
-    """Panel anchors: 0, xi, and the interior critical point of r_xi."""
-    pts = {0.0, float(xi)}
-    if alpha > 0 and alpha * abs(xi) > 1.0:
-        w_star = (1.0 - alpha * abs(xi)) / (1.0 - alpha)
-        pts.add(math.copysign(abs(w_star), -xi) if xi != 0 else w_star)
-    return pts
-
-
-def _integrate_symbol(integrand, xi, alpha, quad: QuadratureConfig):
-    """Adaptive quadrature with tail-doubling truncation control.
+def _symbol(w: Window, alpha: float, xis, l: int,
+            quad: QuadratureConfig) -> np.ndarray:
+    """The l-th derivative of m_psi (l = 0, 1, 2) at every xi of ``xis``,
+    differentiated under the integral.
 
     Integrates in the warped variable y with omega(y) = sign(y) *
     ((1 + (1 - alpha)|y|)^(1/(1-alpha)) - 1).  The warp's Jacobian is
     1/beta(omega), so the beta-scaled window argument grows linearly in
     y and the tails decay at window speed for every alpha; in the raw
     omega variable they thin out only on scales |omega|^(1-alpha).
+    Each xi is one row of a batched quadrature on [-R, R], R = |y(xi)| +
+    50, with panels anchored at 0, xi and the critical point of r_xi.
+    The domain then doubles, at most 12 times, as one batch over the xi
+    whose discarded tails are not yet below tol / 10.
     """
+    xis = np.asarray(xis, dtype=float)
     c = 1.0 - alpha
 
-    def warp(y):
-        y = np.asarray(y, dtype=float)
-        return np.sign(y) * ((1.0 + c * np.abs(y)) ** (1.0 / c) - 1.0)
-
-    def warp_inv(om):
-        return math.copysign(((1.0 + abs(om)) ** c - 1.0) / c, om)
-
-    def g(y):
-        y = np.asarray(y, dtype=float)
+    def g(y, xi):
         jac = (1.0 + c * np.abs(y)) ** (alpha / c)  # = 1/beta(omega(y))
-        return integrand(warp(y)) * jac
+        omega = np.sign(y) * ((1.0 + c * np.abs(y)) ** (1.0 / c) - 1.0)
+        b = beta(omega, alpha)
+        r = b * (xi - omega)
+        f0 = w.fourier(r)
+        if l == 0:
+            return np.abs(f0) ** 2 * b * jac
+        f1 = w.fourier(r, 1)
+        if l == 1:
+            return 2.0 * np.real(f1 * np.conj(f0)) * b**2 * jac
+        f2 = w.fourier(r, 2)
+        return (2.0 * np.real(f2 * np.conj(f0))
+                + 2.0 * np.abs(f1) ** 2) * b**3 * jac
 
-    radius = abs(warp_inv(xi)) + 50.0
-    pts = {warp_inv(p) for p in _breakpoints(xi, alpha)}
-    value, err = adaptive_quad(g, -radius, radius, tol=quad.tol,
-                               points=pts, max_panels=quad.max_panels)
+    def integrals(rows, edges):
+        # row j of edges belongs to xis[rows[j]]
+        try:
+            return integrate(lambda y, j: g(y, xis[rows[j]]), edges,
+                             quad.tol, quad.max_panels)
+        except QuadratureError as exc:
+            raise QuadratureError(
+                f"symbol quadrature failed at xi={xis[rows[exc.index]]}: "
+                f"{exc}", value=exc.value, error=exc.error,
+            ) from exc
+
+    # critical point of r_xi, where alpha |xi| > 1
+    w_star = np.where(alpha * np.abs(xis) > 1.0,
+                      np.sign(xis) * (1.0 - alpha * np.abs(xis)) / c, 0.0)
+    om = np.column_stack([np.zeros_like(xis), xis, w_star])
+    anchors = np.sign(om) * ((1.0 + np.abs(om)) ** c - 1.0) / c  # y(om)
+    radius = np.abs(anchors[:, 1]) + 50.0
+    edges = np.sort(np.column_stack([-radius, anchors, radius]), axis=1)
+    active = np.arange(xis.size)
+    value, err = integrals(active, edges)
     # enlarge the domain until the discarded tails are provably negligible
     for _ in range(12):
-        bigger = 2.0 * radius
-        left, el = adaptive_quad(g, -bigger, -radius,
-                                 tol=quad.tol, max_panels=quad.max_panels)
-        right, er = adaptive_quad(g, radius, bigger,
-                                  tol=quad.tol, max_panels=quad.max_panels)
-        value += left + right
-        err += el + er
-        radius = bigger
-        if abs(left) + abs(right) < quad.tol / 10.0:
-            return float(value), float(err)
+        outer = np.column_stack([radius[active], 2.0 * radius[active]])
+        tails, tail_errs = integrals(np.tile(active, 2),
+                                     np.concatenate([-outer[:, ::-1], outer]))
+        left, right = np.split(tails, 2)
+        value[active] += left + right
+        err[active] += np.add(*np.split(tail_errs, 2))
+        radius[active] *= 2.0
+        active = active[~(np.abs(left) + np.abs(right) < quad.tol / 10.0)]
+        if not active.size:
+            return value
+    i = active[0]
     raise QuadratureError(
-        f"tails of the symbol integral at xi={xi} did not decay within "
-        f"warped radius {radius}", value=float(value), error=float(err),
+        f"tails of the symbol integral at xi={xis[i]} did not decay within "
+        f"warped radius {radius[i]}", value=value[i], error=err[i],
     )
 
 
@@ -130,13 +147,7 @@ def symbol_m(w: Window, alpha: float, xi: float,
              quad: QuadratureConfig = QuadratureConfig()) -> float:
     """m_psi(xi) by adaptive quadrature (absolute tolerance quad.tol)."""
     _check_alpha(alpha)
-
-    def integrand(omega):
-        b = beta(omega, alpha)
-        return np.abs(w.fourier(b * (xi - omega))) ** 2 * b
-
-    value, _ = _integrate_symbol(integrand, xi, alpha, quad)
-    return value
+    return float(_symbol(w, alpha, [xi], 0, quad)[0])
 
 
 def symbol_m_deriv(w: Window, alpha: float, xi: float, l: int,
@@ -149,20 +160,7 @@ def symbol_m_deriv(w: Window, alpha: float, xi: float, l: int,
     if w.max_deriv < l:
         raise ValueError(f"window {w.label} supports derivatives up to "
                          f"{w.max_deriv}")
-
-    def integrand(omega):
-        b = beta(omega, alpha)
-        r = b * (xi - omega)
-        f0 = w.fourier(r)
-        f1 = w.fourier(r, 1)
-        if l == 1:
-            return 2.0 * np.real(f1 * np.conj(f0)) * b**2
-        f2 = w.fourier(r, 2)
-        return (2.0 * np.real(f2 * np.conj(f0))
-                + 2.0 * np.abs(f1) ** 2) * b**3
-
-    value, _ = _integrate_symbol(integrand, xi, alpha, quad)
-    return value
+    return float(_symbol(w, alpha, [xi], l, quad)[0])
 
 
 @dataclass(frozen=True)
@@ -239,20 +237,12 @@ def admissibility_scan(w: Window, alpha: float,
         raise ValueError("n_nodes must be odd so that xi = 0 is a node")
     grid = SampledGrid(scan.n_nodes, 2.0 * scan.xi_max / (scan.n_nodes - 1),
                        -scan.xi_max)
-    xi_all = grid.coords
     quad = QuadratureConfig(tol=scan.tol)
-    half = scan.n_nodes // 2
-
-    def one(xi):
-        try:
-            return symbol_m(w, alpha, float(xi), quad)
-        except QuadratureError as exc:
-            raise QuadratureError(
-                f"symbol quadrature failed at xi={xi}: {exc}",
-                value=exc.value, error=exc.error,
-            ) from exc
-
-    vals = np.array([one(xi) for xi in xi_all[half:]])
+    xis = grid.coords[scan.n_nodes // 2:]
+    # xi = 0 on its own first: a window that fails fails there, after
+    # one node's work
+    vals = np.concatenate([_symbol(w, alpha, xis[:1], 0, quad),
+                           _symbol(w, alpha, xis[1:], 0, quad)])
     values = np.concatenate([vals[:0:-1], vals])  # m(-xi) = m(xi)
     tail = w.l2_norm**2
     A = min(float(values.min()), tail * (1.0 - scan.tail_margin))

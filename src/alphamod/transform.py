@@ -32,7 +32,7 @@ from scipy import sparse
 
 from .grids import (Signal, SampledGrid, Weight, inner_product,
                     weighted_lp_norm)
-from .quadrature import QuadratureConfig, adaptive_quad
+from .quadrature import QuadratureConfig, integrate
 from .symbol import NotAdmissibleError, SymbolTable, apply_multiplier, beta
 from .windows import Window
 
@@ -222,7 +222,7 @@ def kernel_K(w1: Window, w2: Window, alpha: float, tab: SymbolTable,
     dx = x1 - x2
     scale = math.sqrt(b1 * b2)
 
-    def integrand(xi):
+    def integrand(xi, _):
         g = scale * w1.fourier(b1 * (xi - w_1)) \
             * np.conj(w2.fourier(b2 * (xi - w_2)))
         if kappa:
@@ -233,10 +233,9 @@ def kernel_K(w1: Window, w2: Window, alpha: float, tab: SymbolTable,
     half = 60.0 / min(b1, b2) + abs(w_1 - w_2)
     lo = min(w_1, w_2) - half
     hi = max(w_1, w_2) + half
-    value, _ = adaptive_quad(integrand, lo, hi, tol=quad.tol,
-                             points=(w_1, w_2),
-                             max_panels=quad.max_panels)
-    return complex(value)
+    value, _ = integrate(integrand, [lo, *sorted((w_1, w_2)), hi], quad.tol,
+                         quad.max_panels)
+    return complex(value[0])
 
 
 def reproducing_kernel(w: Window, alpha: float, tab: SymbolTable,

@@ -185,7 +185,7 @@ def bspline_window(m: int) -> Window:
         return out
 
     def fourier_fn(xi, l):
-        return _sinc_power_derivs(xi, m)[l]
+        return np.sinc(xi) ** m if l == 0 else _sinc_power_derivs(xi, m)[l]
 
     # ||B_m||^2 = (B_m * B_m)(0) = B_{2m}(0), the centered order-2m spline
     b2m = BSpline.basis_element(np.arange(2 * m + 1) - float(m))

@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from alphamod import symbol as symbol_module
 from alphamod.grids import SampledGrid, Signal, forward_fourier
-from alphamod.quadrature import QuadratureConfig
+from alphamod.quadrature import QuadratureConfig, QuadratureError, integrate
 from alphamod.symbol import (CriticalPointNotApplicable, NotAdmissibleError,
                              ScanConfig, admissibility_scan, apply_multiplier,
                              beta, r_xi, rxi_profile, symbol_m,
                              symbol_m_deriv)
-from alphamod.windows import bspline_window, gaussian_window
+from alphamod.windows import (Window, bspline_window, gaussian_window,
+                              parse_window_spec)
 
 
 def test_beta_values():
@@ -78,6 +80,110 @@ def test_symbol_derivatives_match_finite_differences():
                + symbol_m(w, alpha, xi - h, quad)) / h**2
         assert symbol_m_deriv(w, alpha, xi, 2, quad) \
             == pytest.approx(fd2, abs=1e-4)
+
+
+# m_psi at alpha = 0.5 on xi = 0, 2, ..., 40, as scanned before the
+# batched quadrature engine; each node has its own panels in the engine,
+# so the values may move only by rounding
+PIN_SCAN = ScanConfig(xi_max=40, n_nodes=41)
+PINNED = {
+    "gaussian": [
+        1.1104225468998206, 1.0000000000074079, 0.9999999999999971,
+        0.9999999999999969, 0.9999999999999971, 0.9999999999999969,
+        0.9999999999999979, 0.9999999999999972, 0.9999999999999971,
+        0.9999999999999959, 0.9999999999999963, 0.9999999999999971,
+        0.9999999999999969, 0.9999999999999968, 0.9999999999999966,
+        0.9999999999999954, 0.9999999999999956, 0.999999999999999,
+        0.999999999999999, 0.9999999999999966, 0.9999999999999968,
+    ],
+    "bspline:2": [
+        0.7354226564236062, 0.6669934315590349, 0.6668695382728748,
+        0.6667592526361645, 0.6667188766867422, 0.6666884448628487,
+        0.6666861825757293, 0.6666842938588221, 0.6666765288769544,
+        0.6666790888100134, 0.6666739262310742, 0.6666746158521422,
+        0.6666738463760252, 0.6666717193469431, 0.6666737164235956,
+        0.6666704742654505, 0.6666709302416529, 0.6666715446141005,
+        0.6666694243838024, 0.6666700664674096, 0.6666704505831028,
+    ],
+    "bump:1.0": [
+        1.1048483840542538, 1.00043975126639, 1.000079222778088,
+        1.0000219943688553, 1.0000039448484082, 1.0000026471598684,
+        1.0000015749448448, 1.0000008536116325, 1.0000004954068675,
+        1.0000002980713054, 1.0000001692136355, 1.000000084232017,
+        1.00000005001928, 1.0000000494014112, 1.0000000423563413,
+        1.0000000211028581, 1.000000016378178, 1.0000000173344799,
+        1.0000000075216842, 1.0000000080377396, 1.0000000075223083,
+    ],
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_scans():
+    windows = {spec: parse_window_spec(spec) for spec in PINNED}
+    return {spec: (w, admissibility_scan(w, 0.5, PIN_SCAN))
+            for spec, w in windows.items()}
+
+
+@pytest.mark.parametrize("spec", list(PINNED))
+def test_scan_values_pinned(pinned_scans, spec):
+    _, tab = pinned_scans[spec]
+    half = PIN_SCAN.n_nodes // 2
+    np.testing.assert_allclose(tab.values[half:], PINNED[spec], rtol=1e-13,
+                               atol=0)
+
+
+@pytest.mark.parametrize("spec", list(PINNED))
+def test_scan_batch_matches_single_nodes(pinned_scans, spec):
+    w, tab = pinned_scans[spec]
+    half = PIN_SCAN.n_nodes // 2
+    single = [symbol_m(w, 0.5, xi, QuadratureConfig(tol=PIN_SCAN.tol))
+              for xi in tab.xi_grid.coords[half:]]
+    np.testing.assert_allclose(tab.values[half:], single, rtol=1e-14,
+                               atol=0)
+
+
+@pytest.mark.parametrize("n_nodes", [41, 201])
+def test_scan_engine_calls_do_not_grow_with_nodes(monkeypatch, n_nodes):
+    # xi = 0 alone, then the rest: one main integral and at most 12 tail
+    # doublings each
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return integrate(*args)
+
+    monkeypatch.setattr(symbol_module, "integrate", counted)
+    admissibility_scan(bspline_window(2), 0.5,
+                       ScanConfig(xi_max=40, n_nodes=n_nodes))
+    assert 4 <= len(calls) <= 2 * 13
+
+
+def _counting(w):
+    """The same window, with a count of the spectrum points evaluated."""
+    points = [0]
+
+    def fourier_fn(xi, l):
+        points[0] += xi.size
+        return w.fourier(xi, l)
+
+    return Window(w.kind, w.label, w.time, fourier_fn, w.l2_norm,
+                  max_deriv=w.max_deriv, support=w.support), points
+
+
+def test_divergent_scan_stops_after_one_node():
+    # bspline:1 decays too slowly for alpha = 0.9: the tails never settle
+    w, points = _counting(bspline_window(1))
+    with pytest.raises(QuadratureError, match=r"tails .* at xi=0\.0 "):
+        symbol_m(w, 0.9, 0.0)
+    one_node, points[0] = points[0], 0
+    with pytest.raises(QuadratureError, match=r"tails .* at xi=0\.0 "):
+        admissibility_scan(w, 0.9, ScanConfig(xi_max=20, n_nodes=201))
+    assert 0 < points[0] <= one_node
+
+
+def test_panel_budget_failure_names_xi(gauss):
+    with pytest.raises(QuadratureError, match=r"at xi=3\.0: no convergence"):
+        symbol_m(gauss, 0.5, 3.0, QuadratureConfig(tol=1e-14, max_panels=4))
 
 
 def test_scan_table_interpolates_and_tails(gauss, gauss_tab):

@@ -3,20 +3,27 @@ import math
 import numpy as np
 import pytest
 
-from alphamod.quadrature import adaptive_quad
-from alphamod.windows import (HypothesisVerdict, Purpose, bandlimited_window,
+from alphamod.quadrature import integrate
+from alphamod.windows import (_TAYLOR_CUT, HypothesisVerdict, Purpose,
+                              _sinc_power_derivs, bandlimited_window,
                               bspline_window, bump_window, check_hypotheses,
                               estimate_decay_rate, gaussian_window,
                               parse_window_spec, required_decay)
 
 
+def quad1(f, a, b, tol):
+    """One integral of f(t) over [a, b]."""
+    vals, _ = integrate(lambda t, _: f(t), [[a, b]], tol)
+    return vals[0]
+
+
 def numeric_ft(w, xi):
     """Reference transform by direct quadrature of the time samples."""
     lo, hi = w.support if w.support else (-30.0, 30.0)
-    re, _ = adaptive_quad(
-        lambda t: w.time(t) * np.cos(2 * np.pi * xi * t), lo, hi, tol=1e-12)
-    im, _ = adaptive_quad(
-        lambda t: -w.time(t) * np.sin(2 * np.pi * xi * t), lo, hi, tol=1e-12)
+    re = quad1(lambda t: w.time(t) * np.cos(2 * np.pi * xi * t), lo, hi,
+               tol=1e-12)
+    im = quad1(lambda t: -w.time(t) * np.sin(2 * np.pi * xi * t), lo, hi,
+               tol=1e-12)
     return re + 1j * im
 
 
@@ -43,9 +50,23 @@ def test_fourier_matches_reference(make, label):
 def test_l2_norm_consistent(make):
     w = make()
     lo, hi = w.support if w.support else (-30.0, 30.0)
-    mass, _ = adaptive_quad(lambda t: np.abs(w.time(t)) ** 2, lo, hi,
-                            tol=1e-12)
+    mass = quad1(lambda t: np.abs(w.time(t)) ** 2, lo, hi, tol=1e-12)
     assert mass == pytest.approx(w.l2_norm**2, rel=1e-6)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_bspline_spectrum_matches_sinc_power_series(m):
+    # the l = 0 spectrum is np.sinc(xi)**m; the derivative code switches
+    # to a Taylor series below |xi| = _TAYLOR_CUT
+    cut = _TAYLOR_CUT
+    xi = np.concatenate([
+        [0.0, 1e-4, -1e-4, cut, -cut],
+        [np.nextafter(cut, 0.0), np.nextafter(cut, 1.0)],
+        np.arange(-6.0, 7.0), np.linspace(-7.3, 7.3, 201),
+    ])
+    got = bspline_window(m).fourier(xi)
+    ref = _sinc_power_derivs(xi, m)[0]
+    assert np.max(np.abs(got - ref)) <= 1e-15
 
 
 def test_gaussian_unit_norm():
