@@ -26,7 +26,7 @@ import numpy as np
 from .covering import AlphaCovering, UncoveredPointError, q_samples
 from .grids import Weight
 from .symbol import NotAdmissibleError, SymbolTable, beta
-from .transform import kernel_K
+from .transform import _kernel_pairs, kernel_K
 from .windows import Window
 
 # re-export: kernel_K is the pointwise kernel evaluator shared with the
@@ -262,14 +262,13 @@ def oscillation_kernel(w: Window, alpha: float, tab: SymbolTable,
           for zt in z_t[inside] for zw in z_w]
     if not zs:
         raise UncoveredPointError(f"point ({x2}, {w2}) is not covered")
-    R_base = kernel_K(w, w, alpha, tab, 1, p1, (x2, w2))
-    return max(abs(R_base - np.exp(-2j * np.pi * w2 * (x2 - zt))
-                   * kernel_K(w, w, alpha, tab, 1, p1, (zt, zw)))
-               for zt, zw in zs)
+    R = _kernel_pairs(w, w, alpha, tab, 1, [(p1, z) for z in [p2] + zs])
+    phase = np.exp(-2j * np.pi * w2 * (x2 - np.array(zs)[:, 0]))
+    return float(np.abs(R[0] - phase * R[1:]).max())
 
 
-# complex elements per (frequency x time x z) gather in _osc: 4 MiB
-_GATHER = 1 << 18
+# bytes of the two gather buffers in _osc, complex block and modulus: 4 MiB
+_GATHER = 1 << 22
 
 
 def _osc(engine: _SliceEngine, cov: AlphaCovering, density: int,
@@ -281,38 +280,56 @@ def _osc(engine: _SliceEngine, cov: AlphaCovering, density: int,
 
     Frequencies run along a and times along b; a side with one frequency
     or one time pairs it with every entry of the other.  The times lie on
-    the engine's u grid, and each x_t - z_t is snapped onto it by
-    u_index.  The spectra of the x frequencies are computed once; each z
-    frequency costs one batch of slices, used at once and dropped.
-    Returns the (a, b) array.
+    the engine's u grid, and x_t - z_t is snapped onto it: z_t = x_t -
+    u[at], so Gamma = exp(-2 pi i y_w (y_t - x_t)) exp(-2 pi i y_w u[at]).
+    The first factor goes into R(x, y); the second, with the FFT's
+    post-twiddle, into each z frequency's slices R(x, z) = P[at] on the u
+    window a covering row gathers; the pre-twiddle into the x spectra.  A
+    row's gather is laid out (z, b, a), so the sup over z is a maximum of
+    contiguous planes, taken in chunks of z.  A sample outside its time's
+    box reuses an inside one of the same time (same max); a time with none
+    gets 0 from the row.  The chunk and its modulus (24 bytes an element)
+    fill at most max(_GATHER, 24 * a * b) bytes.  Returns the (a, b) array.
     """
     x_t, x_w, y_t, y_w = (np.atleast_1d(np.asarray(v, dtype=float))
                           for v in (x_t, x_w, y_t, y_w))
     x_hat = engine._atoms_hat(x_w)
     base = engine.slices(x_w, y_w, x_hat)[:, engine.u_index(x_t - y_t)]
+    base *= np.exp(2j * np.pi * y_w[:, None] * (y_t - x_t))
+    x_hat = x_hat * engine._pre
     osc = np.zeros(base.shape)
+    cap = max(_GATHER // 24, osc.size)
+    block, mod = np.empty(cap, complex), np.empty(cap)
     for band, z_t, inside, z_w in q_samples(cov, y_t, y_w, density):
         rows = np.broadcast_to(band, osc.shape[:1])
         xw, yw, xw_hat = (v[rows] if len(v) > 1 else v
                           for v in (x_w, y_w, x_hat))
         keep = inside.any(axis=0)
+        if not keep.any():
+            continue
         inside = inside[:, keep]
-        # R(x, z) = P[:, at] for the slices P of one z frequency
         at = engine.u_index(x_t[:, None] - z_t[:, keep])
-        z_t = x_t[:, None] - engine.u[at]
-        phase = np.exp(-2j * np.pi * yw[:, None, None]
-                       * (y_t[:, None] - z_t))
-        R_y = base[rows][:, :, None]
-        row_osc = osc[rows]
-        step = max(1, _GATHER // R_y.size)
+        at = np.where(inside, at, at[np.arange(len(at)),
+                                     inside.argmax(axis=1)][:, None])
+        lo, hi = at.min(), at.max() + 1
+        at = (at - lo).T
+        post = (engine._post[lo:hi, None]
+                * np.exp(-2j * np.pi * engine.u[lo:hi, None] * yw))
+        R_y = np.ascontiguousarray(base[rows].T)
+        row, plane = np.zeros(R_y.shape), np.empty(R_y.shape)
+        Q = np.empty((hi - lo, R_y.shape[1]), complex)
         for zw in z_w:
-            P = engine.slices(xw, zw, xw_hat)
-            for c in range(0, z_t.shape[1], step):
-                cs = slice(c, c + step)
-                diff = np.abs(R_y - phase[..., cs] * P[:, at[:, cs]])
-                np.maximum(row_osc, (diff * inside[:, cs]).max(axis=2),
-                           out=row_osc)
-        osc[rows] = row_osc
+            F = np.fft.fft(engine.spectral_profiles(xw, zw, xw_hat), axis=1)
+            np.multiply(F[:, lo:hi].T, post, out=Q)
+            for c in range(0, len(at), cap // R_y.size):
+                ks = at[c:c + cap // R_y.size]
+                g = block[:ks.size * R_y.shape[1]].reshape(*ks.shape, -1)
+                m = mod[:g.size].reshape(g.shape)
+                np.take(Q, ks, axis=0, out=g, mode="clip")
+                np.abs(np.subtract(g, R_y, out=g), out=m)
+                np.maximum(row, np.maximum.reduce(m, out=plane), out=row)
+        row *= inside.any(axis=1)[:, None]
+        osc[rows] = np.maximum(osc[rows], row.T)
     return osc
 
 

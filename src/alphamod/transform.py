@@ -213,29 +213,32 @@ def kernel_K(w1: Window, w2: Window, alpha: float, tab: SymbolTable,
              quad: QuadratureConfig = QuadratureConfig()) -> complex:
     """K(p1, p2) = <m^{-kappa} hat(a1), hat(a2)> for atoms of the two
     windows at p1 = (x, w), p2 = (x*, w*); frequency-domain quadrature."""
+    return complex(_kernel_pairs(w1, w2, alpha, tab, kappa, [(p1, p2)],
+                                 quad)[0])
+
+
+def _kernel_pairs(w1: Window, w2: Window, alpha: float, tab: SymbolTable,
+                  kappa: int, pairs,
+                  quad: QuadratureConfig = QuadratureConfig()) -> np.ndarray:
+    """kernel_K at each (p1, p2) of pairs, as one integrate batch."""
     if kappa > 0 and not tab.admissible:
         raise NotAdmissibleError("m^{-kappa} needs a positive lower bound A")
-    x1, w_1 = p1
-    x2, w_2 = p2
-    b1 = beta(w_1, alpha)
-    b2 = beta(w_2, alpha)
+    (x1, w_1), (x2, w_2) = np.asarray(pairs, dtype=float).transpose(1, 2, 0)
+    b1, b2 = beta(w_1, alpha), beta(w_2, alpha)
     dx = x1 - x2
-    scale = math.sqrt(b1 * b2)
 
-    def integrand(xi, _):
-        g = scale * w1.fourier(b1 * (xi - w_1)) \
-            * np.conj(w2.fourier(b2 * (xi - w_2)))
+    def integrand(xi, i):
+        g = np.sqrt(b1[i] * b2[i]) * w1.fourier(b1[i] * (xi - w_1[i])) \
+            * np.conj(w2.fourier(b2[i] * (xi - w_2[i])))
         if kappa:
             g = g * tab(xi) ** (-kappa)
-        return g * np.exp(-2j * np.pi * xi * dx)
+        return g * np.exp(-2j * np.pi * xi * dx[i])
 
     # integrand support is a neighborhood of the two atom frequencies
-    half = 60.0 / min(b1, b2) + abs(w_1 - w_2)
-    lo = min(w_1, w_2) - half
-    hi = max(w_1, w_2) + half
-    value, _ = integrate(integrand, [lo, *sorted((w_1, w_2)), hi], quad.tol,
-                         quad.max_panels)
-    return complex(value[0])
+    lo, hi = np.minimum(w_1, w_2), np.maximum(w_1, w_2)
+    half = 60.0 / np.minimum(b1, b2) + (hi - lo)
+    edges = np.column_stack([lo - half, lo, hi, hi + half])
+    return integrate(integrand, edges, quad.tol, quad.max_panels)[0]
 
 
 def reproducing_kernel(w: Window, alpha: float, tab: SymbolTable,

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alphamod.covering import build_covering
+from alphamod import ScanConfig, admissibility_scan, parse_window_spec
+from alphamod.covering import build_covering, q_samples
 from alphamod.diagnostics import (KernelEstimate, TruncationConfig,
                                   _osc, _SliceEngine,
                                   discretization_condition, estimate_gamma,
@@ -134,6 +135,54 @@ def test_fft_oscillation_matches_quadrature_oracle(gauss, gauss_tab):
         fast = _osc(engine, cov, 2, p1[0], p1[1], p2[0], p2[1])
         assert fast.shape == (1, 1)
         assert fast[0, 0] == pytest.approx(ref, rel=1e-2)
+
+
+def _osc_dense(engine, cov, density, x_t, x_w, y_t, y_w):
+    """The sampled sup as _osc first computed it, without its chunking:
+    one (a, b, z) phase array at the snapped z and a mask multiply for
+    the samples whose box does not contain y_t."""
+    x_t, x_w, y_t, y_w = (np.atleast_1d(np.asarray(v, dtype=float))
+                          for v in (x_t, x_w, y_t, y_w))
+    x_hat = engine._atoms_hat(x_w)
+    base = engine.slices(x_w, y_w, x_hat)[:, engine.u_index(x_t - y_t)]
+    osc = np.zeros(base.shape)
+    for band, z_t, inside, z_w in q_samples(cov, y_t, y_w, density):
+        rows = np.broadcast_to(band, osc.shape[:1])
+        xw, yw, xw_hat = (v[rows] if len(v) > 1 else v
+                          for v in (x_w, y_w, x_hat))
+        at = engine.u_index(x_t[:, None] - z_t)
+        z_t = x_t[:, None] - engine.u[at]
+        phase = np.exp(-2j * np.pi * yw[:, None, None]
+                       * (y_t[:, None] - z_t))
+        R_y = base[rows][:, :, None]
+        for zw in z_w:
+            P = engine.slices(xw, zw, xw_hat)
+            diff = np.abs(R_y - phase * P[:, at])
+            osc[rows] = np.maximum(osc[rows], (diff * inside).max(axis=2))
+    return osc
+
+
+@pytest.fixture(scope="module", params=["gaussian", "bspline:2"])
+def osc_engine(request):
+    w = parse_window_spec(request.param)
+    tab = admissibility_scan(w, 0.5, ScanConfig(xi_max=80, n_nodes=801))
+    return _SliceEngine(w, 0.5, tab, 1, omega_max=4.0, u_max=6.0)
+
+
+@pytest.mark.parametrize("time_range", [(-6.0, 6.0), (-1.5, 1.0)])
+def test_osc_matches_dense_oracle(osc_engine, time_range):
+    """The factored, z-major _osc against the dense reference, in both
+    call shapes of estimate_gamma.  The (-1.5, 1) covering stops inside
+    the probed times, so some times have no inside sample in a row."""
+    cov = build_covering(0.5, 0.5, 1.0, time_range, (-4, 4), validate=False)
+    u_in = osc_engine.u[np.abs(osc_engine.u) <= 2.0]
+    omegas = np.linspace(-3.0, 3.0, 13)
+    for args in [(0.0, -2.0, u_in, omegas), (u_in, omegas, 0.0, 0.5)]:
+        ref = _osc_dense(osc_engine, cov, 3, *args)
+        fast = _osc(osc_engine, cov, 3, *args)
+        assert fast.shape == ref.shape == (omegas.size, u_in.size)
+        np.testing.assert_array_equal(fast == 0, ref == 0)
+        assert np.abs(fast - ref).max() <= 1e-13 * ref.max()
 
 
 def test_estimate_rho_converged(gauss, gauss_tab):
