@@ -5,14 +5,16 @@
         --seeds 101 102 103 104 105 106 107 108 109 110 --out BENCH_abc1234.json
 
 For every seed, and for every ``--workload`` given, this runs
-``perfbench/run.py --workload W --seed S --seconds 45 --trace 0`` once in
-each checkout, one after the other; the checkout that goes first
-alternates from pair to pair, so a slow drift of the host does not
-favour either side.  Each run is a fresh process started in its
-checkout's root.  The file gets every run's result line, the per-metric
-medians and quartiles of both sides, the number of pairs in which the
-change is better, and the machine (CPU count and model, Python, numpy
-and scipy versions).  Nothing under ``perfbench/`` is imported.
+``perfbench/run.py --workload W --seed S --seconds T --trace 0`` once in
+each checkout, one after the other, with T the ``run_seconds`` of the
+parent's ``BENCHMARK.json``; the checkout that goes first alternates
+from pair to pair, so a slow drift of the host does not favour either
+side.  Each run is a fresh process started in its checkout's root.  The
+file gets each checkout's commit and whether its tree differs from it,
+every run's result line, the per-metric medians and quartiles of both
+sides, the number of pairs in which the change is better, and the
+machine (CPU count and model, Python, numpy and scipy versions).  At
+least ten seeds are required.  Nothing under ``perfbench/`` is imported.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import numpy
 import scipy
 
 SIDES = ("parent", "change")
+MIN_SEEDS = 10
 
 
 def run_once(checkout: Path, workload: str, seed: int,
@@ -58,7 +61,7 @@ def summary(runs: dict) -> dict:
         vals = {s: [r["metrics"][name] for r in runs[s]] for s in SIDES}
         entry = {}
         for s in SIDES:
-            q = quantiles(vals[s], n=4) if len(vals[s]) > 1 else vals[s] * 3
+            q = quantiles(vals[s], n=4)
             entry[s] = {"median": median(vals[s]), "q1": q[0], "q3": q[2]}
         entry["change_lower_in_pairs"] = sum(
             c < p for p, c in zip(vals["parent"], vals["change"]))
@@ -66,6 +69,15 @@ def summary(runs: dict) -> dict:
                                       / entry["parent"]["median"] - 1.0)
         out[name] = entry
     return out
+
+
+def commit(checkout: Path) -> dict:
+    """The checkout's HEAD and whether its tree differs from HEAD."""
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=checkout, check=True,
+                              capture_output=True, text=True).stdout.strip()
+    return {"head": git("rev-parse", "HEAD"),
+            "dirty": bool(git("status", "--porcelain"))}
 
 
 def machine() -> dict:
@@ -89,19 +101,23 @@ def main(argv=None) -> int:
     p.add_argument("change", type=Path, help="checkout of the change")
     p.add_argument("--workload", action="append", required=True)
     p.add_argument("--seeds", type=int, nargs="+", required=True)
-    p.add_argument("--seconds", type=float, default=45.0)
     p.add_argument("--out", type=Path, required=True,
                    help="output file, BENCH_<parent short sha>.json")
     args = p.parse_args(argv)
+    if len(args.seeds) < MIN_SEEDS:
+        p.error(f"--seeds needs at least {MIN_SEEDS} seeds")
     dirs = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    report = {"seconds": args.seconds, "seeds": args.seeds,
+    seconds = json.loads(
+        (dirs["parent"] / "BENCHMARK.json").read_text())["run_seconds"]
+    report = {"seconds": seconds, "seeds": args.seeds,
+              "commits": {s: commit(dirs[s]) for s in SIDES},
               "machine": machine(), "workloads": {}}
     for workload in args.workload:
         runs = {s: [] for s in SIDES}
         for i, seed in enumerate(args.seeds):
             for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
                 runs[side].append(run_once(dirs[side], workload, seed,
-                                           args.seconds))
+                                           seconds))
                 last = runs[side][-1]
                 print(f"{workload} seed {seed} {side}: "
                       + json.dumps(last["metrics"]), flush=True)
