@@ -40,27 +40,31 @@ EXIT_THRESHOLD = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-_DEFAULTS = {
-    "window": "gaussian",
-    "alpha": 0.5,
-    "eps": 0.25,
-    "c": 1.0,
-    "s": 0.0,
-    "p": 2.0,
-    "time_range": "-8,8",
-    "freq_range": "-8,8",
-    "grid_n": 256,
-    "grid_spacing": None,
-    "xi_max": 200.0,
-    "scan_nodes": 2001,
-    "tol": 1e-8,
-    "threshold": 1e-6,
-    "eps_list": "0.5,0.25,0.125",
-    "x_max": 8.0,
-    "omega_max": 32.0,
-    "seed": 42,
-    "output_dir": ".",
+# every run option, name: (type, default); its flag is --name with "-"
+# for "_", and its config-file key is the name
+_OPTIONS = {
+    "window": (str, "gaussian"),
+    "alpha": (float, 0.5),
+    "eps": (float, 0.25),
+    "c": (float, 1.0),
+    "s": (float, 0.0),
+    "p": (float, 2.0),
+    "time_range": (str, "-8,8"),
+    "freq_range": (str, "-8,8"),
+    "grid_n": (int, 256),
+    "grid_spacing": (float, None),
+    "xi_max": (float, 200.0),
+    "scan_nodes": (int, 2001),
+    "tol": (float, 1e-8),
+    "threshold": (float, 1e-6),
+    "eps_list": (str, "0.5,0.25,0.125"),
+    "x_max": (float, 8.0),
+    "omega_max": (float, 32.0),
+    "seed": (int, 42),
+    "output_dir": (str, "."),
 }
+_WINDOW_HELP = ("window spec, e.g. gaussian, bspline:4, bump:1.0, "
+                "bandlimited:2.0")
 
 
 class ConfigError(ValueError):
@@ -78,18 +82,18 @@ class RunConfig:
     """Merged defaults / config file / flags, validated up front."""
 
     def __init__(self, args: argparse.Namespace):
-        merged = dict(_DEFAULTS)
+        merged = {name: default for name, (_, default) in _OPTIONS.items()}
         if getattr(args, "config", None):
             try:
                 data = json.loads(Path(args.config).read_text())
             except (OSError, json.JSONDecodeError) as exc:
                 raise ConfigError(f"cannot read config file: {exc}")
-            unknown = set(data) - set(_DEFAULTS)
+            unknown = set(data) - set(_OPTIONS)
             if unknown:
                 raise ConfigError(
                     f"unknown config keys: {', '.join(sorted(unknown))}")
             merged.update(data)
-        for key in _DEFAULTS:
+        for key in _OPTIONS:
             flag = getattr(args, key, None)
             if flag is not None:
                 merged[key] = flag
@@ -175,10 +179,9 @@ def _write_json(payload: dict, path: Path):
     path.write_text(json.dumps(payload, indent=2, default=float))
 
 
-def cmd_admissible(cfg: RunConfig) -> int:
+def cmd_admissible(cfg: RunConfig, args: argparse.Namespace) -> int:
     verdict = check_hypotheses(cfg.window, cfg.alpha, cfg.s,
-                               Purpose.ADMISSIBILITY,
-                               estimate_if_missing=True)
+                               Purpose.ADMISSIBILITY)
     out = cfg.output_dir
     try:
         tab = admissibility_scan(cfg.window, cfg.alpha, cfg.scan_config())
@@ -206,7 +209,7 @@ def cmd_admissible(cfg: RunConfig) -> int:
     return EXIT_OK if ok else EXIT_THRESHOLD
 
 
-def cmd_frame_info(cfg: RunConfig) -> int:
+def cmd_frame_info(cfg: RunConfig, args: argparse.Namespace) -> int:
     fr = cfg.frame()
     A_est, B_est = estimate_frame_bounds(fr, seed=cfg.seed)
     diag = covering_diagnostics(fr.covering, s=cfg.s)
@@ -222,8 +225,8 @@ def cmd_frame_info(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_analyze(cfg: RunConfig, input_path: str) -> int:
-    f = _load_signal(input_path)
+def cmd_analyze(cfg: RunConfig, args: argparse.Namespace) -> int:
+    f = _load_signal(args.input)
     fr = cfg.frame(f.grid)
     coeffs = analysis(f, fr)
     coeffs.save(cfg.output_dir / "coefficients.bin", cfg.window_spec)
@@ -232,25 +235,27 @@ def cmd_analyze(cfg: RunConfig, input_path: str) -> int:
     return EXIT_OK
 
 
-def cmd_synthesize(cfg: RunConfig, coeff_path: str, output: str) -> int:
-    header = json.loads(Path(coeff_path + ".json").read_text())
-    grid = SampledGrid(**header["grid"])
-    # files written before the ranges were stored fall back to the
-    # flags; load_coefficients rejects a covering that does not match
+def cmd_synthesize(cfg: RunConfig, args: argparse.Namespace) -> int:
+    # the frame comes from the file's header alone; load_coefficients
+    # rejects a covering that does not match the stored node table
+    header_path = args.coefficients + ".json"
+    header = json.loads(Path(header_path).read_text())
+    missing = sorted({"alpha", "eps", "c", "grid", "time_range",
+                      "freq_range", "window"} - set(header))
+    if missing:
+        raise ConfigError(f"{header_path} lacks {', '.join(missing)}")
     cov = build_covering(header["alpha"], header["eps"], header["c"],
-                         header.get("time_range", cfg.time_range),
-                         header.get("freq_range", cfg.freq_range))
-    window = parse_window_spec(header.get("window") or cfg.window_spec)
-    fr = AlphaFrame(cov, window, grid)
-    coeffs = load_coefficients(coeff_path, fr)
-    out = synthesis(coeffs, fr)
-    _save_signal(out, cfg.output_dir / output)
-    print(f"wrote {output}")
+                         header["time_range"], header["freq_range"])
+    fr = AlphaFrame(cov, parse_window_spec(header["window"]),
+                    SampledGrid(**header["grid"]))
+    out = synthesis(load_coefficients(args.coefficients, fr), fr)
+    _save_signal(out, cfg.output_dir / args.output)
+    print(f"wrote {args.output}")
     return EXIT_OK
 
 
-def cmd_roundtrip(cfg: RunConfig, input_path: str) -> int:
-    f = _load_signal(input_path)
+def cmd_roundtrip(cfg: RunConfig, args: argparse.Namespace) -> int:
+    f = _load_signal(args.input)
     fr = cfg.frame(f.grid)
     coeffs = analysis(f, fr)
     coeffs.save(cfg.output_dir / "coefficients.bin", cfg.window_spec)
@@ -263,7 +268,7 @@ def cmd_roundtrip(cfg: RunConfig, input_path: str) -> int:
     return EXIT_OK if res.error <= cfg.threshold else EXIT_THRESHOLD
 
 
-def cmd_diagnostics(cfg: RunConfig) -> int:
+def cmd_diagnostics(cfg: RunConfig, args: argparse.Namespace) -> int:
     if not cfg.eps_list:
         raise ConfigError("eps_list must not be empty")
     tab = admissibility_scan(cfg.window, cfg.alpha, cfg.scan_config())
@@ -280,8 +285,8 @@ def cmd_diagnostics(cfg: RunConfig) -> int:
     return EXIT_OK if all(report["pass"]) else EXIT_THRESHOLD
 
 
-def cmd_coorbit_norm(cfg: RunConfig, input_path: str) -> int:
-    f = _load_signal(input_path)
+def cmd_coorbit_norm(cfg: RunConfig, args: argparse.Namespace) -> int:
+    f = _load_signal(args.input)
     tab = admissibility_scan(cfg.window, cfg.alpha, cfg.scan_config())
     t0, t1 = cfg.time_range
     f0, f1 = cfg.freq_range
@@ -294,7 +299,7 @@ def cmd_coorbit_norm(cfg: RunConfig, input_path: str) -> int:
     return EXIT_OK
 
 
-def cmd_covering_dump(cfg: RunConfig) -> int:
+def cmd_covering_dump(cfg: RunConfig, args: argparse.Namespace) -> int:
     cov = build_covering(cfg.alpha, cfg.eps, cfg.c, cfg.time_range,
                          cfg.freq_range)
     cov.save_csv(cfg.output_dir / "covering.csv")
@@ -302,28 +307,24 @@ def cmd_covering_dump(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+# subcommands in the order --help lists them
+_COMMANDS = {
+    "admissible": cmd_admissible,
+    "frame-info": cmd_frame_info,
+    "diagnostics": cmd_diagnostics,
+    "coorbit-norm": cmd_coorbit_norm,
+    "covering-dump": cmd_covering_dump,
+    "analyze": cmd_analyze,
+    "synthesize": cmd_synthesize,
+    "roundtrip": cmd_roundtrip,
+}
+
+
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", help="JSON config file; flags override")
-    p.add_argument("--window", help="window spec, e.g. gaussian, "
-                   "bspline:4, bump:1.0, bandlimited:2.0")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--c", type=float)
-    p.add_argument("--s", type=float)
-    p.add_argument("--p", type=float)
-    p.add_argument("--time-range", dest="time_range")
-    p.add_argument("--freq-range", dest="freq_range")
-    p.add_argument("--grid-n", dest="grid_n", type=int)
-    p.add_argument("--grid-spacing", dest="grid_spacing", type=float)
-    p.add_argument("--xi-max", dest="xi_max", type=float)
-    p.add_argument("--scan-nodes", dest="scan_nodes", type=int)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--eps-list", dest="eps_list")
-    p.add_argument("--x-max", dest="x_max", type=float)
-    p.add_argument("--omega-max", dest="omega_max", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--output-dir", dest="output_dir")
+    for name, (kind, _) in _OPTIONS.items():
+        p.add_argument("--" + name.replace("_", "-"), type=kind,
+                       help=_WINDOW_HELP if name == "window" else None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -332,9 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="adaptive time-frequency analysis toolbox",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("admissible", "frame-info", "diagnostics",
-                 "coorbit-norm", "covering-dump", "analyze",
-                 "synthesize", "roundtrip"):
+    for name in _COMMANDS:
         sp = sub.add_parser(name)
         _add_common(sp)
         if name in ("analyze", "roundtrip", "coorbit-norm"):
@@ -350,23 +349,7 @@ def main(argv=None) -> int:
     try:
         cfg = RunConfig(args)
         cfg.output_dir.mkdir(parents=True, exist_ok=True)
-        if args.command == "admissible":
-            return cmd_admissible(cfg)
-        if args.command == "frame-info":
-            return cmd_frame_info(cfg)
-        if args.command == "analyze":
-            return cmd_analyze(cfg, args.input)
-        if args.command == "synthesize":
-            return cmd_synthesize(cfg, args.coefficients, args.output)
-        if args.command == "roundtrip":
-            return cmd_roundtrip(cfg, args.input)
-        if args.command == "diagnostics":
-            return cmd_diagnostics(cfg)
-        if args.command == "coorbit-norm":
-            return cmd_coorbit_norm(cfg, args.input)
-        if args.command == "covering-dump":
-            return cmd_covering_dump(cfg)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command](cfg, args)
     except (QuadratureError, IterationError, NotAdmissibleError,
             FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -175,10 +175,14 @@ def build_covering(alpha: float, eps: float, c: float,
     if not keep.any():
         raise ValueError("no boxes intersect the requested rectangle")
     js, omegas = js[keep], omegas[keep]
-    # x-interval of box k is eps*b*(k-1, k+1): one box of slack per side
-    steps = eps * betas[keep]
-    k_lo = np.floor(t0 / steps).astype(np.int64) - 1
-    k_hi = np.ceil(t1 / steps).astype(np.int64) + 1
+    # x-interval of box k is eps*b*(k-1, k+1): one box of slack per side.
+    # An end within 4 ulp of a box edge is put on it, so that exact ties
+    # (rational beta) do not hinge on the last bit of beta
+    q = np.array([t0, t1])[:, None] / (eps * betas[keep])
+    edge = np.rint(q)
+    q = np.where(abs(q - edge) <= 4 * np.spacing(abs(edge)), edge, q)
+    k_lo = np.floor(q[0]).astype(np.int64) - 1
+    k_hi = np.ceil(q[1]).astype(np.int64) + 1
     cov = AlphaCovering(alpha, eps, c, (t0, t1), (f0, f1), js, omegas,
                         k_lo, k_hi)
     if validate and not _probe_covers(cov, density=20):
@@ -268,10 +272,8 @@ def mutual_weight_bound(cov: AlphaCovering, s: float) -> float:
     return max(1.0, float(Weight(s).mutual(near[i], far[i])))
 
 
-def covering_diagnostics(cov: AlphaCovering, s: float = 0.0,
-                         probe_density: int = 20) -> CoveringDiagnostics:
-    if probe_density < 10:
-        raise ValueError("probe_density must be at least 10 per box side")
+def covering_diagnostics(cov: AlphaCovering,
+                         s: float = 0.0) -> CoveringDiagnostics:
     if cov.n_boxes == 0:
         raise ValueError("empty covering")
     # every box of a row has the row's width 2*eps*b and height 2*half
@@ -280,7 +282,7 @@ def covering_diagnostics(cov: AlphaCovering, s: float = 0.0,
                                 rtol=1e-12) and areas.min() > 0)
     return CoveringDiagnostics(
         max_overlap=_max_overlap(cov),
-        covers_region=_probe_covers(cov, probe_density),
+        covers_region=_probe_covers(cov),
         moderate=moderate,
         C_w=mutual_weight_bound(cov, s),
     )

@@ -16,10 +16,9 @@ from one FFT; all integrals below are organized around that.
 
 from __future__ import annotations
 
-import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,13 +40,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TruncationConfig:
-    """Truncated integration domain |x| <= x_max, |omega| <= omega_max,
-    doubled until the estimate moves less than rel_change."""
+    """Truncated domain |x| <= x_max, |omega| <= omega_max.  rho doubles
+    it until its estimate moves by less than 5 %, at most 3 times."""
 
     x_max: float = 8.0
     omega_max: float = 32.0
-    rel_change: float = 0.05
-    max_doublings: int = 3
     n_probes: int = 9
     probe_omega_max: float = 8.0
     z_density: int = 7
@@ -55,15 +52,11 @@ class TruncationConfig:
 
 @dataclass(frozen=True)
 class KernelEstimate:
-    kappa: int
     s: float
     value: float
     truncation: dict
-    quad_error: float
 
     def __post_init__(self):
-        if self.kappa not in (0, 1, 2):
-            raise ValueError(f"kappa must be 0, 1 or 2, got {self.kappa}")
         if self.value < 0:
             raise ValueError("estimate must be nonnegative")
 
@@ -229,22 +222,20 @@ def estimate_rho(w: Window, alpha: float, s: float, tab: SymbolTable,
     value = _rho_once(w, alpha, s, tab, x_max, omega_max, probes)
     history = [value]
     converged = False
-    for _ in range(trunc.max_doublings):
+    for _ in range(3):
         x_max *= 2.0
         omega_max *= 2.0
         new = _rho_once(w, alpha, s, tab, x_max, omega_max, probes)
         history.append(new)
         moved = abs(new - value) / max(new, 1e-300)
         value = new
-        if moved < trunc.rel_change:
+        if moved < 0.05:
             converged = True
             break
     return KernelEstimate(
-        kappa=1, s=s, value=value,
+        s=s, value=value,
         truncation={"x_max": x_max, "omega_max": omega_max,
                     "history": history, "converged": converged},
-        quad_error=abs(history[-1] - history[-2]) if len(history) > 1
-        else 0.0,
     )
 
 
@@ -262,7 +253,7 @@ def oscillation_kernel(w: Window, alpha: float, tab: SymbolTable,
           for zt in z_t[inside] for zw in z_w]
     if not zs:
         raise UncoveredPointError(f"point ({x2}, {w2}) is not covered")
-    R = _kernel_pairs(w, w, alpha, tab, 1, [(p1, z) for z in [p2] + zs])
+    R = _kernel_pairs(w, alpha, tab, 1, [(p1, z) for z in [p2] + zs])
     phase = np.exp(-2j * np.pi * w2 * (x2 - np.array(zs)[:, 0]))
     return float(np.abs(R[0] - phase * R[1:]).max())
 

@@ -158,10 +158,10 @@ def _S_block(V: np.ndarray, fr: AlphaFrame) -> np.ndarray:
     return fr.signal_grid.spacing * (A.T @ np.conj(A @ np.conj(V)))
 
 
-def _cg(apply_op, b: np.ndarray, tol: float, max_iter: int,
-        stagnation_window: int = 50):
+def _cg(apply_op, b: np.ndarray, tol: float, max_iter: int):
     """Conjugate gradient for a Hermitian PSD operator; returns
-    (x, iters, relative residual)."""
+    (x, iters, relative residual).  Raises IterationError when the
+    residual has not improved for 50 iterations."""
     x = np.zeros_like(b)
     r = b.copy()
     p = r.copy()
@@ -181,7 +181,7 @@ def _cg(apply_op, b: np.ndarray, tol: float, max_iter: int,
             since_best = 0
         else:
             since_best += 1
-            if since_best >= stagnation_window:
+            if since_best >= 50:
                 raise IterationError(
                     f"CG stagnated at relative residual {rel:.3e} after "
                     f"{it} iterations", rayleigh=rel,

@@ -14,7 +14,6 @@ beta(w)(xi - w); panels are anchored there.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -165,10 +164,12 @@ def symbol_m_deriv(w: Window, alpha: float, xi: float, l: int,
 
 @dataclass(frozen=True)
 class ScanConfig:
+    """xi grid and quadrature tolerance of a scan.  The bounds A and B
+    take in the tail limit ||psi||^2 with a fixed 5 % margin."""
+
     xi_max: float = 200.0
     n_nodes: int = 2001
     tol: float = 1e-8
-    tail_margin: float = 0.05
 
 
 @dataclass
@@ -183,7 +184,10 @@ class SymbolTable:
     alpha: float
     window_label: str = ""
     tol: float = 1e-8
-    _spline: CubicSpline | None = field(default=None, repr=False)
+    _spline: CubicSpline = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._spline = CubicSpline(self.xi_grid.coords, self.values)
 
     @property
     def admissible(self) -> bool:
@@ -191,8 +195,6 @@ class SymbolTable:
 
     def __call__(self, xi):
         """Cubic interpolation on the table; tail value beyond it."""
-        if self._spline is None:
-            self._spline = CubicSpline(self.xi_grid.coords, self.values)
         xi = np.asarray(xi, dtype=float)
         lo, hi = self.xi_grid.coords[0], self.xi_grid.coords[-1]
         out = np.where(
@@ -218,10 +220,6 @@ class SymbolTable:
                    np.column_stack([self.xi_grid.coords, self.values]),
                    delimiter=",", fmt="%.17g", header="xi,m", comments="")
 
-    def save_report(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.report(), fh, indent=2)
-
 
 def admissibility_scan(w: Window, alpha: float,
                        scan: ScanConfig = ScanConfig()) -> SymbolTable:
@@ -229,8 +227,7 @@ def admissibility_scan(w: Window, alpha: float,
 
     Every window is real, so the symbol is even: only xi >= 0 is
     computed and mirrored.  A and B fold in the tail limit ||psi||^2
-    (with the scan's tail margin) since the symbol approaches it for
-    large |xi|.
+    (with a 5 % margin) since the symbol approaches it for large |xi|.
     """
     _check_alpha(alpha)
     if scan.n_nodes % 2 == 0:
@@ -245,8 +242,8 @@ def admissibility_scan(w: Window, alpha: float,
                            _symbol(w, alpha, xis[1:], 0, quad)])
     values = np.concatenate([vals[:0:-1], vals])  # m(-xi) = m(xi)
     tail = w.l2_norm**2
-    A = min(float(values.min()), tail * (1.0 - scan.tail_margin))
-    B = max(float(values.max()), tail * (1.0 + scan.tail_margin))
+    A = min(float(values.min()), tail * 0.95)
+    B = max(float(values.max()), tail * 1.05)
     return SymbolTable(grid, values, tail, A, B, alpha,
                        window_label=w.label, tol=scan.tol)
 

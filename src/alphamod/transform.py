@@ -30,8 +30,7 @@ from pathlib import Path
 import numpy as np
 from scipy import sparse
 
-from .grids import (Signal, SampledGrid, Weight, inner_product,
-                    weighted_lp_norm)
+from .grids import Signal, SampledGrid, Weight, weighted_lp_norm
 from .quadrature import QuadratureConfig, integrate
 from .symbol import NotAdmissibleError, SymbolTable, apply_multiplier, beta
 from .windows import Window
@@ -100,13 +99,13 @@ class VoiceMap:
 
 
 def make_atom(w: Window, alpha: float, x: float, omega: float,
-              grid: SampledGrid, spill_tol: float = 1e-6) -> Signal:
+              grid: SampledGrid) -> Signal:
     """T_x M_w D_beta psi sampled on the grid; warns when more than
-    spill_tol of the atom's mass lies outside the grid."""
+    1e-6 of the atom's mass lies outside the grid."""
     values = _atom_rows(w, alpha, omega, [x], grid)[0]
     mass = grid.spacing * float(np.sum(np.abs(values) ** 2))
     spill = 1.0 - mass / w.l2_norm**2
-    if spill > spill_tol:
+    if spill > 1e-6:
         warnings.warn(
             f"atom at (x={x}, w={omega}) spills {spill:.2e} of its mass "
             f"past the grid", SupportSpillWarning, stacklevel=2,
@@ -208,17 +207,15 @@ def dual_transform(f: Signal, w: Window, alpha: float, tab: SymbolTable,
     return voice_transform(g, w, alpha, x_grid, omega_grid)
 
 
-def kernel_K(w1: Window, w2: Window, alpha: float, tab: SymbolTable,
-             kappa: int, p1, p2,
+def kernel_K(w: Window, alpha: float, tab: SymbolTable, kappa: int, p1, p2,
              quad: QuadratureConfig = QuadratureConfig()) -> complex:
-    """K(p1, p2) = <m^{-kappa} hat(a1), hat(a2)> for atoms of the two
-    windows at p1 = (x, w), p2 = (x*, w*); frequency-domain quadrature."""
-    return complex(_kernel_pairs(w1, w2, alpha, tab, kappa, [(p1, p2)],
-                                 quad)[0])
+    """K(p1, p2) = <m^{-kappa} hat(a1), hat(a2)> for the window's atoms at
+    p1 = (x, w), p2 = (x*, w*); frequency-domain quadrature."""
+    return complex(_kernel_pairs(w, alpha, tab, kappa, [(p1, p2)], quad)[0])
 
 
-def _kernel_pairs(w1: Window, w2: Window, alpha: float, tab: SymbolTable,
-                  kappa: int, pairs,
+def _kernel_pairs(w: Window, alpha: float, tab: SymbolTable, kappa: int,
+                  pairs,
                   quad: QuadratureConfig = QuadratureConfig()) -> np.ndarray:
     """kernel_K at each (p1, p2) of pairs, as one integrate batch."""
     if kappa > 0 and not tab.admissible:
@@ -228,8 +225,8 @@ def _kernel_pairs(w1: Window, w2: Window, alpha: float, tab: SymbolTable,
     dx = x1 - x2
 
     def integrand(xi, i):
-        g = np.sqrt(b1[i] * b2[i]) * w1.fourier(b1[i] * (xi - w_1[i])) \
-            * np.conj(w2.fourier(b2[i] * (xi - w_2[i])))
+        g = np.sqrt(b1[i] * b2[i]) * w.fourier(b1[i] * (xi - w_1[i])) \
+            * np.conj(w.fourier(b2[i] * (xi - w_2[i])))
         if kappa:
             g = g * tab(xi) ** (-kappa)
         return g * np.exp(-2j * np.pi * xi * dx[i])
@@ -245,12 +242,11 @@ def reproducing_kernel(w: Window, alpha: float, tab: SymbolTable,
                        p1, p2,
                        quad: QuadratureConfig = QuadratureConfig()) -> complex:
     """R(p1, p2) = <A^{-1} a_{p1}, a_{p2}>."""
-    return kernel_K(w, w, alpha, tab, 1, p1, p2, quad)
+    return kernel_K(w, alpha, tab, 1, p1, p2, quad)
 
 
 def check_reproducing(f: Signal, w: Window, alpha: float, tab: SymbolTable,
-                      x_grid: SampledGrid, omega_grid: SampledGrid,
-                      mass_threshold: float = 0.999) -> float:
+                      x_grid: SampledGrid, omega_grid: SampledGrid) -> float:
     """Relative L2 residual of the discretized reproducing identity
     V f = integral of V f(y) R(y, .) dmu(y).
 
@@ -258,7 +254,7 @@ def check_reproducing(f: Signal, w: Window, alpha: float, tab: SymbolTable,
     is the same operator applied with the atom matrix and its adjoint
     instead of a dense kernel matrix; one atom matrix of the (x, w) grid
     serves V f, W f, the synthesis and V of the result.  Rejects grids
-    capturing less than mass_threshold of ||f||^2 in the pairing
+    capturing less than 0.999 of ||f||^2 in the pairing
     <V f, W f> dmu.
     """
     fnorm = f.norm()
@@ -273,8 +269,8 @@ def check_reproducing(f: Signal, w: Window, alpha: float, tab: SymbolTable,
     vf = voice(f)
     wf = voice(apply_multiplier(f, tab, -1))
     captured = float(np.real(cell * np.vdot(wf, vf))) / fnorm**2
-    if captured < mass_threshold:
-        raise MassCaptureError(captured, mass_threshold)
+    if captured < 0.999:
+        raise MassCaptureError(captured, 0.999)
     g = apply_multiplier(Signal(f.grid, cell * (A.T @ vf)), tab, -1)
     num = float(np.linalg.norm(voice(g) - vf))
     return num / float(np.linalg.norm(vf))

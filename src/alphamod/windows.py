@@ -89,9 +89,6 @@ class Window:
             )
         return self._fourier(np.asarray(xi, dtype=float), deriv)
 
-    def sample(self, grid: SampledGrid) -> Signal:
-        return Signal(grid, np.asarray(self.time(grid.coords), dtype=complex))
-
 
 # ---------------------------------------------------------------------------
 # sinc and its first three derivatives (for B-spline spectra)
@@ -223,14 +220,13 @@ def gaussian_window() -> Window:
     )
 
 
-def bump_window(radius: float, band: float = 128.0,
-                table_size: int = 2**16) -> Window:
+def bump_window(radius: float) -> Window:
     """Compactly supported C-infinity bump, L2-normalized.
 
-    The spectrum has no closed form; psi_hat^(l) is tabulated on a dense
-    grid over [-band, band] via the transform of (-2*pi*i*t)^l psi(t) and
-    interpolated cubically.  Beyond the band the (super-polynomially tiny)
-    tail is treated as zero.
+    The spectrum has no closed form; psi_hat^(l) is tabulated on 2^16
+    points over [-128, 128] via the transform of (-2*pi*i*t)^l psi(t) and
+    interpolated cubically.  Beyond that band the (super-polynomially
+    tiny) tail is treated as zero.
     """
     if not radius > 0:
         raise ValueError(f"bump radius must be > 0, got {radius}")
@@ -253,8 +249,8 @@ def bump_window(radius: float, band: float = 128.0,
         return scale * raw(t)
 
     # dense spectral table: psi_hat^(l) = F[(-2 pi i t)^l psi]
-    dxi = 2.0 * band / table_size
-    tgrid = SampledGrid.centered(table_size, 1.0 / (table_size * dxi))
+    band, table_size = 128.0, 2**16
+    tgrid = SampledGrid.centered(table_size, 1.0 / (2.0 * band))
     t = tgrid.coords
     base = time_fn(t)
     splines = []
@@ -394,22 +390,17 @@ def required_decay(purpose: Purpose, alpha: float, s: float = 0.0) -> float:
     raise ValueError(f"unknown purpose {purpose}")
 
 
-def check_hypotheses(w: Window, alpha: float, s: float, purpose: Purpose,
-                     estimate_if_missing: bool = False) -> HypothesisVerdict:
-    """Compares the window's decay certificate to the theorem threshold."""
+def check_hypotheses(w: Window, alpha: float, s: float,
+                     purpose: Purpose) -> HypothesisVerdict:
+    """Compares the window's decay certificate to the theorem threshold;
+    ValueError for a window without one."""
     if s < 0:
         raise ValueError(f"s must be >= 0, got {s}")
-    req = required_decay(purpose, alpha, s)
-    if w.decay_certificate is not None:
-        certified = w.decay_certificate[0]
-    elif estimate_if_missing:
-        certified = 0.9 * estimate_decay_rate(w, w.max_deriv, 100.0)[0]
-    else:
-        raise ValueError(
-            f"window {w.label} has no decay certificate and estimation "
-            "is disabled"
-        )
-    return HypothesisVerdict(purpose, alpha, s, req, certified)
+    if w.decay_certificate is None:
+        raise ValueError(f"window {w.label} has no decay certificate")
+    return HypothesisVerdict(purpose, alpha, s,
+                             required_decay(purpose, alpha, s),
+                             w.decay_certificate[0])
 
 
 def parse_window_spec(spec: str) -> Window:

@@ -149,7 +149,7 @@ def test_criterion_06_covering_exact_and_gapless():
             target = 8.0 * eps**2
             areas = np.array([b.area for b in cov.boxes()])
             ok = ok and bool(np.max(np.abs(areas - target)) <= 1e-14 * target)
-            diag = covering_diagnostics(cov, probe_density=20)
+            diag = covering_diagnostics(cov)
             ok = ok and diag.covers_region
     elapsed = time.monotonic() - t0
     ok = ok and elapsed < 30.0

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from alphamod.cli import build_parser, main
+from alphamod.cli import _OPTIONS, RunConfig, build_parser, main
 from alphamod.grids import (SampledGrid, Signal, load_signal_csv,
                             save_signal_csv)
 
@@ -135,6 +135,22 @@ def test_synthesize_uses_stored_covering(tmp_path, chirp_csv):
     assert (out / "synthesized.csv").exists()
 
 
+@pytest.mark.parametrize("key", ["time_range", "freq_range", "window"])
+def test_synthesize_rejects_header_without_key(tmp_path, chirp_csv, capsys,
+                                               key):
+    out = tmp_path / "an"
+    assert run("analyze", chirp_csv, "--output-dir", str(out)) == 0
+    path = out / "coefficients.bin.json"
+    header = json.loads(path.read_text())
+    del header[key]
+    path.write_text(json.dumps(header))
+    capsys.readouterr()
+    assert run("synthesize", str(out / "coefficients.bin"),
+               "--output-dir", str(out)) == 2
+    assert key in capsys.readouterr().err
+    assert not (out / "synthesized.csv").exists()
+
+
 def test_synthesize_rejects_tampered_node_table(tmp_path, chirp_csv):
     out = tmp_path / "an"
     assert run("analyze", chirp_csv, "--output-dir", str(out)) == 0
@@ -245,3 +261,51 @@ def test_deterministic_reports(tmp_path):
                    "--output-dir", str(out)) == 0
         outs.append((out / "frame_info.json").read_text())
     assert outs[0] == outs[1]
+
+
+# a value other than the default for every option in the table
+OPTION_VALUES = {
+    "window": "bspline:4", "alpha": 0.25, "eps": 0.5, "c": 2.0, "s": 1.0,
+    "p": 3.0, "time_range": "-4,4", "freq_range": "-2,2", "grid_n": 64,
+    "grid_spacing": 0.125, "xi_max": 40.0, "scan_nodes": 401, "tol": 1e-6,
+    "threshold": 1e-3, "eps_list": "0.5,0.25", "x_max": 4.0,
+    "omega_max": 16.0, "seed": 7, "output_dir": "elsewhere",
+}
+
+
+def _attribute(cfg, key):
+    return cfg.window_spec if key == "window" else getattr(cfg, key)
+
+
+@pytest.mark.parametrize("key", sorted(_OPTIONS))
+def test_option_from_config_file_equals_flag(tmp_path, key):
+    value = OPTION_VALUES[key]
+    parser = build_parser()
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({key: value}))
+    from_file = RunConfig(parser.parse_args(
+        ["covering-dump", "--config", str(cfg_file)]))
+    flag = "--" + key.replace("_", "-")
+    from_flag = RunConfig(parser.parse_args(
+        ["covering-dump", f"{flag}={value}"]))
+    default = RunConfig(parser.parse_args(["covering-dump"]))
+    assert _attribute(from_file, key) == _attribute(from_flag, key)
+    assert _attribute(from_file, key) != _attribute(default, key)
+
+
+@pytest.mark.parametrize("command", [
+    "admissible", "frame-info", "diagnostics", "coorbit-norm",
+    "covering-dump", "analyze", "synthesize", "roundtrip"])
+def test_help_lists_every_option(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([command, "--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    # the table's flags, which OPTION_VALUES names one by one
+    flags = {"--help", "--config"} | {"--" + key.replace("_", "-")
+                                      for key in OPTION_VALUES}
+    if command == "synthesize":
+        flags.add("--output")
+    assert set(re.findall(r"--[a-z][a-z-]*", text)) == flags
+    assert ("--window WINDOW window spec, e.g. gaussian, bspline:4, "
+            "bump:1.0, bandlimited:2.0") in " ".join(text.split())

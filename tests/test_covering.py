@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -177,6 +178,19 @@ def test_covering_with_a_missing_row():
 def test_validate_false_skips_probe():
     cov = build_covering(0.5, 0.25, 0.2, (-4, 4), (-4, 4), validate=False)
     assert not covering_diagnostics(cov).covers_region
+
+
+def test_row_ends_at_exact_ties():
+    # at alpha = 0.5, beta(w_j) = 1 / (1 + eps |j| / 2) is rational, and
+    # with eps = 1/20 both ends of every row fall exactly on a box edge,
+    # where floor and ceil must not depend on the last bit of beta
+    eps = Fraction(1, 20)
+    cov = build_covering(0.5, float(eps), 1.0, (-64, 64), (-16, 16),
+                         validate=False)
+    steps = [eps / (1 + eps * abs(int(j)) / 2) for j in cov.js]
+    assert cov.k_lo.tolist() == [math.floor(-64 / s) - 1 for s in steps]
+    assert cov.k_hi.tolist() == [math.ceil(64 / s) + 1 for s in steps]
+    assert cov.n_boxes == 1_672_567
 
 
 def test_mutual_weight_bound():

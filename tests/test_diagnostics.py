@@ -15,7 +15,7 @@ from alphamod.transform import kernel_K
 
 
 LIGHT = TruncationConfig(x_max=4.0, omega_max=8.0, n_probes=3,
-                         probe_omega_max=2.0, z_density=3, max_doublings=2)
+                         probe_omega_max=2.0, z_density=3)
 
 
 def test_verdict_cases():
@@ -45,11 +45,7 @@ def test_verdict_rejects_negative():
 
 def test_kernel_estimate_validation():
     with pytest.raises(ValueError):
-        KernelEstimate(kappa=3, s=0.0, value=1.0, truncation={},
-                       quad_error=0.0)
-    with pytest.raises(ValueError):
-        KernelEstimate(kappa=1, s=0.0, value=-1.0, truncation={},
-                       quad_error=0.0)
+        KernelEstimate(s=0.0, value=-1.0, truncation={})
 
 
 def test_lambda_at_zero_xi_is_one():
@@ -94,7 +90,7 @@ def test_slice_engine_matches_quadrature_kernel(gauss, gauss_tab):
     for i, om in enumerate(omegas):
         for x in (-2.0, 0.0, 1.5):
             idx = engine.u_index(x)
-            ref = kernel_K(gauss, gauss, 0.5, gauss_tab, 1,
+            ref = kernel_K(gauss, 0.5, gauss_tab, 1,
                            (float(engine.u[idx]), float(om)), (0.0, eta))
             assert P[i, idx] == pytest.approx(ref, abs=1e-8)
 
@@ -113,7 +109,7 @@ def test_oscillation_vanishes_at_base_point(gauss, gauss_tab):
     p1, p2 = (0.5, 1.0), (0.0, 0.0)
     osc = oscillation_kernel(gauss, 0.5, gauss_tab, cov, p1, p2,
                              z_density=2)
-    direct = abs(kernel_K(gauss, gauss, 0.5, gauss_tab, 1, p1, p2))
+    direct = abs(kernel_K(gauss, 0.5, gauss_tab, 1, p1, p2))
     # the sup includes z = p2 itself where the difference is zero, and
     # nearby z keep it below the kernel magnitude scale
     assert 0.0 <= osc <= 2.0 * max(direct, 1.0)
@@ -187,7 +183,6 @@ def test_osc_matches_dense_oracle(osc_engine, time_range):
 
 def test_estimate_rho_converged(gauss, gauss_tab):
     est = estimate_rho(gauss, 0.5, 0.0, gauss_tab, LIGHT)
-    assert est.kappa == 1
     assert est.value > 0
     assert est.truncation["converged"]
     assert len(est.truncation["history"]) >= 2

@@ -133,8 +133,8 @@ def test_dual_transform_needs_admissibility(chirp, gauss, gauss_tab,
 
 def test_kernel_hermitian_symmetry(gauss, gauss_tab):
     p1, p2 = (0.3, 1.0), (-0.4, 2.5)
-    k12 = kernel_K(gauss, gauss, 0.5, gauss_tab, 1, p1, p2)
-    k21 = kernel_K(gauss, gauss, 0.5, gauss_tab, 1, p2, p1)
+    k12 = kernel_K(gauss, 0.5, gauss_tab, 1, p1, p2)
+    k21 = kernel_K(gauss, 0.5, gauss_tab, 1, p2, p1)
     assert k12 == pytest.approx(np.conj(k21), abs=1e-10)
 
 
@@ -145,14 +145,14 @@ def test_kernel_diagonal_positive(gauss, gauss_tab):
 
 
 def test_kernel_time_shift_covariance(gauss, gauss_tab):
-    a = kernel_K(gauss, gauss, 0.5, gauss_tab, 1, (0.7, 1.0), (0.2, 2.0))
-    b = kernel_K(gauss, gauss, 0.5, gauss_tab, 1, (1.7, 1.0), (1.2, 2.0))
+    a = kernel_K(gauss, 0.5, gauss_tab, 1, (0.7, 1.0), (0.2, 2.0))
+    b = kernel_K(gauss, 0.5, gauss_tab, 1, (1.7, 1.0), (1.2, 2.0))
     assert a == pytest.approx(b, abs=1e-10)
 
 
 def test_kernel_kappa_zero_is_atom_pairing(gauss, gauss_tab):
     # K^0(p, p) = ||a_p||^2 = 1 for the unit-norm Gaussian
-    val = kernel_K(gauss, gauss, 0.5, gauss_tab, 0, (0.0, 1.0), (0.0, 1.0))
+    val = kernel_K(gauss, 0.5, gauss_tab, 0, (0.0, 1.0), (0.0, 1.0))
     assert val == pytest.approx(1.0, abs=1e-10)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from alphamod.quadrature import integrate
 from alphamod.windows import (_TAYLOR_CUT, HypothesisVerdict, Purpose,
-                              _sinc_power_derivs, bandlimited_window,
+                              Window, _sinc_power_derivs, bandlimited_window,
                               bspline_window, bump_window, check_hypotheses,
                               estimate_decay_rate, gaussian_window,
                               parse_window_spec, required_decay)
@@ -134,6 +134,10 @@ def test_check_hypotheses_verdicts():
     assert not bad.passed
     assert bad.required_r == pytest.approx(
         max(1.0, 0.9 / (2 * 0.1)))
+    g = gaussian_window()
+    bare = Window("gaussian", "uncertified", g.time, g.fourier, 1.0)
+    with pytest.raises(ValueError, match="no decay certificate"):
+        check_hypotheses(bare, 0.5, 0.0, Purpose.ADMISSIBILITY)
 
 
 def test_parse_window_spec():

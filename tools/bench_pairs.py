@@ -15,6 +15,13 @@ every run's result line, the per-metric medians and quartiles of both
 sides, the number of pairs in which the change is better, and the
 machine (CPU count and model, Python, numpy and scipy versions).  At
 least ten seeds are required.  Nothing under ``perfbench/`` is imported.
+
+Each end-to-end metric of the parent's ``BENCHMARK.json`` also gets a
+no-regression verdict, read against its ``better`` direction and its
+relative ``bound``: ``regressed`` when the change's median is worse than
+the parent's by more than the bound, and ``unresolved`` when the
+parent's interquartile range exceeds the bound (relative to its median)
+and not every run of the change is better than every run of the parent.
 """
 
 from __future__ import annotations
@@ -52,21 +59,41 @@ def run_once(checkout: Path, workload: str, seed: int,
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
 
 
-def summary(runs: dict) -> dict:
-    """Medians and quartiles per metric and side, and the pairs in which
-    the change has the lower value (every end-to-end metric here is
-    better when lower)."""
+def worse_by(a: float, b: float, better: str) -> float:
+    """How much worse a is than b, relative to b; negative when better."""
+    rel = a / b - 1.0
+    return -rel if better == "higher" else rel
+
+
+def summary(runs: dict, end_to_end: dict) -> dict:
+    """Medians and quartiles per metric and side, the pairs in which the
+    change is better, and the no-regression verdict of each metric in
+    end_to_end (name -> its BENCHMARK.json entry)."""
     out = {}
     for name in runs["parent"][0]["metrics"]:
         vals = {s: [r["metrics"][name] for r in runs[s]] for s in SIDES}
+        spec = end_to_end.get(name, {})
+        better = spec.get("better", "lower")
         entry = {}
         for s in SIDES:
             q = quantiles(vals[s], n=4)
             entry[s] = {"median": median(vals[s]), "q1": q[0], "q3": q[2]}
-        entry["change_lower_in_pairs"] = sum(
-            c < p for p, c in zip(vals["parent"], vals["change"]))
-        entry["median_change_rel"] = (entry["change"]["median"]
-                                      / entry["parent"]["median"] - 1.0)
+        parent, change = entry["parent"], entry["change"]
+        entry["change_better_in_pairs"] = sum(
+            worse_by(c, p, better) < 0
+            for p, c in zip(vals["parent"], vals["change"]))
+        entry["median_change_rel"] = change["median"] / parent["median"] - 1.0
+        if spec:
+            entry["bound"] = spec["bound"]
+            entry["regressed"] = worse_by(change["median"], parent["median"],
+                                          better) > spec["bound"]
+            entry["parent_iqr_rel"] = ((parent["q3"] - parent["q1"])
+                                       / parent["median"])
+            every_run_better = all(worse_by(c, p, better) < 0
+                                   for p in vals["parent"]
+                                   for c in vals["change"])
+            entry["unresolved"] = (entry["parent_iqr_rel"] > spec["bound"]
+                                   and not every_run_better)
         out[name] = entry
     return out
 
@@ -107,8 +134,9 @@ def main(argv=None) -> int:
     if len(args.seeds) < MIN_SEEDS:
         p.error(f"--seeds needs at least {MIN_SEEDS} seeds")
     dirs = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    seconds = json.loads(
-        (dirs["parent"] / "BENCHMARK.json").read_text())["run_seconds"]
+    bench = json.loads((dirs["parent"] / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
+    end_to_end = {m["name"]: m for m in bench["end_to_end"]}
     report = {"seconds": seconds, "seeds": args.seeds,
               "commits": {s: commit(dirs[s]) for s in SIDES},
               "machine": machine(), "workloads": {}}
@@ -122,7 +150,8 @@ def main(argv=None) -> int:
                 print(f"{workload} seed {seed} {side}: "
                       + json.dumps(last["metrics"]), flush=True)
         report["workloads"][workload] = {"runs": runs,
-                                         "summary": summary(runs)}
+                                         "summary": summary(runs,
+                                                            end_to_end)}
         args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
 
