@@ -20,8 +20,9 @@ from .windows import (HypothesisVerdict, Purpose, Window, bandlimited_window,
                       parse_window_spec, required_decay)
 from .symbol import (CriticalPointNotApplicable, NotAdmissibleError,
                      RxiProfile, ScanConfig, SymbolTable,
-                     admissibility_scan, apply_multiplier, beta, r_xi,
-                     rxi_profile, symbol_m, symbol_m_deriv)
+                     admissibility_scan, apply_multiplier, beta,
+                     p_alpha, p_alpha_inv, r_xi, rxi_profile, symbol_m,
+                     symbol_m_deriv)
 from .transform import (MassCaptureError, SupportSpillWarning, VoiceMap,
                         check_reproducing, coorbit_norm, dual_transform,
                         kernel_K, make_atom, reproducing_kernel,
@@ -29,8 +30,7 @@ from .transform import (MassCaptureError, SupportSpillWarning, VoiceMap,
 from .covering import (AlphaCovering, Box, CoveringDiagnostics,
                        CoveringGapError, UncoveredPointError,
                        build_covering, covering_diagnostics,
-                       mutual_weight_bound, p_alpha, p_alpha_inv,
-                       q_neighborhood)
+                       mutual_weight_bound, q_neighborhood)
 from .frames import (AlphaFrame, Coefficients, IterationError,
                      ReconstructionResult, analysis, estimate_frame_bounds,
                      frame_operator_apply, load_coefficients, reconstruct,

@@ -34,6 +34,7 @@ from . import (
     load_signal_raw, parse_window_spec, reconstruct, save_signal_csv,
     save_signal_raw, synthesis, diagnostics_report,
 )
+from .grids import _sidecar, _write_csv
 
 EXIT_OK = 0
 EXIT_THRESHOLD = 1
@@ -238,16 +239,16 @@ def cmd_analyze(cfg: RunConfig, args: argparse.Namespace) -> int:
 def cmd_synthesize(cfg: RunConfig, args: argparse.Namespace) -> int:
     # the frame comes from the file's header alone; load_coefficients
     # rejects a covering that does not match the stored node table
-    header_path = args.coefficients + ".json"
-    header = json.loads(Path(header_path).read_text())
+    header_path = _sidecar(args.coefficients)
+    header = json.loads(header_path.read_text())
     missing = sorted({"alpha", "eps", "c", "grid", "time_range",
-                      "freq_range", "window"} - set(header))
+                      "freq_range", "window", "n_atoms"} - set(header))
     if missing:
         raise ConfigError(f"{header_path} lacks {', '.join(missing)}")
+    grid = SampledGrid.from_json(header["grid"], header_path)
     cov = build_covering(header["alpha"], header["eps"], header["c"],
                          header["time_range"], header["freq_range"])
-    fr = AlphaFrame(cov, parse_window_spec(header["window"]),
-                    SampledGrid(**header["grid"]))
+    fr = AlphaFrame(cov, parse_window_spec(header["window"]), grid)
     out = synthesis(load_coefficients(args.coefficients, fr), fr)
     _save_signal(out, cfg.output_dir / args.output)
     print(f"wrote {args.output}")
@@ -276,10 +277,9 @@ def cmd_diagnostics(cfg: RunConfig, args: argparse.Namespace) -> int:
     report = diagnostics_report(cfg.window, cfg.window_spec, cfg.alpha,
                                 cfg.s, tab, cfg.eps_list, cfg.c, trunc)
     _write_json(report, cfg.output_dir / "diagnostics.json")
-    rows = np.column_stack([report["eps_list"], report["gamma"],
-                            report["lhs"]])
-    np.savetxt(cfg.output_dir / "diagnostics.csv", rows, delimiter=",",
-               fmt="%.17g", header="eps,gamma,lhs", comments="")
+    _write_csv(cfg.output_dir / "diagnostics.csv",
+               np.column_stack([report["eps_list"], report["gamma"],
+                                report["lhs"]]), "eps,gamma,lhs")
     print(json.dumps({"rho": report["rho"], "gamma": report["gamma"],
                       "pass": report["pass"]}, default=float))
     return EXIT_OK if all(report["pass"]) else EXIT_THRESHOLD

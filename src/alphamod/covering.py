@@ -1,8 +1,9 @@
 """Frequency-adaptive box covering of the time-frequency plane.
 
-Frequency nodes w_j = p_alpha(eps*j) follow the warped progression whose
-local spacing matches the bandwidth rule beta(w) = (1+|w|)^(-alpha);
-time nodes are spaced eps*beta(w_j) inside each frequency row.  Every box
+Frequency nodes w_j = p_alpha(eps*j) follow the warp of symbol (which
+integrates m_psi over it), whose local spacing matches the bandwidth
+rule beta(w) = (1+|w|)^(-alpha); time nodes are spaced eps*beta(w_j)
+inside each frequency row.  Every box
 
     U_{j,k} = eps*beta(w_j)*(k-1, k+1) x (w_j - 2*eps*c/beta(w_j),
                                            w_j + 2*eps*c/beta(w_j))
@@ -19,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import Weight
-from .symbol import beta, _check_alpha
+from .grids import Weight, _write_csv
+from .symbol import beta, p_alpha, p_alpha_inv, _check_alpha
 
 
 class CoveringGapError(ValueError):
@@ -29,23 +30,6 @@ class CoveringGapError(ValueError):
 
 class UncoveredPointError(ValueError):
     """Point lies outside every box of the covering."""
-
-
-def p_alpha(omega, alpha: float):
-    """Odd increasing bijection warping a uniform grid to the adaptive
-    frequency nodes; p_alpha'(w) = 1/beta(p_alpha(w))."""
-    _check_alpha(alpha)
-    omega = np.asarray(omega, dtype=float)
-    out = np.sign(omega) * ((1.0 + (1.0 - alpha) * np.abs(omega))
-                            ** (1.0 / (1.0 - alpha)) - 1.0)
-    return out if out.ndim else float(out)
-
-
-def p_alpha_inv(y, alpha: float):
-    _check_alpha(alpha)
-    y = np.asarray(y, dtype=float)
-    out = np.sign(y) * ((1.0 + np.abs(y)) ** (1.0 - alpha) - 1.0) / (1.0 - alpha)
-    return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)
@@ -135,8 +119,7 @@ class AlphaCovering:
         step, w, h = self.eps * self.betas[r], self.omegas[r], self.halves[r]
         rows = np.column_stack([self.js[r], ks, step * ks, w, step * (ks - 1),
                                 step * (ks + 1), w - h, w + h])
-        np.savetxt(path, rows, delimiter=",", fmt="%.17g",
-                   header="j,k,x,omega,x_lo,x_hi,w_lo,w_hi", comments="")
+        _write_csv(path, rows, "j,k,x,omega,x_lo,x_hi,w_lo,w_hi")
 
 
 @dataclass(frozen=True)

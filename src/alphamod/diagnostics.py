@@ -23,16 +23,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covering import AlphaCovering, UncoveredPointError, q_samples
-from .grids import Weight
+from .grids import SampledGrid, Weight, _dft_phases
 from .symbol import NotAdmissibleError, SymbolTable, beta
-from .transform import _kernel_pairs, kernel_K
+from .transform import _kernel_pairs
 from .windows import Window
 
-# re-export: kernel_K is the pointwise kernel evaluator shared with the
-# transform layer
 __all__ = [
     "TruncationConfig", "KernelEstimate", "DiscretizationVerdict",
-    "kernel_K", "estimate_rho", "oscillation_kernel", "estimate_gamma",
+    "estimate_rho", "oscillation_kernel", "estimate_gamma",
     "discretization_condition", "lambda_fn", "theta_fn",
     "diagnostics_report",
 ]
@@ -85,10 +83,9 @@ def lambda_fn(xi, omega, alpha: float):
     2^{1/(1-a)}."""
     xi = np.asarray(xi, dtype=float)
     omega = np.asarray(omega, dtype=float)
-    inv_beta = (1.0 + np.abs(omega)) ** alpha
     out = (1.0 + np.abs(omega)) / (
         (1.0 + np.abs(xi)) ** (1.0 / (1.0 - alpha))
-        * (1.0 + np.abs(inv_beta * xi + omega))
+        * (1.0 + np.abs(xi / beta(omega, alpha) + omega))
     )
     return out if out.ndim else float(out)
 
@@ -96,9 +93,8 @@ def lambda_fn(xi, omega, alpha: float):
 def theta_fn(omega, omega_star, alpha: float):
     """beta(w* + w/beta(w*)) / beta(w*); bounded by (1+|w|)^{a/(1-a)}."""
     omega = np.asarray(omega, dtype=float)
-    omega_star = np.asarray(omega_star, dtype=float)
-    inv_beta = (1.0 + np.abs(omega_star)) ** alpha
-    out = beta(omega_star + inv_beta * omega, alpha) / beta(omega_star, alpha)
+    b = beta(np.asarray(omega_star, dtype=float), alpha)
+    out = beta(omega_star + omega / b, alpha) / b
     return out if out.ndim else float(out)
 
 
@@ -108,13 +104,13 @@ def theta_fn(omega, omega_star, alpha: float):
 #                   psi_hat(b_w (xi-w)) conj(psi_hat(b_eta (xi-eta))).
 
 
-def _freq_radius(w: Window, tol: float = 1e-10) -> float:
-    """Radius beyond which |psi_hat| is negligible."""
+def _freq_radius(w: Window) -> float:
+    """Radius beyond which |psi_hat| is below 1e-10 of its peak."""
     if w.freq_support is not None:
         return max(abs(w.freq_support[0]), abs(w.freq_support[1]))
     xi = np.linspace(0.0, 200.0, 4001)
     mag = np.abs(w.fourier(xi))
-    keep = np.nonzero(mag > tol * mag.max())[0]
+    keep = np.nonzero(mag > 1e-10 * mag.max())[0]
     return float(xi[keep[-1]]) + 0.1
 
 
@@ -134,15 +130,15 @@ class _SliceEngine:
         # margin, i.e. n*dxi*... span 1/dxi >= 4*u_max
         dxi = min(0.05, 1.0 / (4.0 * u_max))
         n = 1 << int(math.ceil(math.log2(2.0 * xi_max / dxi)))
+        xi_grid = SampledGrid.centered(n, 2.0 * xi_max / n)
         self.n = n
-        self.dxi = 2.0 * xi_max / n
-        self.xi = -xi_max + self.dxi * np.arange(n)
+        self.dxi = xi_grid.spacing
+        self.xi = xi_grid.coords
         self.du = 1.0 / (n * self.dxi)
         self.u = (np.arange(n) - n // 2) * self.du
         self._m_pow = self.tab(self.xi) ** (-kappa) if kappa else None
-        self._pre = np.exp(-2j * np.pi * self.u[0] * self.dxi
-                           * np.arange(n))
-        self._post = self.dxi * np.exp(-2j * np.pi * self.u * self.xi[0])
+        self._pre, post = _dft_phases(xi_grid, xi_grid.dual())
+        self._post = self.dxi * post
 
     def _atoms_hat(self, ws) -> np.ndarray:
         """sqrt(b_w) psi_hat(b_w (xi - w)), one row per frequency w."""
@@ -175,8 +171,10 @@ class _SliceEngine:
         return np.clip(idx, 0, self.n - 1).astype(int)
 
 
-def _omega_grid(omega_max: float, spacing: float = 0.125) -> np.ndarray:
-    n = int(math.ceil(2.0 * omega_max / spacing)) + 1
+def _omega_grid(omega_max: float) -> np.ndarray:
+    """Frequencies of spacing 0.125 (or just under) on [-omega_max,
+    omega_max]."""
+    n = int(math.ceil(2.0 * omega_max / 0.125)) + 1
     return np.linspace(-omega_max, omega_max, n)
 
 

@@ -5,10 +5,9 @@ The frame atoms sit at the covering nodes (x_{j,k}, w_j).  They are held
 as one sparse matrix with a band of samples per atom (see transform):
 analysis, synthesis and the frame operator are products with it and
 its adjoint.  Both frame bounds are Lanczos eigenvalues of the frame
-operator, and reconstruction is CG on the same operator.  A frame of a
-window without compact support in time other than the Gaussian (the
-bandlimited window) has dense rows, n_atoms * n entries, with no memory
-budget.
+operator, and reconstruction is CG on the same operator.  A window of
+infinite time radius (the bandlimited one) gives dense rows, n_atoms *
+n entries, with no memory budget.
 """
 
 from __future__ import annotations
@@ -16,12 +15,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .covering import AlphaCovering
-from .grids import GridMismatchError, Signal, SampledGrid
+from .grids import (GridMismatchError, Signal, SampledGrid, _dft_phases,
+                    _sidecar, _write_csv, _write_sidecar)
 from .transform import _atom_rows, _band_matrix
 from .windows import Window
 
@@ -88,7 +87,6 @@ class Coefficients:
     def save(self, path, window_spec: str = ""):
         """Binary node table + interleaved complex values, JSON header."""
         cov = self.frame.covering
-        grid = self.frame.signal_grid
         nodes = self.frame.nodes()
         blob = np.concatenate([
             nodes[:, :2].astype("<f8").ravel(),
@@ -101,23 +99,21 @@ class Coefficients:
             "time_range": list(cov.time_range),
             "freq_range": list(cov.freq_range),
             "window": window_spec or self.frame.window.label,
-            "grid": {"n": grid.n, "spacing": grid.spacing,
-                     "origin": grid.origin},
+            "grid": self.frame.signal_grid.to_json(),
             "n_atoms": self.frame.n_atoms,
         }
-        Path(str(path) + ".json").write_text(json.dumps(header))
+        _write_sidecar(path, header)
 
     def save_csv(self, path):
-        nodes = self.frame.nodes()
-        data = np.column_stack([nodes, self.values.real, self.values.imag])
-        np.savetxt(path, data, delimiter=",", fmt="%.17g",
-                   header="j,k,x,omega,re,im", comments="")
+        _write_csv(path, np.column_stack([self.frame.nodes(), self.values.real,
+                                          self.values.imag]),
+                   "j,k,x,omega,re,im")
 
 
 def load_coefficients(path, frame: AlphaFrame) -> Coefficients:
     """Reads a coefficient file; raises ValueError unless its (j, k) node
     table is the frame's."""
-    header = json.loads(Path(str(path) + ".json").read_text())
+    header = json.loads(_sidecar(path).read_text())
     n = int(header["n_atoms"])
     if n != frame.n_atoms:
         raise ValueError(f"file holds {n} atoms, frame has {frame.n_atoms}")
@@ -253,8 +249,7 @@ def estimate_frame_bounds(fr: AlphaFrame, tol: float = 1e-8,
 
     B_est = _lanczos_extreme(S, n, "LA", v0, tol, max_iter)
 
-    pre = np.exp(-2j * np.pi * dual.origin * fr.signal_grid.spacing
-                 * np.arange(n))
+    pre, _ = _dft_phases(fr.signal_grid, dual)
     root_n = math.sqrt(n)
 
     def embed(z: np.ndarray) -> np.ndarray:

@@ -43,10 +43,6 @@ class SampledGrid:
     def coords(self) -> np.ndarray:
         return self.origin + self.spacing * np.arange(self.n)
 
-    @property
-    def span(self) -> float:
-        return self.spacing * (self.n - 1)
-
     def dual(self) -> "SampledGrid":
         """Frequency grid of the DFT on this grid, centered around 0."""
         dxi = 1.0 / (self.n * self.spacing)
@@ -62,6 +58,27 @@ class SampledGrid:
     @staticmethod
     def centered(n: int, spacing: float) -> "SampledGrid":
         return SampledGrid(n, spacing, -(n // 2) * spacing)
+
+    def to_json(self) -> dict:
+        """The JSON object {"n", "spacing", "origin"} that every file of
+        the package stores a grid as."""
+        return {"n": self.n, "spacing": self.spacing, "origin": self.origin}
+
+    @staticmethod
+    def from_json(meta, source) -> "SampledGrid":
+        """Inverse of to_json; ValueError naming source (the file) and
+        the key when meta is not such an object."""
+        if not isinstance(meta, dict):
+            raise ValueError(f"{source}: grid is not an object with keys "
+                             f"n, spacing and origin")
+        missing = [k for k in ("n", "spacing", "origin") if k not in meta]
+        if missing:
+            raise ValueError(f"{source}: grid lacks {', '.join(missing)}")
+        try:
+            return SampledGrid(int(meta["n"]), float(meta["spacing"]),
+                               float(meta["origin"]))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{source}: bad grid: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -120,19 +137,24 @@ def _check_same_grid(f: Signal, g: Signal):
         raise GridMismatchError(f"grids differ: {f.grid} vs {g.grid}")
 
 
+def _dft_phases(grid: SampledGrid, dual: SampledGrid):
+    """Unit phases (pre, post) that absorb both grids' origins:
+    sum_k g(x_k) exp(-2*pi*i*xi_m*x_k) = post[m] * fft(pre * g)[m] for
+    x = grid.coords and xi = dual.coords, dual spacing 1/(n * dx)."""
+    pre = np.exp(-2j * np.pi * dual.origin * grid.spacing * np.arange(grid.n))
+    post = np.exp(-2j * np.pi * dual.coords * grid.origin)
+    return pre, post
+
+
 def forward_fourier(f: Signal) -> Signal:
     """Continuous Fourier transform by phase-corrected, scaled DFT.
 
     Output lives on ``f.grid.dual()``; values approximate
     dt * sum f(x_k) exp(-2*pi*i*xi*x_k).
     """
-    grid = f.grid
-    dual = grid.dual()
-    k = np.arange(grid.n)
-    # pre/post phases absorb the non-zero origins of both grids
-    pre = np.exp(-2j * np.pi * dual.origin * grid.spacing * k)
-    post = grid.spacing * np.exp(-2j * np.pi * dual.coords * grid.origin)
-    return Signal(dual, post * np.fft.fft(f.values * pre))
+    dual = f.grid.dual()
+    pre, post = _dft_phases(f.grid, dual)
+    return Signal(dual, f.grid.spacing * post * np.fft.fft(f.values * pre))
 
 
 def inverse_fourier(F: Signal, time_grid: SampledGrid | None = None) -> Signal:
@@ -150,10 +172,9 @@ def inverse_fourier(F: Signal, time_grid: SampledGrid | None = None) -> Signal:
         raise GridMismatchError(
             f"frequency grid {fgrid} is not the dual of time grid {time_grid}"
         )
-    k = np.arange(n)
-    pre = np.exp(2j * np.pi * fgrid.coords * time_grid.origin)
-    post = np.exp(2j * np.pi * fgrid.origin * dt * k) / (n * dt)
-    return Signal(time_grid, post * np.fft.ifft(F.values * pre) * n)
+    pre, post = _dft_phases(time_grid, fgrid)
+    return Signal(time_grid,
+                  np.conj(pre) * np.fft.ifft(F.values * np.conj(post)) / dt)
 
 
 def inner_product(f: Signal, g: Signal) -> complex:
@@ -195,31 +216,36 @@ def weighted_lp_norm(
 # Signal file I/O: CSV or raw binary, with a JSON grid sidecar.
 
 
-def _sidecar_path(path) -> Path:
+def _sidecar(path) -> Path:
+    """The JSON file beside a data file: its name + ".json"."""
     return Path(str(path) + ".json")
 
 
-def _write_sidecar(path, grid: SampledGrid):
-    _sidecar_path(path).write_text(
-        json.dumps({"n": grid.n, "spacing": grid.spacing, "origin": grid.origin})
-    )
+def _write_sidecar(path, meta: dict):
+    _sidecar(path).write_text(json.dumps(meta))
 
 
-def _read_sidecar(path) -> SampledGrid:
-    meta = json.loads(_sidecar_path(path).read_text())
-    return SampledGrid(int(meta["n"]), float(meta["spacing"]), float(meta["origin"]))
+def _read_grid(path) -> SampledGrid:
+    side = _sidecar(path)
+    return SampledGrid.from_json(json.loads(side.read_text()), side)
+
+
+def _write_csv(path, rows, header: str):
+    """The package's CSV dialect: comma-separated %.17g, which reads back
+    bit-exact, under a header line unless header is empty."""
+    np.savetxt(path, rows, delimiter=",", fmt="%.17g", header=header,
+               comments="")
 
 
 def save_signal_csv(f: Signal, path):
     """Two-column CSV (re, im) plus a JSON grid sidecar."""
-    data = np.column_stack([f.values.real, f.values.imag])
-    np.savetxt(path, data, delimiter=",", fmt="%.17g")
-    _write_sidecar(path, f.grid)
+    _write_csv(path, np.column_stack([f.values.real, f.values.imag]), "")
+    _write_sidecar(path, f.grid.to_json())
 
 
 def load_signal_csv(path) -> Signal:
     """Reads one-column (real) or two-column (re, im) CSV."""
-    grid = _read_sidecar(path)
+    grid = _read_grid(path)
     data = np.loadtxt(path, delimiter=",", ndmin=2)
     if data.shape[1] == 1:
         values = data[:, 0].astype(complex)
@@ -236,11 +262,11 @@ def save_signal_raw(f: Signal, path):
     interleaved[0::2] = f.values.real
     interleaved[1::2] = f.values.imag
     interleaved.tofile(path)
-    _write_sidecar(path, f.grid)
+    _write_sidecar(path, f.grid.to_json())
 
 
 def load_signal_raw(path) -> Signal:
-    grid = _read_sidecar(path)
+    grid = _read_grid(path)
     interleaved = np.fromfile(path, dtype="<f8")
     if interleaved.size != 2 * grid.n:
         raise ValueError(

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .grids import Signal, SampledGrid, forward_fourier, inverse_fourier
+from .grids import (Signal, SampledGrid, _write_csv, forward_fourier,
+                    inverse_fourier)
 from .quadrature import QuadratureConfig, QuadratureError, integrate
 from .windows import Window
 
@@ -48,6 +49,29 @@ def _check_alpha(alpha: float):
         raise ValueError(f"alpha must be in [0, 1), got {alpha}")
 
 
+def p_alpha(omega, alpha: float):
+    """Odd increasing bijection warping a uniform grid to the adaptive
+    frequency nodes; p_alpha'(w) = 1/beta(p_alpha(w))."""
+    _check_alpha(alpha)
+    omega = np.asarray(omega, dtype=float)
+    out = np.sign(omega) * ((1.0 + (1.0 - alpha) * np.abs(omega))
+                            ** (1.0 / (1.0 - alpha)) - 1.0)
+    return out if out.ndim else float(out)
+
+
+def p_alpha_inv(y, alpha: float):
+    _check_alpha(alpha)
+    y = np.asarray(y, dtype=float)
+    out = np.sign(y) * ((1.0 + np.abs(y)) ** (1.0 - alpha) - 1.0) / (1.0 - alpha)
+    return out if out.ndim else float(out)
+
+
+def _critical_point(xi, alpha: float):
+    """Zero of d/dw r_xi(w), sign(xi) (1 - alpha |xi|) / (1 - alpha); an
+    interior extremum of r_xi where alpha |xi| > 1."""
+    return np.sign(xi) * (1.0 - alpha * np.abs(xi)) / (1.0 - alpha)
+
+
 @dataclass(frozen=True)
 class RxiProfile:
     """Critical structure of w -> r_xi(w) for xi > 2/alpha."""
@@ -65,7 +89,7 @@ def rxi_profile(xi: float, alpha: float) -> RxiProfile:
             f"closed-form extrema require xi > 2/alpha, got xi={xi}, "
             f"alpha={alpha}"
         )
-    omega_star = (1.0 - alpha * xi) / (1.0 - alpha)
+    omega_star = float(_critical_point(xi, alpha))
     min_value = alpha ** (-alpha) * ((xi - 1.0) / (1.0 - alpha)) ** (1.0 - alpha)
     return RxiProfile(xi, omega_star, min_value, float(xi))
 
@@ -75,33 +99,31 @@ def _symbol(w: Window, alpha: float, xis, l: int,
     """The l-th derivative of m_psi (l = 0, 1, 2) at every xi of ``xis``,
     differentiated under the integral.
 
-    Integrates in the warped variable y with omega(y) = sign(y) *
-    ((1 + (1 - alpha)|y|)^(1/(1-alpha)) - 1).  The warp's Jacobian is
-    1/beta(omega), so the beta-scaled window argument grows linearly in
-    y and the tails decay at window speed for every alpha; in the raw
-    omega variable they thin out only on scales |omega|^(1-alpha).
-    Each xi is one row of a batched quadrature on [-R, R], R = |y(xi)| +
-    50, with panels anchored at 0, xi and the critical point of r_xi.
-    The domain then doubles, at most 12 times, as one batch over the xi
-    whose discarded tails are not yet below tol / 10.
+    Integrates in the warped variable y with omega = p_alpha(y), whose
+    Jacobian 1/beta(omega) cancels the weight: m_psi(xi) = int
+    |psi_hat(r_xi(p_alpha(y)))|^2 dy.  The window argument grows
+    linearly in y, so the tails decay at window speed for every alpha.
+    Each xi is one row of a batched quadrature on [-R, R], R =
+    |p_alpha_inv(xi)| + 50, with panels anchored at p_alpha_inv of 0, xi
+    and the critical point of r_xi.  The domain then doubles, at most 12
+    times, as one batch over the xi whose discarded tails are not yet
+    below tol / 10.
     """
+    _check_alpha(alpha)
     xis = np.asarray(xis, dtype=float)
-    c = 1.0 - alpha
 
     def g(y, xi):
-        jac = (1.0 + c * np.abs(y)) ** (alpha / c)  # = 1/beta(omega(y))
-        omega = np.sign(y) * ((1.0 + c * np.abs(y)) ** (1.0 / c) - 1.0)
+        omega = p_alpha(y, alpha)
         b = beta(omega, alpha)
         r = b * (xi - omega)
         f0 = w.fourier(r)
         if l == 0:
-            return np.abs(f0) ** 2 * b * jac
+            return np.abs(f0) ** 2
         f1 = w.fourier(r, 1)
         if l == 1:
-            return 2.0 * np.real(f1 * np.conj(f0)) * b**2 * jac
+            return 2.0 * np.real(f1 * np.conj(f0)) * b
         f2 = w.fourier(r, 2)
-        return (2.0 * np.real(f2 * np.conj(f0))
-                + 2.0 * np.abs(f1) ** 2) * b**3 * jac
+        return (2.0 * np.real(f2 * np.conj(f0)) + 2.0 * np.abs(f1) ** 2) * b**2
 
     def integrals(rows, edges):
         # row j of edges belongs to xis[rows[j]]
@@ -114,11 +136,10 @@ def _symbol(w: Window, alpha: float, xis, l: int,
                 f"{exc}", value=exc.value, error=exc.error,
             ) from exc
 
-    # critical point of r_xi, where alpha |xi| > 1
     w_star = np.where(alpha * np.abs(xis) > 1.0,
-                      np.sign(xis) * (1.0 - alpha * np.abs(xis)) / c, 0.0)
-    om = np.column_stack([np.zeros_like(xis), xis, w_star])
-    anchors = np.sign(om) * ((1.0 + np.abs(om)) ** c - 1.0) / c  # y(om)
+                      _critical_point(xis, alpha), 0.0)
+    anchors = p_alpha_inv(np.column_stack([np.zeros_like(xis), xis, w_star]),
+                          alpha)
     radius = np.abs(anchors[:, 1]) + 50.0
     edges = np.sort(np.column_stack([-radius, anchors, radius]), axis=1)
     active = np.arange(xis.size)
@@ -145,7 +166,6 @@ def _symbol(w: Window, alpha: float, xis, l: int,
 def symbol_m(w: Window, alpha: float, xi: float,
              quad: QuadratureConfig = QuadratureConfig()) -> float:
     """m_psi(xi) by adaptive quadrature (absolute tolerance quad.tol)."""
-    _check_alpha(alpha)
     return float(_symbol(w, alpha, [xi], 0, quad)[0])
 
 
@@ -153,12 +173,8 @@ def symbol_m_deriv(w: Window, alpha: float, xi: float, l: int,
                    quad: QuadratureConfig = QuadratureConfig()) -> float:
     """l-th derivative of the symbol (l = 1, 2), differentiated under
     the integral: m' integrates 2 Re(psi_hat' conj(psi_hat)) beta^2."""
-    _check_alpha(alpha)
     if l not in (1, 2):
         raise ValueError(f"derivative order must be 1 or 2, got {l}")
-    if w.max_deriv < l:
-        raise ValueError(f"window {w.label} supports derivatives up to "
-                         f"{w.max_deriv}")
     return float(_symbol(w, alpha, [xi], l, quad)[0])
 
 
@@ -216,9 +232,8 @@ class SymbolTable:
         }
 
     def save_csv(self, path):
-        np.savetxt(path,
-                   np.column_stack([self.xi_grid.coords, self.values]),
-                   delimiter=",", fmt="%.17g", header="xi,m", comments="")
+        _write_csv(path, np.column_stack([self.xi_grid.coords, self.values]),
+                   "xi,m")
 
 
 def admissibility_scan(w: Window, alpha: float,
@@ -229,7 +244,6 @@ def admissibility_scan(w: Window, alpha: float,
     computed and mirrored.  A and B fold in the tail limit ||psi||^2
     (with a 5 % margin) since the symbol approaches it for large |xi|.
     """
-    _check_alpha(alpha)
     if scan.n_nodes % 2 == 0:
         raise ValueError("n_nodes must be odd so that xi = 0 is a node")
     grid = SampledGrid(scan.n_nodes, 2.0 * scan.xi_max / (scan.n_nodes - 1),

@@ -14,9 +14,10 @@ identity checked downstream.
 
 Rows of atoms, for the voice transform and for the discrete frames
 alike, are held as one sparse matrix with a band per atom: the samples
-where psi is not zero to double precision.  That is the support of a
-compact window and |t| <= 3.53 for the Gaussian; the bandlimited window
-has no such radius, so its rows fill the whole grid.
+within beta(w) * Window.time_radius of x, where psi is not zero to
+double precision.  The window states that radius: half its support
+when compact, 3.53 for the Gaussian, and infinite otherwise, so the
+bandlimited window's rows fill the whole grid.
 """
 
 from __future__ import annotations
@@ -25,12 +26,12 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy import sparse
 
-from .grids import Signal, SampledGrid, Weight, weighted_lp_norm
+from .grids import (Signal, SampledGrid, Weight, _sidecar, _write_sidecar,
+                    weighted_lp_norm)
 from .quadrature import QuadratureConfig, integrate
 from .symbol import NotAdmissibleError, SymbolTable, apply_multiplier, beta
 from .windows import Window
@@ -77,20 +78,15 @@ class VoiceMap:
     def save(self, path):
         """Raw complex128 matrix plus a JSON sidecar with both grids."""
         np.asarray(self.values, dtype="<c16").tofile(path)
-        meta = {
-            "x_grid": {"n": self.x_grid.n, "spacing": self.x_grid.spacing,
-                       "origin": self.x_grid.origin},
-            "omega_grid": {"n": self.omega_grid.n,
-                           "spacing": self.omega_grid.spacing,
-                           "origin": self.omega_grid.origin},
-        }
-        Path(str(path) + ".json").write_text(json.dumps(meta))
+        _write_sidecar(path, {"x_grid": self.x_grid.to_json(),
+                              "omega_grid": self.omega_grid.to_json()})
 
     @staticmethod
     def load(path) -> "VoiceMap":
-        meta = json.loads(Path(str(path) + ".json").read_text())
-        gx = SampledGrid(**meta["x_grid"])
-        gw = SampledGrid(**meta["omega_grid"])
+        side = _sidecar(path)
+        meta = json.loads(side.read_text())
+        gx, gw = (SampledGrid.from_json(meta.get(key), f"{side} {key}")
+                  for key in ("x_grid", "omega_grid"))
         values = np.fromfile(path, dtype="<c16").reshape(gw.n, gx.n)
         return VoiceMap(gx, gw, values)
 
@@ -122,19 +118,8 @@ def _atom_rows(w: Window, alpha: float, omega: float, xs: np.ndarray,
     return np.exp(2j * np.pi * omega * u) * prof / math.sqrt(b)
 
 
-# |psi| of the Gaussian window falls below 1e-17 of its peak beyond this
-_GAUSS_RADIUS = math.sqrt(17.0 * math.log(10.0) / math.pi)
-
 # matrix entries evaluated per pass of _band_matrix's fill loop
 _FILL = 1 << 20
-
-
-def _time_radius(w: Window) -> float:
-    """Radius outside which psi is zero to double precision (inf if
-    there is none)."""
-    if w.support is not None:
-        return max(-w.support[0], w.support[1])
-    return _GAUSS_RADIUS if w.kind == "gaussian" else math.inf
 
 
 def _band_matrix(w: Window, alpha: float, omegas: np.ndarray,
@@ -143,12 +128,12 @@ def _band_matrix(w: Window, alpha: float, omegas: np.ndarray,
     = (xs[m], omegas[m]).
 
     Each matrix row holds the entries of _atom_rows on the samples
-    within beta(omega) * _time_radius(w) of x, with one sample of slack
+    within beta(omega) * w.time_radius of x, with one sample of slack
     per side so that rounding never drops a nonzero sample.
     """
     b = beta(omegas, alpha)
     n, t = grid.n, grid.coords
-    reach = _time_radius(w) * b
+    reach = w.time_radius * b
     lo = np.floor((xs - reach - grid.origin) / grid.spacing)
     hi = np.ceil((xs + reach - grid.origin) / grid.spacing) + 1
     lo = np.clip(lo, 0, n).astype(np.int64)

@@ -2,9 +2,11 @@
 
 Each window exposes its time profile, its Fourier transform and the first
 three frequency-side derivatives, plus a polynomial decay certificate
-(r, C) meaning |psi_hat^(l)(xi)| <= C (1 + |xi|)^(-r) for all l up to
-``max_deriv``.  The certificate is what the admissibility and
-discretization threshold checks consume.
+(r, C) meaning |psi_hat^(l)(xi)| <= C (1 + |xi|)^(-r) for l = 0..3.  The
+certificate is what the admissibility and discretization threshold
+checks consume.  A window also states its time radius, beyond which psi
+is zero to double precision: half its support when compact, 3.53 for
+the Gaussian, infinite for the bandlimited window.
 """
 
 from __future__ import annotations
@@ -46,35 +48,38 @@ class Window:
 
     Parameters
     ----------
-    kind : str
-        One of "bspline", "gaussian", "bump", "bandlimited".
+    label : str
     time_fn : callable
         Vectorized psi(t).
     fourier_fn : callable
         Vectorized (xi, l) -> psi_hat^(l)(xi), l = 0..max_deriv.
     l2_norm : float
-    max_deriv : int
     decay_certificate : (r, C) or None
     support : (a, b) or None
         Exact time support, when compact.
     freq_support : (a, b) or None
         Exact frequency support, when compact.
+    time_radius : float
+        Radius beyond which psi is zero to double precision: that of the
+        support when compact, else as stated, else infinite.
     """
 
-    def __init__(self, kind, label, time_fn, fourier_fn, l2_norm,
-                 max_deriv=3, decay_certificate=None, support=None,
-                 freq_support=None):
+    max_deriv = 3  # every window provides psi_hat and three derivatives
+
+    def __init__(self, label, time_fn, fourier_fn, l2_norm,
+                 decay_certificate=None, support=None, freq_support=None,
+                 time_radius=math.inf):
         if not l2_norm > 0:
             raise ValueError("window must have positive L2 norm")
-        self.kind = kind
         self.label = label
         self._time = time_fn
         self._fourier = fourier_fn
         self.l2_norm = float(l2_norm)
-        self.max_deriv = int(max_deriv)
         self.decay_certificate = decay_certificate
         self.support = support
         self.freq_support = freq_support
+        self.time_radius = float(time_radius if support is None
+                                 else max(-support[0], support[1]))
 
     def __repr__(self):
         return f"Window({self.label!r})"
@@ -149,12 +154,13 @@ def _sinc_power_derivs(xi: np.ndarray, m: int):
     return [f0, f1, f2, f3]
 
 
-def _certify_constant(fourier_fn, r: float, max_deriv: int,
-                      xi_max: float = 200.0, n: int = 4001) -> float:
-    """Smallest C with max_l |psi_hat^(l)| <= C (1+|xi|)^(-r) on a test grid."""
-    xi = np.linspace(0.0, xi_max, n)
+def _certify_constant(fourier_fn, r: float, xi_max: float = 200.0) -> float:
+    """Smallest C with max_l |psi_hat^(l)| <= C (1+|xi|)^(-r) on a test
+    grid of 4001 points."""
+    xi = np.linspace(0.0, xi_max, 4001)
     env = np.max(
-        [np.abs(fourier_fn(xi, l)) for l in range(max_deriv + 1)], axis=0
+        [np.abs(fourier_fn(xi, l)) for l in range(Window.max_deriv + 1)],
+        axis=0,
     )
     if math.isinf(r):
         return float(env.max())
@@ -187,11 +193,9 @@ def bspline_window(m: int) -> Window:
     # ||B_m||^2 = (B_m * B_m)(0) = B_{2m}(0), the centered order-2m spline
     b2m = BSpline.basis_element(np.arange(2 * m + 1) - float(m))
     l2 = math.sqrt(float(b2m(0.0)))
-    C = _certify_constant(fourier_fn, float(m), 3)
-    return Window(
-        "bspline", f"bspline:{m}", time_fn, fourier_fn, l2,
-        max_deriv=3, decay_certificate=(float(m), C), support=(-half, half),
-    )
+    C = _certify_constant(fourier_fn, float(m))
+    return Window(f"bspline:{m}", time_fn, fourier_fn, l2,
+                  decay_certificate=(float(m), C), support=(-half, half))
 
 
 def gaussian_window() -> Window:
@@ -214,10 +218,10 @@ def gaussian_window() -> Window:
             poly = -8.0 * np.pi**3 * xi**3 + 12.0 * np.pi**2 * xi
         return poly * base
 
-    return Window(
-        "gaussian", "gaussian", time_fn, fourier_fn, 1.0,
-        max_deriv=3, decay_certificate=(math.inf, c),
-    )
+    # |psi| falls below 1e-17 of its peak beyond this radius
+    radius = math.sqrt(17.0 * math.log(10.0) / math.pi)
+    return Window("gaussian", time_fn, fourier_fn, 1.0,
+                  decay_certificate=(math.inf, c), time_radius=radius)
 
 
 def bump_window(radius: float) -> Window:
@@ -268,13 +272,10 @@ def bump_window(radius: float) -> Window:
             out[inside] = splines[l](xi[inside])
         return out
 
-    w = Window(
-        "bump", f"bump:{radius:g}", time_fn, fourier_fn,
-        1.0, max_deriv=3, support=(-R, R),
-    )
+    w = Window(f"bump:{radius:g}", time_fn, fourier_fn, 1.0, support=(-R, R))
     r_hat, _ = estimate_decay_rate(w, 3, 100.0)
     r_cert = 0.9 * r_hat  # fitted exponents are optimistic
-    C = _certify_constant(fourier_fn, r_cert, 3, xi_max=band - 1.0)
+    C = _certify_constant(fourier_fn, r_cert, xi_max=band - 1.0)
     w.decay_certificate = (r_cert, C)
     return w
 
@@ -323,29 +324,26 @@ def bandlimited_window(cutoff: float) -> Window:
                 + 0.125 * _pair(2 * a, b))
 
     l2 = math.sqrt(35.0 * c / 64.0)  # closed form of int |psi_hat|^2
-    C = _certify_constant(fourier_fn, math.inf, 3, xi_max=c)
-    return Window(
-        "bandlimited", f"bandlimited:{cutoff:g}", time_fn, fourier_fn, l2,
-        max_deriv=3, decay_certificate=(math.inf, C), freq_support=(-c, c),
-    )
+    C = _certify_constant(fourier_fn, math.inf, xi_max=c)
+    return Window(f"bandlimited:{cutoff:g}", time_fn, fourier_fn, l2,
+                  decay_certificate=(math.inf, C), freq_support=(-c, c))
 
 
 # ---------------------------------------------------------------------------
 # decay certification and theorem thresholds
 
 
-def estimate_decay_rate(w: Window, l_max: int, xi_range: float,
-                        n_grid: int = 16001):
+def estimate_decay_rate(w: Window, l_max: int, xi_range: float):
     """Least-squares fit of the spectral envelope decay exponent.
 
     Fits log max_l |psi_hat^(l)(xi)| against -r log(1 + xi) on the local
     maxima of the envelope for xi in [1, xi_range], then raises the
-    constant so the bound holds on the whole test grid.  Returns
-    (r_hat, C_hat).
+    constant so the bound holds on the whole test grid of 16001 points.
+    Returns (r_hat, C_hat).
     """
     if xi_range < 10:
         raise ValueError("xi_range must be >= 10")
-    xi = np.linspace(0.0, xi_range, n_grid)
+    xi = np.linspace(0.0, xi_range, 16001)
     env = np.max(
         [np.abs(w.fourier(xi, l)) for l in range(min(l_max, w.max_deriv) + 1)],
         axis=0,

@@ -151,6 +151,30 @@ def test_synthesize_rejects_header_without_key(tmp_path, chirp_csv, capsys,
     assert not (out / "synthesized.csv").exists()
 
 
+@pytest.mark.parametrize("target, edit, key", [
+    ("signal", lambda meta: meta.pop("origin"), "origin"),
+    ("header", lambda meta: meta.pop("n_atoms"), "n_atoms"),
+    ("header", lambda meta: meta["grid"].pop("spacing"), "spacing"),
+    ("header", lambda meta: meta.update(grid=[256, 0.0625, -8.0]), "grid"),
+], ids=["sidecar-origin", "header-n_atoms", "grid-spacing", "grid-list"])
+def test_bad_grid_or_header_exits_2(tmp_path, chirp_csv, capsys, target,
+                                    edit, key):
+    out = tmp_path / "an"
+    assert run("analyze", chirp_csv, "--output-dir", str(out)) == 0
+    if target == "signal":
+        path, argv = Path(chirp_csv + ".json"), ("analyze", chirp_csv)
+    else:
+        path = out / "coefficients.bin.json"
+        argv = ("synthesize", str(out / "coefficients.bin"))
+    meta = json.loads(path.read_text())
+    edit(meta)
+    path.write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert run(*argv, "--output-dir", str(tmp_path / "again")) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and key in err
+
+
 def test_synthesize_rejects_tampered_node_table(tmp_path, chirp_csv):
     out = tmp_path / "an"
     assert run("analyze", chirp_csv, "--output-dir", str(out)) == 0

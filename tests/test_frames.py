@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from alphamod.covering import build_covering
+from alphamod.symbol import ScanConfig, admissibility_scan
 from alphamod.frames import (AlphaFrame, Coefficients, _S_block, analysis,
                              estimate_frame_bounds, frame_operator_apply,
                              load_coefficients, reconstruct, synthesis)
@@ -189,10 +190,9 @@ def test_bounds_sandwich_rayleigh_quotients(small_frame):
 
 
 def test_bounds_scale_with_window_energy(small_frame, gauss):
-    g2 = Window("gaussian", "gaussian-x2",
-                lambda t: 2.0 * gauss.time(t),
+    g2 = Window("gaussian-x2", lambda t: 2.0 * gauss.time(t),
                 lambda xi, l=0: 2.0 * gauss.fourier(xi, l),
-                2.0 * gauss.l2_norm, max_deriv=3)
+                2.0 * gauss.l2_norm, time_radius=gauss.time_radius)
     fr2 = AlphaFrame(small_frame.covering, g2, small_frame.signal_grid)
     A1, B1 = estimate_frame_bounds(small_frame)
     A2, B2 = estimate_frame_bounds(fr2)
@@ -243,3 +243,26 @@ def test_coefficients_file_roundtrip(tmp_path, small_frame):
 def test_coefficients_length_validated(small_frame):
     with pytest.raises(ValueError):
         Coefficients(small_frame, np.zeros(small_frame.n_atoms + 1))
+
+
+@pytest.mark.parametrize("spec", ["gaussian", "bspline:2"])
+@pytest.mark.parametrize("eps, tol", [(0.5, 0.04), (0.25, 0.01)])
+def test_fourier_diagonal_is_a_riemann_sum_of_the_symbol(spec, eps, tol):
+    # <S e_xi, e_xi> = sum_j |psi_hat_j(xi)|^2 over the atoms, a Riemann
+    # sum of m_psi(xi) whose cells have area eps^2 (eps beta in time,
+    # eps / beta in frequency); the band edges at +-8 are left out
+    w = parse_window_spec(spec)
+    grid = SampledGrid.centered(512, 1.0 / 32.0)
+    fr = AlphaFrame(build_covering(0.5, eps, 1.0, (-8.0, 8.0), (-8.0, 8.0)),
+                    w, grid)
+    xis = grid.dual().coords
+    xis = xis[np.abs(xis) < 6.0]
+    # the scan's nodes are the DFT bins, spacing 1/16
+    tab = admissibility_scan(w, 0.5, ScanConfig(xi_max=8.0, n_nodes=257))
+    t = grid.coords
+    diag = np.array([
+        inner_product(frame_operator_apply(e, fr), e).real
+        for e in (Signal(grid, np.exp(2j * np.pi * xi * t)
+                         / np.sqrt(grid.n * grid.spacing)) for xi in xis)])
+    ratio = eps**2 * diag / tab(xis)
+    assert np.all(np.abs(ratio - 1.0) < tol), (ratio.min(), ratio.max())

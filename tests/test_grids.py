@@ -116,3 +116,15 @@ def test_signal_file_roundtrips(tmp_path):
     h = load_signal_csv(csv)
     assert h.grid.isclose(f.grid)
     assert np.max(np.abs(h.values - f.values)) < 1e-15
+
+
+def test_grid_json_roundtrip_and_rejects():
+    g = SampledGrid(5, 0.1, -0.3)
+    assert SampledGrid.from_json(g.to_json(), "f.json") == g
+    assert list(g.to_json()) == ["n", "spacing", "origin"]
+    with pytest.raises(ValueError, match=r"f\.json: grid lacks origin"):
+        SampledGrid.from_json({"n": 5, "spacing": 0.1}, "f.json")
+    with pytest.raises(ValueError, match=r"f\.json: grid is not an object"):
+        SampledGrid.from_json([5, 0.1, -0.3], "f.json")
+    with pytest.raises(ValueError, match=r"f\.json: bad grid"):
+        SampledGrid.from_json({"n": 5, "spacing": None, "origin": 0}, "f.json")

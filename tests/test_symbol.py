@@ -166,8 +166,8 @@ def _counting(w):
         points[0] += xi.size
         return w.fourier(xi, l)
 
-    return Window(w.kind, w.label, w.time, fourier_fn, w.l2_norm,
-                  max_deriv=w.max_deriv, support=w.support), points
+    return Window(w.label, w.time, fourier_fn, w.l2_norm,
+                  support=w.support), points
 
 
 def test_divergent_scan_stops_after_one_node():

@@ -135,9 +135,19 @@ def test_check_hypotheses_verdicts():
     assert bad.required_r == pytest.approx(
         max(1.0, 0.9 / (2 * 0.1)))
     g = gaussian_window()
-    bare = Window("gaussian", "uncertified", g.time, g.fourier, 1.0)
+    bare = Window("uncertified", g.time, g.fourier, 1.0)
     with pytest.raises(ValueError, match="no decay certificate"):
         check_hypotheses(bare, 0.5, 0.0, Purpose.ADMISSIBILITY)
+
+
+def test_time_radius_rule():
+    # half the support, the Gaussian's 1e-17 radius, else infinite
+    assert bspline_window(4).time_radius == 2.0
+    assert bump_window(1.5).time_radius == 1.5
+    assert math.isinf(bandlimited_window(1.0).time_radius)
+    g = gaussian_window()
+    assert g.time(g.time_radius) / g.time(0.0) == pytest.approx(1e-17)
+    assert math.isinf(Window("bare", g.time, g.fourier, 1.0).time_radius)
 
 
 def test_parse_window_spec():
