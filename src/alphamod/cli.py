@@ -34,6 +34,7 @@ from . import (
     load_signal_raw, parse_window_spec, reconstruct, save_signal_csv,
     save_signal_raw, synthesis, diagnostics_report,
 )
+from .frames import read_coefficient_header
 from .grids import _sidecar, _write_csv
 
 EXIT_OK = 0
@@ -239,17 +240,12 @@ def cmd_analyze(cfg: RunConfig, args: argparse.Namespace) -> int:
 def cmd_synthesize(cfg: RunConfig, args: argparse.Namespace) -> int:
     # the frame comes from the file's header alone; load_coefficients
     # rejects a covering that does not match the stored node table
-    header_path = _sidecar(args.coefficients)
-    header = json.loads(header_path.read_text())
-    missing = sorted({"alpha", "eps", "c", "grid", "time_range",
-                      "freq_range", "window", "n_atoms"} - set(header))
-    if missing:
-        raise ConfigError(f"{header_path} lacks {', '.join(missing)}")
-    grid = SampledGrid.from_json(header["grid"], header_path)
+    header = read_coefficient_header(args.coefficients)
+    grid = SampledGrid.from_json(header["grid"], _sidecar(args.coefficients))
     cov = build_covering(header["alpha"], header["eps"], header["c"],
                          header["time_range"], header["freq_range"])
     fr = AlphaFrame(cov, parse_window_spec(header["window"]), grid)
-    out = synthesis(load_coefficients(args.coefficients, fr), fr)
+    out = synthesis(load_coefficients(args.coefficients, fr, header), fr)
     _save_signal(out, cfg.output_dir / args.output)
     print(f"wrote {args.output}")
     return EXIT_OK

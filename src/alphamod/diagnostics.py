@@ -115,7 +115,13 @@ def _freq_radius(w: Window) -> float:
 
 
 class _SliceEngine:
-    """Shared FFT grid for kernel x-slices on a truncated domain."""
+    """Shared FFT grid for kernel x-slices on a truncated domain.
+
+    u_max is the furthest |u| a caller reads.  The slices are periodic
+    in u with period 1/dxi >= 4 * u_max, so their aliases stay 3 * u_max
+    away; the u grid, of spacing du = 1/(2 * xi_max) whatever n is, spans
+    about [-2 * u_max, 2 * u_max], and u_index rejects u off it.
+    """
 
     def __init__(self, w: Window, alpha: float, tab: SymbolTable,
                  kappa: int, omega_max: float, u_max: float):
@@ -151,7 +157,9 @@ class _SliceEngine:
     def spectral_profiles(self, omegas, etas, left=None) -> np.ndarray:
         """G matrix, one row per (omega, eta) pair; a single frequency on
         either side pairs with every frequency on the other.  left, if
-        given, is _atoms_hat(omegas), computed once by the caller."""
+        given, is _atoms_hat(omegas), computed once by the caller; it
+        broadcasts against the (etas, n) right side, so a left of shape
+        (..., 1, n) pairs each of its rows with every eta."""
         right = np.conj(self._atoms_hat(etas))
         if self._m_pow is not None:
             right = right * self._m_pow
@@ -166,9 +174,15 @@ class _SliceEngine:
                                                 axis=1)
 
     def u_index(self, u_values) -> np.ndarray:
-        """Nearest grid index of u values (snapping error <= du/2)."""
-        idx = np.rint((np.asarray(u_values) - self.u[0]) / self.du)
-        return np.clip(idx, 0, self.n - 1).astype(int)
+        """Nearest grid index of u values (snapping error <= du/2); a
+        ValueError names the first u that would snap off the grid."""
+        u = np.asarray(u_values, dtype=float)
+        idx = np.rint((u - self.u[0]) / self.du)
+        off = ~((idx >= 0) & (idx <= self.n - 1))
+        if off.any():
+            raise ValueError(f"u = {u[off].flat[0]!r} lies off the slice "
+                             f"grid [{self.u[0]!r}, {self.u[-1]!r}]")
+        return idx.astype(int)
 
 
 def _omega_grid(omega_max: float) -> np.ndarray:
@@ -256,7 +270,8 @@ def oscillation_kernel(w: Window, alpha: float, tab: SymbolTable,
     return float(np.abs(R[0] - phase * R[1:]).max())
 
 
-# bytes of the two gather buffers in _osc, complex block and modulus: 4 MiB
+# bytes of the two gather buffers in _osc, complex block and modulus, and
+# of a block of z spectra with its FFT: 4 MiB
 _GATHER = 1 << 22
 
 
@@ -265,34 +280,43 @@ def _osc(engine: _SliceEngine, cov: AlphaCovering, density: int,
     """osc(x, y) = max over the sampled z in Q_y of
     |R(x, y) - Gamma(y, z) R(x, z)| with
     Gamma(y, z) = exp(-2 pi i y_w (y_t - z_t)), on the pairs
-    x = (x_t[b], x_w[a]), y = (y_t[b], y_w[a]).
+    x = (x_t[b], x_w[..., a]), y = (y_t[b], y_w[a]).
 
     Frequencies run along a and times along b; a side with one frequency
-    or one time pairs it with every entry of the other.  The times lie on
-    the engine's u grid, and x_t - z_t is snapped onto it: z_t = x_t -
-    u[at], so Gamma = exp(-2 pi i y_w (y_t - x_t)) exp(-2 pi i y_w u[at]).
-    The first factor goes into R(x, y); the second, with the FFT's
-    post-twiddle, into each z frequency's slices R(x, z) = P[at] on the u
-    window a covering row gathers; the pre-twiddle into the x spectra.  A
-    row's gather is laid out (z, b, a), so the sup over z is a maximum of
-    contiguous planes, taken in chunks of z.  A sample outside its time's
-    box reuses an inside one of the same time (same max); a time with none
-    gets 0 from the row.  The chunk and its modulus (24 bytes an element)
-    fill at most max(_GATHER, 24 * a * b) bytes.  Returns the (a, b) array.
+    or one time pairs it with every entry of the other.  Leading axes of
+    x_w are a batch (estimate_gamma's probes) sharing x_t and y, hence
+    the covering rows, z samples and z spectra.  The times lie on the
+    engine's u grid, and x_t - z_t is snapped onto it (u_index raises if
+    the engine does not reach it): z_t = x_t - u[at], so Gamma =
+    exp(-2 pi i y_w (y_t - x_t)) exp(-2 pi i y_w u[at]).  The first
+    factor goes into R(x, y); the second, with the FFT's post-twiddle,
+    into each z frequency's slices R(x, z) = P[at] on the u window a
+    covering row gathers; the pre-twiddle into the x spectra.  A row's
+    gather is laid out (z, b, batch * a), so the sup over z is a maximum
+    of contiguous planes, taken in chunks of z.  A sample outside its
+    time's box reuses an inside one of the same time (same max); a time
+    with none gets 0 from the row.  The chunk and its modulus (24 bytes
+    an element) fill at most max(_GATHER, one z-plane) bytes; a row's z
+    spectra and their FFT (32 bytes) at most max(_GATHER, one z
+    frequency).  Returns an array of shape x_w.shape[:-1] + (a, b).
     """
     x_t, x_w, y_t, y_w = (np.atleast_1d(np.asarray(v, dtype=float))
                           for v in (x_t, x_w, y_t, y_w))
-    x_hat = engine._atoms_hat(x_w)
-    base = engine.slices(x_w, y_w, x_hat)[:, engine.u_index(x_t - y_t)]
+    batch = x_w.shape[:-1]
+    x_w = x_w.reshape(-1, x_w.shape[-1])
+    x_hat = engine._atoms_hat(x_w.ravel()).reshape(*x_w.shape, -1)
+    at = engine.u_index(x_t - y_t)
+    base = np.stack([engine.slices(xw, y_w, xh)[:, at]
+                     for xw, xh in zip(x_w, x_hat)])
     base *= np.exp(2j * np.pi * y_w[:, None] * (y_t - x_t))
     x_hat = x_hat * engine._pre
     osc = np.zeros(base.shape)
     cap = max(_GATHER // 24, osc.size)
     block, mod = np.empty(cap, complex), np.empty(cap)
     for band, z_t, inside, z_w in q_samples(cov, y_t, y_w, density):
-        rows = np.broadcast_to(band, osc.shape[:1])
-        xw, yw, xw_hat = (v[rows] if len(v) > 1 else v
-                          for v in (x_w, y_w, x_hat))
+        rows = np.broadcast_to(band, osc.shape[1:2])
+        yw = y_w[rows] if len(y_w) > 1 else y_w
+        xw_hat = (x_hat[:, rows] if x_w.shape[1] > 1 else x_hat)[:, :, None]
         keep = inside.any(axis=0)
         if not keep.any():
             continue
@@ -304,22 +328,28 @@ def _osc(engine: _SliceEngine, cov: AlphaCovering, density: int,
         at = (at - lo).T
         post = (engine._post[lo:hi, None]
                 * np.exp(-2j * np.pi * engine.u[lo:hi, None] * yw))
-        R_y = np.ascontiguousarray(base[rows].T)
+        R_y = base[:, rows].transpose(2, 0, 1).reshape(base.shape[2], -1)
         row, plane = np.zeros(R_y.shape), np.empty(R_y.shape)
         Q = np.empty((hi - lo, R_y.shape[1]), complex)
-        for zw in z_w:
-            F = np.fft.fft(engine.spectral_profiles(xw, zw, xw_hat), axis=1)
-            np.multiply(F[:, lo:hi].T, post, out=Q)
-            for c in range(0, len(at), cap // R_y.size):
-                ks = at[c:c + cap // R_y.size]
-                g = block[:ks.size * R_y.shape[1]].reshape(*ks.shape, -1)
-                m = mod[:g.size].reshape(g.shape)
-                np.take(Q, ks, axis=0, out=g, mode="clip")
-                np.abs(np.subtract(g, R_y, out=g), out=m)
-                np.maximum(row, np.maximum.reduce(m, out=plane), out=row)
+        n_z = max(1, _GATHER // (32 * xw_hat[..., 0].size * engine.n))
+        for c in range(0, len(z_w), n_z):
+            F = np.fft.fft(engine.spectral_profiles(None, z_w[c:c + n_z],
+                                                    xw_hat))
+            for Fz in np.moveaxis(F[..., lo:hi], 2, 0):
+                np.multiply(Fz.transpose(2, 0, 1), post[:, None, :],
+                            out=Q.reshape(hi - lo, len(x_w), -1))
+                for k in range(0, len(at), cap // R_y.size):
+                    ks = at[k:k + cap // R_y.size]
+                    g = block[:ks.size * R_y.shape[1]].reshape(*ks.shape, -1)
+                    m = mod[:g.size].reshape(g.shape)
+                    np.take(Q, ks, axis=0, out=g, mode="clip")
+                    np.abs(np.subtract(g, R_y, out=g), out=m)
+                    np.maximum(row, np.maximum.reduce(m, out=plane), out=row)
         row *= inside.any(axis=1)[:, None]
-        osc[rows] = np.maximum(osc[rows], row.T)
-    return osc
+        osc[:, rows] = np.maximum(osc[:, rows],
+                                  row.reshape(len(row), len(x_w), -1)
+                                  .transpose(1, 2, 0))
+    return osc.reshape(*batch, *osc.shape[1:])
 
 
 def estimate_gamma(w: Window, alpha: float, s: float, tab: SymbolTable,
@@ -332,21 +362,25 @@ def estimate_gamma(w: Window, alpha: float, s: float, tab: SymbolTable,
     sup over y and integrates over x.  Both use probe grids in
     frequency; the time coordinate of the probe is fixed at 0 (the
     kernel is covariant under joint time shifts and the box quantization
-    only perturbs this periodically at sub-probe scale).
+    only perturbs this periodically at sub-probe scale).  gamma1 runs
+    all probes through one _osc call, gamma2 one call per probe.  The
+    gathers read |x_t - z_t| <= x_max + 2 * eps (a box is at most
+    2 * eps wide in time), so that is the engine's u_max.
     """
     if not tab.admissible:
         raise NotAdmissibleError("gamma needs an admissible window")
     engine = _SliceEngine(w, alpha, tab, 1, trunc.omega_max,
-                          trunc.x_max + 4.0)
+                          trunc.x_max + 2.0 * cov.eps)
     omegas = _omega_grid(trunc.omega_max)
     u_in = engine.u[np.abs(engine.u) <= trunc.x_max]
-    weight = Weight(s)
-    g1 = g2 = 0.0
-    for probe in _probe_omegas(trunc):
-        osc = _osc(engine, cov, trunc.z_density, 0.0, probe, u_in, omegas)
-        g1 = max(g1, _weighted_mass(osc, omegas, probe, weight, engine.du))
-        osc = _osc(engine, cov, trunc.z_density, u_in, omegas, 0.0, probe)
-        g2 = max(g2, _weighted_mass(osc, omegas, probe, weight, engine.du))
+    probes, d = _probe_omegas(trunc), trunc.z_density
+
+    def mass(osc, probe):
+        return _weighted_mass(osc, omegas, probe, Weight(s), engine.du)
+    g1 = max(map(mass, _osc(engine, cov, d, 0.0, probes[:, None], u_in,
+                            omegas), probes), default=0.0)
+    g2 = max((mass(_osc(engine, cov, d, u_in, omegas, 0.0, p), p)
+              for p in probes), default=0.0)
     return g1, g2, max(g1, g2)
 
 

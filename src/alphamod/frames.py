@@ -110,10 +110,26 @@ class Coefficients:
                    "j,k,x,omega,re,im")
 
 
-def load_coefficients(path, frame: AlphaFrame) -> Coefficients:
+def read_coefficient_header(path) -> dict:
+    """The JSON header beside a coefficient file; ValueError naming that
+    file and each key of Coefficients.save's header that it lacks."""
+    side = _sidecar(path)
+    header = json.loads(side.read_text())
+    missing = [k for k in ("alpha", "eps", "c", "time_range", "freq_range",
+                           "window", "grid", "n_atoms")
+               if not isinstance(header, dict) or k not in header]
+    if missing:
+        raise ValueError(f"{side} lacks {', '.join(missing)}")
+    return header
+
+
+def load_coefficients(path, frame: AlphaFrame,
+                      header: dict | None = None) -> Coefficients:
     """Reads a coefficient file; raises ValueError unless its (j, k) node
-    table is the frame's."""
-    header = json.loads(_sidecar(path).read_text())
+    table is the frame's.  header is read_coefficient_header(path), read
+    here unless the caller has it already."""
+    if header is None:
+        header = read_coefficient_header(path)
     n = int(header["n_atoms"])
     if n != frame.n_atoms:
         raise ValueError(f"file holds {n} atoms, frame has {frame.n_atoms}")

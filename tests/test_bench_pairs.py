@@ -1,0 +1,86 @@
+"""tools/bench_pairs.py on synthetic runs: no benchmark is started."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+END_TO_END = {"pass_at_ref_speed_s": {"name": "pass_at_ref_speed_s",
+                                      "better": "lower", "bound": 0.25},
+              "throughput": {"name": "throughput", "better": "higher",
+                             "bound": 0.1}}
+
+
+def _run(seed, pass_s, throughput=1.0, correct=True, failed=0):
+    return {"seed": seed, "correct": correct, "attempted": 12,
+            "failed": failed,
+            "metrics": {"pass_at_ref_speed_s": pass_s,
+                        "throughput": throughput, "ops": 12.0}}
+
+
+def test_worse_by_reads_the_direction():
+    assert bench_pairs.worse_by(1.1, 1.0, "lower") == pytest.approx(0.1)
+    assert bench_pairs.worse_by(0.9, 1.0, "lower") == pytest.approx(-0.1)
+    assert bench_pairs.worse_by(0.9, 1.0, "higher") == pytest.approx(0.1)
+    assert bench_pairs.worse_by(1.2, 1.0, "higher") == pytest.approx(-0.2)
+
+
+def test_summary_counts_wrong_runs_and_judges_each_metric():
+    parent = [_run(s, 2.0 + 0.01 * s, throughput=1.0) for s in range(10)]
+    change = [_run(s, 1.5 + 0.01 * s, throughput=0.8,
+                   correct=s != 3, failed=2 if s in (3, 7) else 0)
+              for s in range(10)]
+    out = bench_pairs.summary({"parent": parent, "change": change},
+                              END_TO_END)
+    assert out["incorrect_runs"] == {"parent": 0, "change": 1}
+    assert out["failed_ops"] == {"parent": 0, "change": 4}
+    speed = out["metrics"]["pass_at_ref_speed_s"]
+    assert speed["parent"]["median"] == pytest.approx(2.045)
+    assert speed["change"]["median"] == pytest.approx(1.545)
+    assert speed["change_better_in_pairs"] == 10
+    assert speed["median_change_rel"] == pytest.approx(1.545 / 2.045 - 1)
+    assert not speed["regressed"] and not speed["unresolved"]
+    # higher is better here, so 20 % less is a regression past the bound
+    tput = out["metrics"]["throughput"]
+    assert tput["change_better_in_pairs"] == 0 and tput["regressed"]
+    # a metric outside BENCHMARK.json gets statistics but no verdict
+    assert "regressed" not in out["metrics"]["ops"]
+
+
+def test_summary_flags_a_spread_parent_as_unresolved():
+    parent = [_run(s, 1.0 if s % 2 else 2.0) for s in range(10)]
+    change = [_run(s, 1.4) for s in range(10)]
+    speed = bench_pairs.summary({"parent": parent, "change": change},
+                                END_TO_END)["metrics"]["pass_at_ref_speed_s"]
+    assert speed["parent_iqr_rel"] > 0.25 and speed["unresolved"]
+    assert speed["change_better_in_pairs"] == 5
+
+
+@pytest.mark.parametrize("correct, code", [(True, 0), (False, 1)])
+def test_main_exits_1_on_an_incorrect_run(tmp_path, monkeypatch, capsys,
+                                          correct, code):
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "parent" / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 1, "end_to_end": list(END_TO_END.values())}))
+    monkeypatch.setattr(bench_pairs, "commit",
+                        lambda checkout: {"head": "0" * 40, "dirty": False})
+    monkeypatch.setattr(
+        bench_pairs, "run_once",
+        lambda checkout, workload, seed, seconds: _run(
+            seed, 1.0, correct=correct or checkout.name == "parent"))
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main([str(tmp_path / "parent"),
+                             str(tmp_path / "change"), "--workload", "symbol",
+                             "--seeds", *map(str, range(10)),
+                             "--out", str(out)]) == code
+    summ = json.loads(out.read_text())["workloads"]["symbol"]["summary"]
+    assert summ["incorrect_runs"] == {"parent": 0,
+                                      "change": 0 if correct else 10}
+    assert ("incorrect runs" in capsys.readouterr().err) == (not correct)

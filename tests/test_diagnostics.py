@@ -6,10 +6,12 @@ from hypothesis import strategies as st
 from alphamod import ScanConfig, admissibility_scan, parse_window_spec
 from alphamod.covering import build_covering, q_samples
 from alphamod.diagnostics import (KernelEstimate, TruncationConfig,
-                                  _osc, _SliceEngine,
+                                  _omega_grid, _osc, _probe_omegas,
+                                  _SliceEngine, _weighted_mass,
                                   discretization_condition, estimate_gamma,
                                   estimate_rho, lambda_fn,
                                   oscillation_kernel, theta_fn)
+from alphamod.grids import Weight
 from alphamod.symbol import NotAdmissibleError, beta
 from alphamod.transform import kernel_K
 
@@ -165,20 +167,42 @@ def osc_engine(request):
     return _SliceEngine(w, 0.5, tab, 1, omega_max=4.0, u_max=6.0)
 
 
+@pytest.mark.parametrize("density", [2, 3])
 @pytest.mark.parametrize("time_range", [(-6.0, 6.0), (-1.5, 1.0)])
-def test_osc_matches_dense_oracle(osc_engine, time_range):
+def test_osc_matches_dense_oracle(osc_engine, time_range, density):
     """The factored, z-major _osc against the dense reference, in both
-    call shapes of estimate_gamma.  The (-1.5, 1) covering stops inside
-    the probed times, so some times have no inside sample in a row."""
+    call shapes of estimate_gamma: gamma1's, with its probes as a batch
+    axis of x_w, checked probe by probe, and gamma2's.  The (-1.5, 1)
+    covering stops inside the probed times, so some times have no inside
+    sample in a row."""
     cov = build_covering(0.5, 0.5, 1.0, time_range, (-4, 4), validate=False)
     u_in = osc_engine.u[np.abs(osc_engine.u) <= 2.0]
     omegas = np.linspace(-3.0, 3.0, 13)
-    for args in [(0.0, -2.0, u_in, omegas), (u_in, omegas, 0.0, 0.5)]:
-        ref = _osc_dense(osc_engine, cov, 3, *args)
-        fast = _osc(osc_engine, cov, 3, *args)
-        assert fast.shape == ref.shape == (omegas.size, u_in.size)
-        np.testing.assert_array_equal(fast == 0, ref == 0)
-        assert np.abs(fast - ref).max() <= 1e-13 * ref.max()
+    probes = np.array([-2.0, 0.5, 1.75])
+    cases = [(_osc(osc_engine, cov, density, 0.0, probes[:, None], u_in,
+                   omegas), [(0.0, p, u_in, omegas) for p in probes]),
+             (_osc(osc_engine, cov, density, u_in, omegas, 0.0, 0.5)[None],
+              [(u_in, omegas, 0.0, 0.5)])]
+    for fast, calls in cases:
+        assert fast.shape == (len(calls), omegas.size, u_in.size)
+        for plane, args in zip(fast, calls):
+            ref = _osc_dense(osc_engine, cov, density, *args)
+            np.testing.assert_array_equal(plane == 0, ref == 0)
+            assert np.abs(plane - ref).max() <= 1e-13 * ref.max()
+
+
+def test_osc_rejects_times_the_engine_does_not_reach(osc_engine):
+    """u_index used to clip a u off the grid onto its end sample, so a
+    gather past u_max read edge values as kernel values."""
+    cov = build_covering(0.5, 0.5, 1.0, (-40.0, 40.0), (-4, 4))
+    omegas = np.linspace(-1.0, 1.0, 3)
+    end = osc_engine.u[-1]
+    for x_t, y_t in [(end + osc_engine.du, 0.0),   # x beyond the grid
+                     (0.0, [0.0, -3.0 * end]),     # y beyond the grid
+                     (0.0, -end)]:                 # y on it, its box not
+        with pytest.raises(ValueError, match="off the slice grid"):
+            _osc(osc_engine, cov, 2, x_t, 0.0, y_t, omegas)
+    assert osc_engine.u_index(end) == osc_engine.n - 1
 
 
 def test_estimate_rho_converged(gauss, gauss_tab):
@@ -207,5 +231,33 @@ def test_estimate_gamma_structure(gauss, gauss_tab):
     assert g == max(g1, g2)
     assert g1 > 0 and g2 > 0
     # pinned: any change in how Q_y is sampled or z is snapped shows here
-    assert g1 == pytest.approx(6.58263273846213, rel=1e-12)
-    assert g2 == pytest.approx(5.272478523983099, rel=1e-12)
+    assert g1 == pytest.approx(6.582632650729726, rel=1e-12)
+    assert g2 == pytest.approx(5.27247853103112, rel=1e-12)
+
+
+def test_estimate_gamma_holds_at_twice_the_fft_length(gauss, gauss_tab):
+    """estimate_gamma sizes its engine to the u its gathers read,
+    x_max + 2 eps.  Its loop replayed probe by probe on an engine of
+    twice the FFT length (the former x_max + 4 sizing) and the same du
+    gives the same gamma up to the snapping of exact grid ties."""
+    cov = build_covering(0.5, 0.25, 1.0, (-8, 8), (-16, 16))
+    g1, g2, _ = estimate_gamma(gauss, 0.5, 0.0, gauss_tab, cov, LIGHT)
+    sized = _SliceEngine(gauss, 0.5, gauss_tab, 1, LIGHT.omega_max,
+                         LIGHT.x_max + 2.0 * cov.eps)
+    engine = _SliceEngine(gauss, 0.5, gauss_tab, 1, LIGHT.omega_max,
+                          LIGHT.x_max + 4.0)
+    assert engine.n == 2 * sized.n
+    assert engine.du == pytest.approx(sized.du, rel=1e-15)
+    omegas = _omega_grid(LIGHT.omega_max)
+    u_in = engine.u[np.abs(engine.u) <= LIGHT.x_max]
+    d = LIGHT.z_density
+
+    def mass(osc, probe):
+        return _weighted_mass(osc, omegas, probe, Weight(0.0), engine.du)
+    probes = _probe_omegas(LIGHT)
+    r1 = max(mass(_osc(engine, cov, d, 0.0, p, u_in, omegas), p)
+             for p in probes)
+    r2 = max(mass(_osc(engine, cov, d, u_in, omegas, 0.0, p), p)
+             for p in probes)
+    assert g1 == pytest.approx(r1, rel=1e-7)
+    assert g2 == pytest.approx(r2, rel=1e-7)

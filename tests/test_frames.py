@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -238,6 +240,25 @@ def test_coefficients_file_roundtrip(tmp_path, small_frame):
     coeffs.save(path, "gaussian")
     back = load_coefficients(path, small_frame)
     assert np.array_equal(back.values, coeffs.values)  # bit-exact
+
+
+@pytest.mark.parametrize("key", ["n_atoms", "window", None])
+def test_load_coefficients_rejects_header_without_key(tmp_path, small_frame,
+                                                      key):
+    """A header without a key that save writes is a ValueError naming the
+    header file and the key; None writes the header as a JSON list."""
+    path = tmp_path / "coeffs.bin"
+    analysis(rand_signal(small_frame.signal_grid, 8), small_frame).save(path)
+    side = tmp_path / "coeffs.bin.json"
+    header = json.loads(side.read_text())
+    if key is None:
+        header, key = [header], "n_atoms"
+    else:
+        del header[key]
+    side.write_text(json.dumps(header))
+    with pytest.raises(ValueError, match=key) as exc:
+        load_coefficients(path, small_frame)
+    assert str(side) in str(exc.value)
 
 
 def test_coefficients_length_validated(small_frame):

@@ -22,6 +22,12 @@ relative ``bound``: ``regressed`` when the change's median is worse than
 the parent's by more than the bound, and ``unresolved`` when the
 parent's interquartile range exceeds the bound (relative to its median)
 and not every run of the change is better than every run of the parent.
+
+A run whose checks failed (``correct: false``) or that lost ops
+(``failed > 0``) still enters the medians, so each workload's summary
+counts the incorrect runs and the failed ops of each side, and the tool
+exits 1 when any run is incorrect: a broken result must not read as a
+speed-up.
 """
 
 from __future__ import annotations
@@ -66,10 +72,16 @@ def worse_by(a: float, b: float, better: str) -> float:
 
 
 def summary(runs: dict, end_to_end: dict) -> dict:
-    """Medians and quartiles per metric and side, the pairs in which the
-    change is better, and the no-regression verdict of each metric in
-    end_to_end (name -> its BENCHMARK.json entry)."""
-    out = {}
+    """The incorrect runs and failed ops of each side; and under
+    "metrics", medians and quartiles per metric and side, the pairs in
+    which the change is better, and the no-regression verdict of each
+    metric in end_to_end (name -> its BENCHMARK.json entry)."""
+    metrics = {}
+    out = {"incorrect_runs": {s: sum(not r["correct"] for r in runs[s])
+                              for s in SIDES},
+           "failed_ops": {s: sum(r["failed"] for r in runs[s])
+                          for s in SIDES},
+           "metrics": metrics}
     for name in runs["parent"][0]["metrics"]:
         vals = {s: [r["metrics"][name] for r in runs[s]] for s in SIDES}
         spec = end_to_end.get(name, {})
@@ -94,7 +106,7 @@ def summary(runs: dict, end_to_end: dict) -> dict:
                                    for c in vals["change"])
             entry["unresolved"] = (entry["parent_iqr_rel"] > spec["bound"]
                                    and not every_run_better)
-        out[name] = entry
+        metrics[name] = entry
     return out
 
 
@@ -140,6 +152,7 @@ def main(argv=None) -> int:
     report = {"seconds": seconds, "seeds": args.seeds,
               "commits": {s: commit(dirs[s]) for s in SIDES},
               "machine": machine(), "workloads": {}}
+    incorrect = 0
     for workload in args.workload:
         runs = {s: [] for s in SIDES}
         for i, seed in enumerate(args.seeds):
@@ -149,11 +162,15 @@ def main(argv=None) -> int:
                 last = runs[side][-1]
                 print(f"{workload} seed {seed} {side}: "
                       + json.dumps(last["metrics"]), flush=True)
-        report["workloads"][workload] = {"runs": runs,
-                                         "summary": summary(runs,
-                                                            end_to_end)}
+        summ = summary(runs, end_to_end)
+        report["workloads"][workload] = {"runs": runs, "summary": summ}
         args.out.write_text(json.dumps(report, indent=1) + "\n")
-    return 0
+        bad = summ["incorrect_runs"]
+        if any(bad.values()) or any(summ["failed_ops"].values()):
+            print(f"{workload}: incorrect runs {bad}, failed ops "
+                  f"{summ['failed_ops']}", file=sys.stderr)
+        incorrect += sum(bad.values())
+    return 1 if incorrect else 0
 
 
 if __name__ == "__main__":
