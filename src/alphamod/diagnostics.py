@@ -331,7 +331,7 @@ def _osc(engine: _SliceEngine, cov: AlphaCovering, density: int,
         R_y = base[:, rows].transpose(2, 0, 1).reshape(base.shape[2], -1)
         row, plane = np.zeros(R_y.shape), np.empty(R_y.shape)
         Q = np.empty((hi - lo, R_y.shape[1]), complex)
-        n_z = max(1, _GATHER // (32 * xw_hat[..., 0].size * engine.n))
+        n_z = max(1, _GATHER // (32 * xw_hat.size))
         for c in range(0, len(z_w), n_z):
             F = np.fft.fft(engine.spectral_profiles(None, z_w[c:c + n_z],
                                                     xw_hat))
