@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -65,6 +66,9 @@ _OPTIONS = {
     "seed": (int, 42),
     "output_dir": (str, "."),
 }
+# float options that must be positive (and finite)
+_POSITIVE = ("eps", "c", "grid_spacing", "xi_max", "tol", "threshold",
+             "x_max", "omega_max")
 _WINDOW_HELP = ("window spec, e.g. gaussian, bspline:4, bump:1.0, "
                 "bandlimited:2.0")
 
@@ -73,10 +77,11 @@ class ConfigError(ValueError):
     """One or more option values violate a precondition."""
 
 
-def _parse_pair(text: str):
+def _parse_pair(name: str, text: str):
     parts = [float(p) for p in str(text).split(",")]
-    if len(parts) != 2 or not parts[1] > parts[0]:
-        raise ConfigError(f"range must be 'lo,hi' with hi > lo: {text!r}")
+    if len(parts) != 2 or not -math.inf < parts[0] < parts[1] < math.inf:
+        raise ConfigError(
+            f"{name} must be 'lo,hi' with finite hi > lo: {text!r}")
     return parts[0], parts[1]
 
 
@@ -111,15 +116,15 @@ class RunConfig:
             problems.append(f"alpha must be in [0, 1), got {self.alpha}")
         self.eps = float(merged["eps"])
         self.c = float(merged["c"])
-        if self.eps <= 0 or self.c <= 0:
-            problems.append("eps and c must be positive")
         self.s = float(merged["s"])
+        if not math.isfinite(self.s):
+            problems.append(f"s must be finite, got {self.s}")
         self.p = float(merged["p"])
-        if not (self.p >= 1 or self.p == float("inf")):
+        if not self.p >= 1:  # inf is allowed
             problems.append(f"p must be >= 1, got {self.p}")
         try:
-            self.time_range = _parse_pair(merged["time_range"])
-            self.freq_range = _parse_pair(merged["freq_range"])
+            self.time_range = _parse_pair("time_range", merged["time_range"])
+            self.freq_range = _parse_pair("freq_range", merged["freq_range"])
         except ConfigError as exc:
             problems.append(str(exc))
             self.time_range = self.freq_range = (-8.0, 8.0)
@@ -129,12 +134,13 @@ class RunConfig:
         spacing = merged["grid_spacing"]
         self.grid_spacing = (float(spacing) if spacing is not None else
                              (self.time_range[1] - self.time_range[0])
-                             / self.grid_n)
+                             / max(self.grid_n, 1))  # grid_n < 2: above
         self.xi_max = float(merged["xi_max"])
         self.scan_nodes = int(merged["scan_nodes"])
+        if self.scan_nodes < 3:
+            problems.append(
+                f"scan_nodes must be at least 3, got {self.scan_nodes}")
         self.tol = float(merged["tol"])
-        if self.tol <= 0:
-            problems.append("tol must be positive")
         self.threshold = float(merged["threshold"])
         try:
             self.eps_list = [float(e) for e in
@@ -142,10 +148,18 @@ class RunConfig:
         except ValueError:
             problems.append(f"bad eps_list: {merged['eps_list']!r}")
             self.eps_list = []
+        if not all(e > 0 and math.isfinite(e) for e in self.eps_list):
+            problems.append(f"eps_list must hold positive finite values, "
+                            f"got {merged['eps_list']!r}")
         self.x_max = float(merged["x_max"])
         self.omega_max = float(merged["omega_max"])
         self.seed = int(merged["seed"])
         self.output_dir = Path(str(merged["output_dir"]))
+        for name in _POSITIVE:
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                problems.append(
+                    f"{name} must be positive and finite, got {value}")
         if problems:
             raise ConfigError("; ".join(problems))
 

@@ -4,10 +4,10 @@ and conjugate-gradient reconstruction.
 The frame atoms sit at the covering nodes (x_{j,k}, w_j).  They are held
 as one sparse matrix with a band of samples per atom (see transform):
 analysis, synthesis and the frame operator are products with it and
-its adjoint.  Both frame bounds are Lanczos eigenvalues of the frame
-operator, and reconstruction is CG on the same operator.  A window of
-infinite time radius (the bandlimited one) gives dense rows, n_atoms *
-n entries, with no memory budget.
+its adjoint.  The frame operator S is one scipy LinearOperator: both
+frame bounds are Lanczos eigenvalues of it, and reconstruction is
+scipy's CG on it.  A window of infinite time radius (the bandlimited
+one) gives dense rows, n_atoms * n entries, with no memory budget.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator, cg,
+                                 eigsh)
 
 from .covering import AlphaCovering
 from .grids import (GridMismatchError, Signal, SampledGrid, _dft_phases,
@@ -170,63 +172,26 @@ def _S_block(V: np.ndarray, fr: AlphaFrame) -> np.ndarray:
     return fr.signal_grid.spacing * (A.T @ np.conj(A @ np.conj(V)))
 
 
-def _cg(apply_op, b: np.ndarray, tol: float, max_iter: int):
-    """Conjugate gradient for a Hermitian PSD operator; returns
-    (x, iters, relative residual).  Raises IterationError when the
-    residual has not improved for 50 iterations."""
-    x = np.zeros_like(b)
-    r = b.copy()
-    p = r.copy()
-    b_norm = float(np.linalg.norm(b))
-    if b_norm == 0.0:
-        return x, 0, 0.0
-    rs = float(np.real(np.vdot(r, r)))
-    best = math.inf
-    since_best = 0
-    it = 0
-    while it < max_iter:
-        rel = math.sqrt(rs) / b_norm
-        if rel <= tol:
-            break
-        if rel < best * (1.0 - 1e-12):
-            best = rel
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best >= 50:
-                raise IterationError(
-                    f"CG stagnated at relative residual {rel:.3e} after "
-                    f"{it} iterations", rayleigh=rel,
-                )
-        Ap = apply_op(p)
-        denom = float(np.real(np.vdot(p, Ap)))
-        if denom <= 0.0:
-            raise IterationError(
-                f"operator lost positive definiteness (p'Ap = {denom:.3e})"
-            )
-        a = rs / denom
-        x += a * p
-        r -= a * Ap
-        rs_new = float(np.real(np.vdot(r, r)))
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-        it += 1
-    return x, it, math.sqrt(rs) / b_norm
+def _S_operator(fr: AlphaFrame) -> LinearOperator:
+    """The frame operator S on C^n as a scipy LinearOperator, for the
+    Lanczos bounds and for CG."""
+    n = fr.signal_grid.n
+    return LinearOperator(
+        (n, n), dtype=complex,
+        matvec=lambda v: _S_block(v.reshape(-1, 1), fr)[:, 0])
 
 
-def _lanczos_extreme(apply, dim: int, which: str, v0: np.ndarray,
+def _lanczos_extreme(op: LinearOperator, which: str, v0: np.ndarray,
                      tol: float, max_iter: int) -> float:
     """Largest (which="LA") or smallest (which="SA") eigenvalue of the
-    Hermitian operator apply on C^dim, by ARPACK's restarted Lanczos."""
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
-
-    op = LinearOperator((dim, dim), matvec=apply, dtype=complex)
+    Hermitian operator op, by ARPACK's restarted Lanczos."""
     try:
         # wide Krylov space: the bottom of a loose frame's spectrum can
         # sit near zero, where ARPACK's relative tolerance needs room,
         # and the top of a snug frame's spectrum is a tight cluster
-        vals = eigsh(op, k=1, which=which, tol=tol, ncv=min(dim, 80),
-                     v0=v0, maxiter=max_iter, return_eigenvectors=False)
+        vals = eigsh(op, k=1, which=which, tol=tol,
+                     ncv=min(op.shape[0], 80), v0=v0, maxiter=max_iter,
+                     return_eigenvectors=False)
     except ArpackNoConvergence as exc:
         partial = exc.eigenvalues
         raise IterationError(
@@ -259,11 +224,8 @@ def estimate_frame_bounds(fr: AlphaFrame, tol: float = 1e-8,
             f"n={n} samples and {idx.size} in-band bins")
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-
-    def S(v: np.ndarray) -> np.ndarray:
-        return _S_block(v[:, None], fr)[:, 0]
-
-    B_est = _lanczos_extreme(S, n, "LA", v0, tol, max_iter)
+    S = _S_operator(fr)
+    B_est = _lanczos_extreme(S, "LA", v0, tol, max_iter)
 
     pre, _ = _dft_phases(fr.signal_grid, dual)
     root_n = math.sqrt(n)
@@ -276,8 +238,10 @@ def estimate_frame_bounds(fr: AlphaFrame, tol: float = 1e-8,
     def compress(w: np.ndarray) -> np.ndarray:
         return np.fft.fft(pre * w)[idx] / root_n
 
-    A_est = _lanczos_extreme(lambda z: compress(S(embed(z))), idx.size,
-                             "SA", compress(v0), tol, max_iter)
+    # E^H S E: S compressed to the in-band signals
+    E = LinearOperator((n, idx.size), dtype=complex, matvec=embed,
+                       rmatvec=compress)
+    A_est = _lanczos_extreme(E.H @ S @ E, "SA", E.H @ v0, tol, max_iter)
     return A_est, B_est
 
 
@@ -285,21 +249,33 @@ def estimate_frame_bounds(fr: AlphaFrame, tol: float = 1e-8,
 class ReconstructionResult:
     f_rec: Signal
     iters: int
-    residual: float   # final CG relative residual
+    residual: float   # ||b - S f_rec|| / ||b|| with b = S f
     error: float      # ||f_rec - f|| / ||f||
 
 
 def reconstruct(f: Signal, fr: AlphaFrame, tol: float = 1e-8,
                 max_iter: int = 1000) -> ReconstructionResult:
-    """f_rec = S^{-1} S f by conjugate gradient on the frame operator."""
+    """f_rec = S^{-1} S f by scipy's conjugate gradient on the frame
+    operator, stopped at relative residual tol; IterationError when it
+    takes max_iter iterations without getting there."""
     if not f.grid.isclose(fr.signal_grid):
         raise GridMismatchError("signal grid differs from the frame grid")
+    S = _S_operator(fr)
+    b = S @ f.values
+    iters = 0
 
-    def S(v: np.ndarray) -> np.ndarray:
-        return _S_block(v[:, None], fr)[:, 0]
+    def count(_):
+        nonlocal iters
+        iters += 1
 
-    b = S(f.values)
-    x, iters, residual = _cg(S, b, tol=tol, max_iter=max_iter)
+    x, info = cg(S, b, rtol=tol, atol=0.0, maxiter=max_iter, callback=count)
+    b_norm = np.linalg.norm(b)
+    residual = (float(np.linalg.norm(b - S @ x) / b_norm) if b_norm > 0
+                else 0.0)
+    if info > 0:
+        raise IterationError(
+            f"CG stopped at its cap of {max_iter} iterations with relative "
+            f"residual {residual:.3e} > {tol:g}")
     f_rec = Signal(fr.signal_grid, x)
     fn = f.norm()
     error = (f_rec - f).norm() / fn if fn > 0 else 0.0

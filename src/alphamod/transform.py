@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .grids import (Signal, SampledGrid, Weight, _sidecar, _write_sidecar,
-                    weighted_lp_norm)
+from .grids import (Signal, SampledGrid, Weight, _sidecar, _write_csv,
+                    _write_sidecar, weighted_lp_norm)
 from .quadrature import QuadratureConfig, integrate
 from .symbol import NotAdmissibleError, SymbolTable, apply_multiplier, beta
 from .windows import Window
@@ -91,7 +91,7 @@ class VoiceMap:
         return VoiceMap(gx, gw, values)
 
     def save_magnitude_csv(self, path):
-        np.savetxt(path, np.abs(self.values), delimiter=",", fmt="%.8e")
+        _write_csv(path, np.abs(self.values), "")
 
 
 def make_atom(w: Window, alpha: float, x: float, omega: float,

@@ -1,12 +1,12 @@
 """Window families with analytic time/frequency evaluators.
 
 Each window exposes its time profile, its Fourier transform and the first
-three frequency-side derivatives, plus a polynomial decay certificate
-(r, C) meaning |psi_hat^(l)(xi)| <= C (1 + |xi|)^(-r) for l = 0..3.  The
-certificate is what the admissibility and discretization threshold
-checks consume.  A window also states its time radius, beyond which psi
-is zero to double precision: half its support when compact, 3.53 for
-the Gaussian, infinite for the bandlimited window.
+three frequency-side derivatives, plus a polynomial decay certificate: an
+exponent r such that |psi_hat^(l)(xi)| <= C (1 + |xi|)^(-r) for l = 0..3
+and some constant C.  The certificate is what the admissibility and
+discretization threshold checks consume.  A window also states its time
+radius, beyond which psi is zero to double precision: half its support
+when compact, 3.53 for the Gaussian, infinite for the bandlimited window.
 """
 
 from __future__ import annotations
@@ -54,7 +54,9 @@ class Window:
     fourier_fn : callable
         Vectorized (xi, l) -> psi_hat^(l)(xi), l = 0..max_deriv.
     l2_norm : float
-    decay_certificate : (r, C) or None
+    decay_certificate : float or None
+        The decay exponent r of the module docstring (inf for the
+        Gaussian and the bandlimited window).
     support : (a, b) or None
         Exact time support, when compact.
     freq_support : (a, b) or None
@@ -154,19 +156,6 @@ def _sinc_power_derivs(xi: np.ndarray, m: int):
     return [f0, f1, f2, f3]
 
 
-def _certify_constant(fourier_fn, r: float, xi_max: float = 200.0) -> float:
-    """Smallest C with max_l |psi_hat^(l)| <= C (1+|xi|)^(-r) on a test
-    grid of 4001 points."""
-    xi = np.linspace(0.0, xi_max, 4001)
-    env = np.max(
-        [np.abs(fourier_fn(xi, l)) for l in range(Window.max_deriv + 1)],
-        axis=0,
-    )
-    if math.isinf(r):
-        return float(env.max())
-    return float(np.max(env * (1.0 + xi) ** r))
-
-
 # ---------------------------------------------------------------------------
 # window constructors
 
@@ -193,9 +182,8 @@ def bspline_window(m: int) -> Window:
     # ||B_m||^2 = (B_m * B_m)(0) = B_{2m}(0), the centered order-2m spline
     b2m = BSpline.basis_element(np.arange(2 * m + 1) - float(m))
     l2 = math.sqrt(float(b2m(0.0)))
-    C = _certify_constant(fourier_fn, float(m))
     return Window(f"bspline:{m}", time_fn, fourier_fn, l2,
-                  decay_certificate=(float(m), C), support=(-half, half))
+                  decay_certificate=float(m), support=(-half, half))
 
 
 def gaussian_window() -> Window:
@@ -221,7 +209,7 @@ def gaussian_window() -> Window:
     # |psi| falls below 1e-17 of its peak beyond this radius
     radius = math.sqrt(17.0 * math.log(10.0) / math.pi)
     return Window("gaussian", time_fn, fourier_fn, 1.0,
-                  decay_certificate=(math.inf, c), time_radius=radius)
+                  decay_certificate=math.inf, time_radius=radius)
 
 
 def bump_window(radius: float) -> Window:
@@ -274,9 +262,7 @@ def bump_window(radius: float) -> Window:
 
     w = Window(f"bump:{radius:g}", time_fn, fourier_fn, 1.0, support=(-R, R))
     r_hat, _ = estimate_decay_rate(w, 3, 100.0)
-    r_cert = 0.9 * r_hat  # fitted exponents are optimistic
-    C = _certify_constant(fourier_fn, r_cert, xi_max=band - 1.0)
-    w.decay_certificate = (r_cert, C)
+    w.decay_certificate = 0.9 * r_hat  # fitted exponents are optimistic
     return w
 
 
@@ -324,9 +310,8 @@ def bandlimited_window(cutoff: float) -> Window:
                 + 0.125 * _pair(2 * a, b))
 
     l2 = math.sqrt(35.0 * c / 64.0)  # closed form of int |psi_hat|^2
-    C = _certify_constant(fourier_fn, math.inf, xi_max=c)
     return Window(f"bandlimited:{cutoff:g}", time_fn, fourier_fn, l2,
-                  decay_certificate=(math.inf, C), freq_support=(-c, c))
+                  decay_certificate=math.inf, freq_support=(-c, c))
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +383,7 @@ def check_hypotheses(w: Window, alpha: float, s: float,
         raise ValueError(f"window {w.label} has no decay certificate")
     return HypothesisVerdict(purpose, alpha, s,
                              required_decay(purpose, alpha, s),
-                             w.decay_certificate[0])
+                             w.decay_certificate)
 
 
 def parse_window_spec(spec: str) -> Window:

@@ -96,6 +96,38 @@ def test_roundtrip_undersampled_fails_threshold(tmp_path, chirp_csv):
     assert report["error"] > report["threshold"]
 
 
+def test_roundtrip_iteration_cap_exits_3(tmp_path, capsys):
+    # on the undersampled eps = 4 frame CG stalls near a relative
+    # residual of 1e-4, so a tolerance of 1e-31 runs it to its cap
+    grid = SampledGrid.centered(64, 0.25)
+    t = grid.coords
+    path = tmp_path / "short.csv"
+    save_signal_csv(Signal(grid, np.exp(-np.pi * (t / 2.5) ** 2)
+                           * np.exp(2j * np.pi * 0.5 * t)), path)
+    assert run("roundtrip", str(path), "--alpha", "0.5", "--eps", "4",
+               "--threshold", "1e-30", "--output-dir", str(tmp_path)) == 3
+    assert "cap of 1000 iterations" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, key", [
+    (("diagnostics", "--x-max", "0"), "x_max"),
+    (("diagnostics", "--x-max", "-1"), "x_max"),
+    (("diagnostics", "--omega-max", "0"), "omega_max"),
+    (("diagnostics", "--s", "nan"), "s"),
+    (("admissible", "--scan-nodes", "1"), "scan_nodes"),
+    (("admissible", "--tol", "nan"), "tol"),
+    (("frame-info", "--c", "inf"), "c"),
+    (("frame-info", "--eps", "nan"), "eps"),
+    (("roundtrip", "signal.csv", "--threshold", "nan"), "threshold"),
+    (("diagnostics", "--eps-list", "0.5,nan"), "eps_list"),
+    (("frame-info", "--grid-n", "0"), "grid_n"),
+    (("frame-info", "--time-range=-inf,4"), "time_range"),
+])
+def test_bad_numeric_option_exits_2_naming_it(tmp_path, capsys, argv, key):
+    assert run(*argv, "--output-dir", str(tmp_path)) == 2
+    assert f"config error: {key} must" in capsys.readouterr().err
+
+
 def test_roundtrip_missing_input(tmp_path):
     assert run("roundtrip", str(tmp_path / "nope.csv"),
                "--output-dir", str(tmp_path)) == 2

@@ -5,9 +5,10 @@ import pytest
 
 from alphamod.covering import build_covering
 from alphamod.symbol import ScanConfig, admissibility_scan
-from alphamod.frames import (AlphaFrame, Coefficients, _S_block, analysis,
-                             estimate_frame_bounds, frame_operator_apply,
-                             load_coefficients, reconstruct, synthesis)
+from alphamod.frames import (AlphaFrame, Coefficients, IterationError,
+                             _S_block, analysis, estimate_frame_bounds,
+                             frame_operator_apply, load_coefficients,
+                             reconstruct, synthesis)
 from alphamod.grids import (GridMismatchError, SampledGrid, Signal,
                             inner_product)
 from alphamod.transform import _atom_rows
@@ -231,6 +232,29 @@ def test_reconstruction_chirp(chirp, gauss):
     res = reconstruct(chirp, fr)
     assert res.error <= 1e-8
     assert res.iters <= 50
+
+
+def test_reconstruction_raises_at_iteration_cap(chirp, gauss):
+    # the chirp needs 6 iterations on this frame
+    cov = build_covering(0.5, 0.25, 1.0, (-8.0, 8.0), (-8.0, 8.0))
+    fr = AlphaFrame(cov, gauss, chirp.grid)
+    with pytest.raises(IterationError, match="cap of 1 iterations"):
+        reconstruct(chirp, fr, max_iter=1)
+
+
+def test_reconstruction_residual_is_the_true_residual(small_frame):
+    """residual is ||b - S x|| / ||b|| for b = S f and the returned x,
+    recomputed here with a dense S built column by column."""
+    grid = small_frame.signal_grid
+    S = np.column_stack([frame_operator_apply(Signal(grid, e), small_frame)
+                         .values for e in np.eye(grid.n, dtype=complex)])
+    f = rand_signal(grid, 4)
+    tol = 1e-8
+    res = reconstruct(f, small_frame, tol=tol)
+    b = S @ f.values
+    true = np.linalg.norm(b - S @ res.f_rec.values) / np.linalg.norm(b)
+    assert res.residual == pytest.approx(true, abs=1e-12)
+    assert res.residual <= tol
 
 
 def test_coefficients_file_roundtrip(tmp_path, small_frame):

@@ -108,6 +108,16 @@ def test_voicemap_save_load_bit_exact(tmp_path, chirp, gauss, voice_grids):
     assert back.x_grid.isclose(gx) and back.omega_grid.isclose(gw)
 
 
+def test_voicemap_magnitude_csv_reads_back_bit_exact(tmp_path, chirp, gauss,
+                                                     voice_grids):
+    gx, gw = voice_grids
+    vm = voice_transform(chirp, gauss, 0.5, gx, gw)
+    path = tmp_path / "voice.csv"
+    vm.save_magnitude_csv(path)
+    back = np.loadtxt(path, delimiter=",")
+    assert np.array_equal(back, np.abs(vm.values))
+
+
 def test_dual_transform_inverts_multiplier(chirp, gauss, gauss_tab,
                                            voice_grids):
     gx, gw = voice_grids
