@@ -13,7 +13,10 @@ Subcommands wire the library into reproducible file-based runs:
 
 Exit codes: 0 success, 1 a quantitative threshold failed, 2 bad
 configuration, 3 numerical failure.  Options may come from a JSON config
-file (--config); explicit flags override file values.
+file (--config) holding a JSON object; explicit flags override file
+values.  Each value is read the way its flag's text would be, by its
+entry in _OPTIONS: ranges and eps lists are "lo,hi" strings, integer
+options reject fractions, and a bad value exits 2 naming its option.
 """
 
 from __future__ import annotations
@@ -35,66 +38,75 @@ from . import (
     load_signal_raw, parse_window_spec, reconstruct, save_signal_csv,
     save_signal_raw, synthesis, diagnostics_report,
 )
-from .frames import read_coefficient_header
-from .grids import _sidecar, _write_csv
+from .grids import _write_csv
 
 EXIT_OK = 0
 EXIT_THRESHOLD = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-# every run option, name: (type, default); its flag is --name with "-"
-# for "_", and its config-file key is the name
+
+def _positive(value: float) -> bool:
+    return 0 < value < math.inf
+
+
+_RANGE = (lambda t: tuple(float(part) for part in t.split(",")), "-8,8",
+          "'lo,hi' with finite hi > lo",
+          lambda v: len(v) == 2 and -math.inf < v[0] < v[1] < math.inf)
+
+# every run option, name: (parse, default, rule, test).  Its flag is
+# --name with "-" for "_" and its config-file key is the name; a flag's
+# text or a file's value v is read as parse(str(v)) and must pass test.
+# rule, which --help prints, says what test accepts.
 _OPTIONS = {
-    "window": (str, "gaussian"),
-    "alpha": (float, 0.5),
-    "eps": (float, 0.25),
-    "c": (float, 1.0),
-    "s": (float, 0.0),
-    "p": (float, 2.0),
-    "time_range": (str, "-8,8"),
-    "freq_range": (str, "-8,8"),
-    "grid_n": (int, 256),
-    "grid_spacing": (float, None),
-    "xi_max": (float, 200.0),
-    "scan_nodes": (int, 2001),
-    "tol": (float, 1e-8),
-    "threshold": (float, 1e-6),
-    "eps_list": (str, "0.5,0.25,0.125"),
-    "x_max": (float, 8.0),
-    "omega_max": (float, 32.0),
-    "seed": (int, 42),
-    "output_dir": (str, "."),
+    "window": (parse_window_spec, "gaussian",
+               "window spec, e.g. gaussian, bspline:4, bump:1.0, "
+               "bandlimited:2.0", lambda v: True),
+    "alpha": (float, "0.5", "in [0, 1)", lambda v: 0 <= v < 1),
+    "eps": (float, "0.25", "positive and finite", _positive),
+    "c": (float, "1", "positive and finite", _positive),
+    "s": (float, "0", "finite", math.isfinite),
+    "p": (float, "2", ">= 1 (inf allowed)", lambda v: v >= 1),
+    "time_range": _RANGE,
+    "freq_range": _RANGE,
+    "grid_n": (int, "256", "an integer >= 2", lambda v: v >= 2),
+    "grid_spacing": (float, None,
+                     "positive and finite (default: time range / grid_n)",
+                     _positive),
+    "xi_max": (float, "200", "positive and finite", _positive),
+    "scan_nodes": (int, "2001", "an integer >= 3", lambda v: v >= 3),
+    "tol": (float, "1e-8", "positive and finite", _positive),
+    "threshold": (float, "1e-6", "positive and finite", _positive),
+    "eps_list": (lambda t: [float(e) for e in t.split(",") if e.strip()],
+                 "0.5,0.25,0.125",
+                 "one or more comma-separated positive finite values",
+                 lambda v: v and all(map(_positive, v))),
+    "x_max": (float, "8", "positive and finite", _positive),
+    "omega_max": (float, "32", "positive and finite", _positive),
+    "seed": (int, "42", "an integer >= 0", lambda v: v >= 0),
+    "output_dir": (Path, ".", "a directory path", lambda v: True),
 }
-# float options that must be positive (and finite)
-_POSITIVE = ("eps", "c", "grid_spacing", "xi_max", "tol", "threshold",
-             "x_max", "omega_max")
-_WINDOW_HELP = ("window spec, e.g. gaussian, bspline:4, bump:1.0, "
-                "bandlimited:2.0")
 
 
 class ConfigError(ValueError):
     """One or more option values violate a precondition."""
 
 
-def _parse_pair(name: str, text: str):
-    parts = [float(p) for p in str(text).split(",")]
-    if len(parts) != 2 or not -math.inf < parts[0] < parts[1] < math.inf:
-        raise ConfigError(
-            f"{name} must be 'lo,hi' with finite hi > lo: {text!r}")
-    return parts[0], parts[1]
-
-
 class RunConfig:
     """Merged defaults / config file / flags, validated up front."""
 
     def __init__(self, args: argparse.Namespace):
-        merged = {name: default for name, (_, default) in _OPTIONS.items()}
+        # grid_spacing has no default text: unset, it follows the grid
+        merged = {name: entry[1] for name, entry in _OPTIONS.items()
+                  if entry[1] is not None}
         if getattr(args, "config", None):
             try:
                 data = json.loads(Path(args.config).read_text())
             except (OSError, json.JSONDecodeError) as exc:
                 raise ConfigError(f"cannot read config file: {exc}")
+            if not isinstance(data, dict):
+                raise ConfigError(f"config file must hold a JSON object, "
+                                  f"got {data!r}")
             unknown = set(data) - set(_OPTIONS)
             if unknown:
                 raise ConfigError(
@@ -105,63 +117,28 @@ class RunConfig:
             if flag is not None:
                 merged[key] = flag
         problems = []
-        self.window_spec = str(merged["window"])
-        try:
-            self.window = parse_window_spec(self.window_spec)
-        except ValueError as exc:
-            problems.append(str(exc))
-            self.window = None
-        self.alpha = float(merged["alpha"])
-        if not 0 <= self.alpha < 1:
-            problems.append(f"alpha must be in [0, 1), got {self.alpha}")
-        self.eps = float(merged["eps"])
-        self.c = float(merged["c"])
-        self.s = float(merged["s"])
-        if not math.isfinite(self.s):
-            problems.append(f"s must be finite, got {self.s}")
-        self.p = float(merged["p"])
-        if not self.p >= 1:  # inf is allowed
-            problems.append(f"p must be >= 1, got {self.p}")
-        try:
-            self.time_range = _parse_pair("time_range", merged["time_range"])
-            self.freq_range = _parse_pair("freq_range", merged["freq_range"])
-        except ConfigError as exc:
-            problems.append(str(exc))
-            self.time_range = self.freq_range = (-8.0, 8.0)
-        self.grid_n = int(merged["grid_n"])
-        if self.grid_n < 2:
-            problems.append("grid_n must be at least 2")
-        spacing = merged["grid_spacing"]
-        self.grid_spacing = (float(spacing) if spacing is not None else
-                             (self.time_range[1] - self.time_range[0])
-                             / max(self.grid_n, 1))  # grid_n < 2: above
-        self.xi_max = float(merged["xi_max"])
-        self.scan_nodes = int(merged["scan_nodes"])
-        if self.scan_nodes < 3:
-            problems.append(
-                f"scan_nodes must be at least 3, got {self.scan_nodes}")
-        self.tol = float(merged["tol"])
-        self.threshold = float(merged["threshold"])
-        try:
-            self.eps_list = [float(e) for e in
-                             str(merged["eps_list"]).split(",") if e.strip()]
-        except ValueError:
-            problems.append(f"bad eps_list: {merged['eps_list']!r}")
-            self.eps_list = []
-        if not all(e > 0 and math.isfinite(e) for e in self.eps_list):
-            problems.append(f"eps_list must hold positive finite values, "
-                            f"got {merged['eps_list']!r}")
-        self.x_max = float(merged["x_max"])
-        self.omega_max = float(merged["omega_max"])
-        self.seed = int(merged["seed"])
-        self.output_dir = Path(str(merged["output_dir"]))
-        for name in _POSITIVE:
-            value = getattr(self, name)
-            if not (value > 0 and math.isfinite(value)):
-                problems.append(
-                    f"{name} must be positive and finite, got {value}")
+        for name, (parse, _, rule, test) in _OPTIONS.items():
+            if name not in merged:
+                continue
+            value = merged[name]
+            try:
+                # only text and numbers read the way a flag's text does
+                if isinstance(value, bool) or not isinstance(
+                        value, (str, int, float)):
+                    raise ValueError
+                parsed = parse(str(value))
+                if not test(parsed):
+                    raise ValueError
+            except ValueError:
+                problems.append(f"{name} must be {rule}, got {value!r}")
+            else:
+                setattr(self, name, parsed)
         if problems:
             raise ConfigError("; ".join(problems))
+        self.window_spec = str(merged["window"])
+        if "grid_spacing" not in merged:
+            self.grid_spacing = ((self.time_range[1] - self.time_range[0])
+                                 / self.grid_n)
 
     def grid(self) -> SampledGrid:
         return SampledGrid(self.grid_n, self.grid_spacing,
@@ -252,15 +229,9 @@ def cmd_analyze(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_synthesize(cfg: RunConfig, args: argparse.Namespace) -> int:
-    # the frame comes from the file's header alone; load_coefficients
-    # rejects a covering that does not match the stored node table
-    header = read_coefficient_header(args.coefficients)
-    grid = SampledGrid.from_json(header["grid"], _sidecar(args.coefficients))
-    cov = build_covering(header["alpha"], header["eps"], header["c"],
-                         header["time_range"], header["freq_range"])
-    fr = AlphaFrame(cov, parse_window_spec(header["window"]), grid)
-    out = synthesis(load_coefficients(args.coefficients, fr, header), fr)
-    _save_signal(out, cfg.output_dir / args.output)
+    # the frame comes from the file's header alone
+    c = load_coefficients(args.coefficients)
+    _save_signal(synthesis(c, c.frame), cfg.output_dir / args.output)
     print(f"wrote {args.output}")
     return EXIT_OK
 
@@ -280,8 +251,6 @@ def cmd_roundtrip(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_diagnostics(cfg: RunConfig, args: argparse.Namespace) -> int:
-    if not cfg.eps_list:
-        raise ConfigError("eps_list must not be empty")
     tab = admissibility_scan(cfg.window, cfg.alpha, cfg.scan_config())
     trunc = TruncationConfig(x_max=cfg.x_max, omega_max=cfg.omega_max)
     report = diagnostics_report(cfg.window, cfg.window_spec, cfg.alpha,
@@ -330,13 +299,6 @@ _COMMANDS = {
 }
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--config", help="JSON config file; flags override")
-    for name, (kind, _) in _OPTIONS.items():
-        p.add_argument("--" + name.replace("_", "-"), type=kind,
-                       help=_WINDOW_HELP if name == "window" else None)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="alphamod",
@@ -345,7 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         sp = sub.add_parser(name)
-        _add_common(sp)
+        sp.add_argument("--config", help="JSON config file; flags override")
+        for option, (_, _, rule, _) in _OPTIONS.items():
+            sp.add_argument("--" + option.replace("_", "-"), help=rule)
         if name in ("analyze", "roundtrip", "coorbit-norm"):
             sp.add_argument("input", help="signal file (.csv or raw)")
         if name == "synthesize":

@@ -20,11 +20,11 @@ import numpy as np
 from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator, cg,
                                  eigsh)
 
-from .covering import AlphaCovering
+from .covering import AlphaCovering, build_covering
 from .grids import (GridMismatchError, Signal, SampledGrid, _dft_phases,
                     _sidecar, _write_csv, _write_sidecar)
 from .transform import _atom_rows, _band_matrix
-from .windows import Window
+from .windows import Window, parse_window_spec
 
 
 class IterationError(RuntimeError):
@@ -112,29 +112,55 @@ class Coefficients:
                    "j,k,x,omega,re,im")
 
 
-def read_coefficient_header(path) -> dict:
-    """The JSON header beside a coefficient file; ValueError naming that
-    file and each key of Coefficients.save's header that it lacks."""
+def _is_number(value) -> bool:
+    return type(value) in (int, float) and math.isfinite(value)
+
+
+_RANGE = ("[lo, hi] with finite hi > lo",
+          lambda v: type(v) is list and len(v) == 2
+          and all(map(_is_number, v)) and v[0] < v[1])
+# the keys of Coefficients.save's header besides window and grid, each
+# with (rule, test) for its JSON value
+_HEADER = {
+    "alpha": ("a number in [0, 1)", lambda v: _is_number(v) and 0 <= v < 1),
+    "eps": ("a positive number", lambda v: _is_number(v) and v > 0),
+    "c": ("a positive number", lambda v: _is_number(v) and v > 0),
+    "time_range": _RANGE,
+    "freq_range": _RANGE,
+    "n_atoms": ("a whole number", lambda v: type(v) is int and v >= 0),
+}
+
+
+def load_coefficients(path) -> Coefficients:
+    """Reads a coefficient file on the frame that its JSON header
+    describes.  Raises ValueError naming the header file and the key for
+    a header value that is missing or malformed, and ValueError unless
+    the file's (j, k) node table is that frame's."""
     side = _sidecar(path)
     header = json.loads(side.read_text())
-    missing = [k for k in ("alpha", "eps", "c", "time_range", "freq_range",
-                           "window", "grid", "n_atoms")
+    missing = [k for k in (*_HEADER, "window", "grid")
                if not isinstance(header, dict) or k not in header]
     if missing:
         raise ValueError(f"{side} lacks {', '.join(missing)}")
-    return header
-
-
-def load_coefficients(path, frame: AlphaFrame,
-                      header: dict | None = None) -> Coefficients:
-    """Reads a coefficient file; raises ValueError unless its (j, k) node
-    table is the frame's.  header is read_coefficient_header(path), read
-    here unless the caller has it already."""
-    if header is None:
-        header = read_coefficient_header(path)
-    n = int(header["n_atoms"])
+    for key, (rule, test) in _HEADER.items():
+        if not test(header[key]):
+            raise ValueError(
+                f"{side}: {key} must be {rule}, got {header[key]!r}")
+    try:
+        if type(header["window"]) is not str:
+            raise ValueError
+        window = parse_window_spec(header["window"])
+    except ValueError:
+        raise ValueError(f"{side}: window must be a window spec, got "
+                         f"{header['window']!r}") from None
+    grid = SampledGrid.from_json(header["grid"], side)
+    cov = build_covering(header["alpha"], header["eps"], header["c"],
+                         header["time_range"], header["freq_range"])
+    frame = AlphaFrame(cov, window, grid)
+    n = header["n_atoms"]
     if n != frame.n_atoms:
-        raise ValueError(f"file holds {n} atoms, frame has {frame.n_atoms}")
+        raise ValueError(f"{side}: n_atoms is {n}, but the covering it "
+                         f"describes has {frame.n_atoms} boxes")
     blob = np.fromfile(path, dtype="<f8")
     if blob.size != 4 * n:
         raise ValueError(f"file holds {blob.size} values, expected {4 * n}")
@@ -257,7 +283,9 @@ def reconstruct(f: Signal, fr: AlphaFrame, tol: float = 1e-8,
                 max_iter: int = 1000) -> ReconstructionResult:
     """f_rec = S^{-1} S f by scipy's conjugate gradient on the frame
     operator, stopped at relative residual tol; IterationError when it
-    takes max_iter iterations without getting there."""
+    takes max_iter iterations without getting there, or when the true
+    residual of the result is above tol or not finite (a tol below the
+    attainable accuracy)."""
     if not f.grid.isclose(fr.signal_grid):
         raise GridMismatchError("signal grid differs from the frame grid")
     S = _S_operator(fr)
@@ -272,10 +300,13 @@ def reconstruct(f: Signal, fr: AlphaFrame, tol: float = 1e-8,
     b_norm = np.linalg.norm(b)
     residual = (float(np.linalg.norm(b - S @ x) / b_norm) if b_norm > 0
                 else 0.0)
-    if info > 0:
+    if info > 0 or not residual <= tol:
+        # cg stops on its recursively updated residual, which can fall
+        # below tol while the true one stays at rounding level
         raise IterationError(
-            f"CG stopped at its cap of {max_iter} iterations with relative "
-            f"residual {residual:.3e} > {tol:g}")
+            f"CG stopped after {iters} iterations (cap of {max_iter} "
+            f"iterations) with relative residual {residual:.3e}, not <= "
+            f"{tol:g}")
     f_rec = Signal(fr.signal_grid, x)
     fn = f.norm()
     error = (f_rec - f).norm() / fn if fn > 0 else 0.0

@@ -74,8 +74,11 @@ class SampledGrid:
         missing = [k for k in ("n", "spacing", "origin") if k not in meta]
         if missing:
             raise ValueError(f"{source}: grid lacks {', '.join(missing)}")
+        if type(meta["n"]) is not int:  # int() would drop a fraction
+            raise ValueError(f"{source}: grid n must be an integer, got "
+                             f"{meta['n']!r}")
         try:
-            return SampledGrid(int(meta["n"]), float(meta["spacing"]),
+            return SampledGrid(meta["n"], float(meta["spacing"]),
                                float(meta["origin"]))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{source}: bad grid: {exc}") from None

@@ -23,7 +23,6 @@ bandlimited window's rows fill the whole grid.
 from __future__ import annotations
 
 import json
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -111,11 +110,11 @@ def make_atom(w: Window, alpha: float, x: float, omega: float,
 
 def _atom_rows(w: Window, alpha: float, omega: float, xs: np.ndarray,
                grid: SampledGrid) -> np.ndarray:
-    """Matrix A[m, k] = a_{x_m, omega}(t_k) for one frequency row."""
-    b = beta(omega, alpha)
-    u = grid.coords[None, :] - np.asarray(xs)[:, None]
-    prof = w.time((u / b).ravel()).reshape(u.shape)
-    return np.exp(2j * np.pi * omega * u) * prof / math.sqrt(b)
+    """Dense matrix A[m, k] = a_{x_m, omega}(t_k) for one frequency row:
+    _band_matrix's rows, zero beyond the window's time radius."""
+    xs = np.asarray(xs, dtype=float)
+    return _band_matrix(w, alpha, np.full(xs.size, float(omega)), xs,
+                        grid).toarray()
 
 
 # matrix entries evaluated per pass of _band_matrix's fill loop
@@ -127,9 +126,10 @@ def _band_matrix(w: Window, alpha: float, omegas: np.ndarray,
     """CSR matrix of atoms on the grid, one matrix row per atom (x, omega)
     = (xs[m], omegas[m]).
 
-    Each matrix row holds the entries of _atom_rows on the samples
-    within beta(omega) * w.time_radius of x, with one sample of slack
-    per side so that rounding never drops a nonzero sample.
+    Each matrix row holds the atom a_{x,omega}(t_k) of the module
+    docstring on the samples t_k within beta(omega) * w.time_radius of
+    x, with one sample of slack per side so that rounding never drops a
+    nonzero sample.
     """
     b = beta(omegas, alpha)
     n, t = grid.n, grid.coords

@@ -261,7 +261,7 @@ def bump_window(radius: float) -> Window:
         return out
 
     w = Window(f"bump:{radius:g}", time_fn, fourier_fn, 1.0, support=(-R, R))
-    r_hat, _ = estimate_decay_rate(w, 3, 100.0)
+    r_hat = estimate_decay_rate(w, 3, 100.0)
     w.decay_certificate = 0.9 * r_hat  # fitted exponents are optimistic
     return w
 
@@ -318,13 +318,12 @@ def bandlimited_window(cutoff: float) -> Window:
 # decay certification and theorem thresholds
 
 
-def estimate_decay_rate(w: Window, l_max: int, xi_range: float):
-    """Least-squares fit of the spectral envelope decay exponent.
+def estimate_decay_rate(w: Window, l_max: int, xi_range: float) -> float:
+    """Least-squares fit of the spectral envelope decay exponent r_hat.
 
     Fits log max_l |psi_hat^(l)(xi)| against -r log(1 + xi) on the local
-    maxima of the envelope for xi in [1, xi_range], then raises the
-    constant so the bound holds on the whole test grid of 16001 points.
-    Returns (r_hat, C_hat).
+    maxima of the envelope for xi in [1, xi_range], sampled on a grid of
+    16001 points.
     """
     if xi_range < 10:
         raise ValueError("xi_range must be >= 10")
@@ -350,11 +349,8 @@ def estimate_decay_rate(w: Window, l_max: int, xi_range: float):
         mask = tail
     logx = np.log1p(xi[mask])
     logy = np.log(env[mask])
-    slope, intercept = np.polyfit(logx, logy, 1)
-    r_hat = -float(slope)
-    usable = env > floor
-    c_hat = float(np.max(env[usable] * (1.0 + xi[usable]) ** r_hat))
-    return r_hat, c_hat
+    slope, _ = np.polyfit(logx, logy, 1)
+    return -float(slope)
 
 
 def required_decay(purpose: Purpose, alpha: float, s: float = 0.0) -> float:

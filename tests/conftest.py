@@ -3,6 +3,17 @@ import pytest
 
 from alphamod import (ScanConfig, admissibility_scan, gaussian_window)
 from alphamod.grids import SampledGrid, Signal
+from alphamod.symbol import beta
+
+
+def dense_atom_rows(w, alpha, omega, xs, grid):
+    """A[m, k] = a_{x_m, omega}(t_k) for one frequency row, from the atom
+    formula on every sample of the grid: the dense oracle of the banded
+    atom matrix (transform._band_matrix)."""
+    b = beta(omega, alpha)
+    u = grid.coords[None, :] - np.asarray(xs)[:, None]
+    prof = w.time((u / b).ravel()).reshape(u.shape)
+    return np.exp(2j * np.pi * omega * u) * prof / np.sqrt(b)
 
 
 @pytest.fixture(scope="session")

@@ -109,6 +109,15 @@ def test_roundtrip_iteration_cap_exits_3(tmp_path, capsys):
     assert "cap of 1000 iterations" in capsys.readouterr().err
 
 
+def test_roundtrip_below_attainable_accuracy_exits_3(tmp_path, chirp_csv,
+                                                   capsys):
+    # a well-sampled frame: CG's recursive residual passes tol = 1e-31
+    # while the true one stays near 1e-16
+    assert run("roundtrip", chirp_csv, "--alpha", "0.5", "--eps", "0.25",
+               "--threshold", "1e-30", "--output-dir", str(tmp_path)) == 3
+    assert "relative residual" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv, key", [
     (("diagnostics", "--x-max", "0"), "x_max"),
     (("diagnostics", "--x-max", "-1"), "x_max"),
@@ -188,7 +197,9 @@ def test_synthesize_rejects_header_without_key(tmp_path, chirp_csv, capsys,
     ("header", lambda meta: meta.pop("n_atoms"), "n_atoms"),
     ("header", lambda meta: meta["grid"].pop("spacing"), "spacing"),
     ("header", lambda meta: meta.update(grid=[256, 0.0625, -8.0]), "grid"),
-], ids=["sidecar-origin", "header-n_atoms", "grid-spacing", "grid-list"])
+    ("header", lambda meta: meta["grid"].update(n=256.5), "grid n"),
+], ids=["sidecar-origin", "header-n_atoms", "grid-spacing", "grid-list",
+        "grid-n-fraction"])
 def test_bad_grid_or_header_exits_2(tmp_path, chirp_csv, capsys, target,
                                     edit, key):
     out = tmp_path / "an"
@@ -205,6 +216,30 @@ def test_bad_grid_or_header_exits_2(tmp_path, chirp_csv, capsys, target,
     assert run(*argv, "--output-dir", str(tmp_path / "again")) == 2
     err = capsys.readouterr().err
     assert str(path) in err and key in err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("eps", None), ("alpha", "0.5"), ("c", [1]), ("n_atoms", None),
+    ("time_range", [-8]), ("freq_range", [2, -2]), ("n_atoms", 3.0),
+    ("window", 4), ("window", "bspline:0"),
+], ids=["eps-null", "alpha-text", "c-list", "n_atoms-null",
+        "time_range-short", "freq_range-reversed", "n_atoms-float",
+        "window-number", "window-bad-spec"])
+def test_bad_header_value_exits_2_naming_file_and_key(tmp_path, chirp_csv,
+                                                      capsys, key, value):
+    out = tmp_path / "an"
+    assert run("analyze", chirp_csv, "--output-dir", str(out)) == 0
+    path = out / "coefficients.bin.json"
+    header = json.loads(path.read_text())
+    header[key] = value
+    path.write_text(json.dumps(header))
+    capsys.readouterr()
+    assert run("synthesize", str(out / "coefficients.bin"),
+               "--output-dir", str(out)) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: {key} must" in err
+    assert "Traceback" not in err
+    assert not (out / "synthesized.csv").exists()
 
 
 def test_synthesize_rejects_tampered_node_table(tmp_path, chirp_csv):
@@ -298,6 +333,29 @@ def test_config_file_with_flag_override(tmp_path, chirp_csv):
                "--eps", "0.25")
     assert code == 0
     assert (tmp_path / "cfgout" / "roundtrip.json").exists()
+
+
+@pytest.mark.parametrize("content, key", [
+    ({"eps": None}, "eps"),
+    ({"grid_n": 64.7}, "grid_n"),
+    ({"seed": 1.9}, "seed"),
+    ({"alpha": "abc"}, "alpha"),
+    ({"time_range": [-4, 4]}, "time_range"),
+    ({"output_dir": None}, "output_dir"),
+    ({"window": True}, "window"),
+    ([1, 2], "config file"),
+], ids=["eps-null", "grid_n-fraction", "seed-fraction", "alpha-text",
+        "time_range-list", "output_dir-null", "window-bool", "list"])
+def test_bad_config_value_exits_2_naming_it(tmp_path, monkeypatch, capsys,
+                                           content, key):
+    # no --output-dir flag, which would override the file's output_dir
+    monkeypatch.chdir(tmp_path)
+    Path("cfg.json").write_text(json.dumps(content))
+    assert run("covering-dump", "--config", "cfg.json") == 2
+    err = capsys.readouterr().err
+    assert f"config error: {key} must" in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 def test_config_file_invalid_key(tmp_path, chirp_csv):

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from conftest import dense_atom_rows
 
 from alphamod.covering import build_covering
 from alphamod.symbol import ScanConfig, admissibility_scan
@@ -11,7 +12,6 @@ from alphamod.frames import (AlphaFrame, Coefficients, IterationError,
                              reconstruct, synthesis)
 from alphamod.grids import (GridMismatchError, SampledGrid, Signal,
                             inner_product)
-from alphamod.transform import _atom_rows
 from alphamod.windows import Window, gaussian_window, parse_window_spec
 
 
@@ -70,7 +70,8 @@ def test_engine_matches_dense_oracle(spec):
     cov = build_covering(0.5, 0.25, 1.0, (-8.0, 8.0), (-3.0, 3.0))
     fr = AlphaFrame(cov, w, grid)
     nodes = fr.nodes()
-    M = np.vstack([_atom_rows(w, 0.5, om, nodes[nodes[:, 0] == j, 2], grid)
+    M = np.vstack([dense_atom_rows(w, 0.5, om, nodes[nodes[:, 0] == j, 2],
+                                   grid)
                    for j, om in zip(cov.js, cov.omegas)])
     f = rand_signal(grid, 9)
     assert f.values[0] != 0 and f.values[-1] != 0
@@ -242,6 +243,18 @@ def test_reconstruction_raises_at_iteration_cap(chirp, gauss):
         reconstruct(chirp, fr, max_iter=1)
 
 
+@pytest.mark.parametrize("tol", [1e-31, 1e-301])
+def test_reconstruction_raises_below_attainable_accuracy(small_frame, tol):
+    """cg's recursive residual can pass a tol below rounding level while
+    the true one stays near 1e-16 (tol = 1e-31), or reach 0 and turn
+    the iterates into NaN (tol = 1e-301); neither result is returned."""
+    t = small_frame.signal_grid.coords
+    f = Signal(small_frame.signal_grid, np.exp(-np.pi * (t / 2.5) ** 2)
+               * np.exp(2j * np.pi * (0.5 * t + 0.35 * t ** 2)))
+    with pytest.raises(IterationError, match="relative residual"):
+        reconstruct(f, small_frame, tol=tol)
+
+
 def test_reconstruction_residual_is_the_true_residual(small_frame):
     """residual is ||b - S x|| / ||b|| for b = S f and the returned x,
     recomputed here with a dense S built column by column."""
@@ -262,8 +275,13 @@ def test_coefficients_file_roundtrip(tmp_path, small_frame):
     coeffs = analysis(f, small_frame)
     path = tmp_path / "coeffs.bin"
     coeffs.save(path, "gaussian")
-    back = load_coefficients(path, small_frame)
+    back = load_coefficients(path)
     assert np.array_equal(back.values, coeffs.values)  # bit-exact
+    # the frame is rebuilt from the header alone
+    assert np.array_equal(back.frame.nodes(), small_frame.nodes())
+    assert back.frame.signal_grid == small_frame.signal_grid
+    assert np.array_equal(synthesis(back, back.frame).values,
+                          synthesis(coeffs, small_frame).values)
 
 
 @pytest.mark.parametrize("key", ["n_atoms", "window", None])
@@ -281,7 +299,7 @@ def test_load_coefficients_rejects_header_without_key(tmp_path, small_frame,
         del header[key]
     side.write_text(json.dumps(header))
     with pytest.raises(ValueError, match=key) as exc:
-        load_coefficients(path, small_frame)
+        load_coefficients(path)
     assert str(side) in str(exc.value)
 
 

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from conftest import dense_atom_rows
 
 from alphamod.grids import SampledGrid, Signal, inner_product
 from alphamod.symbol import NotAdmissibleError, beta
 from alphamod.transform import (MassCaptureError, SupportSpillWarning,
-                                VoiceMap, _atom_rows, check_reproducing,
+                                VoiceMap, check_reproducing,
                                 coorbit_norm, dual_transform, kernel_K,
                                 make_atom, reproducing_kernel,
                                 synthesize_voice, voice_transform)
@@ -48,10 +49,10 @@ def test_atom_frequency_location(gauss):
 
 
 def _voice_oracle(f, w, x_grid, omega_grid):
-    """Voice map from dense _atom_rows stacks, one frequency at a time."""
+    """Voice map from dense atom stacks, one frequency at a time."""
     return np.vstack([
-        f.grid.spacing * (_atom_rows(w, 0.5, float(om), x_grid.coords,
-                                     f.grid).conj() @ f.values)
+        f.grid.spacing * (dense_atom_rows(w, 0.5, float(om), x_grid.coords,
+                                          f.grid).conj() @ f.values)
         for om in omega_grid.coords])
 
 
@@ -71,8 +72,8 @@ def _check_voice_against_oracle(x_grid):
         assert np.linalg.norm(V - Vd) <= 1e-12 * np.linalg.norm(Vd), w
         g = synthesize_voice(VoiceMap(x_grid, gw, vm_rand), w, 0.5, grid)
         cell = x_grid.spacing * gw.spacing
-        gd = cell * sum(vm_rand[jj] @ _atom_rows(w, 0.5, float(om),
-                                                 x_grid.coords, grid)
+        gd = cell * sum(vm_rand[jj] @ dense_atom_rows(w, 0.5, float(om),
+                                                      x_grid.coords, grid)
                         for jj, om in enumerate(gw.coords))
         assert np.linalg.norm(g.values - gd) <= 1e-12 * np.linalg.norm(gd), w
 

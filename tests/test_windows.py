@@ -107,7 +107,7 @@ def test_bandlimited_spectrum_compact():
 
 def test_estimate_decay_rate_recovers_bspline_order():
     w = bspline_window(3)
-    r, _ = estimate_decay_rate(w, 0, 200.0)
+    r = estimate_decay_rate(w, 0, 200.0)
     assert r == pytest.approx(3.0, abs=0.2)
 
 
