@@ -129,8 +129,11 @@ class RunConfig:
                 parsed = parse(str(value))
                 if not test(parsed):
                     raise ValueError
-            except ValueError:
-                problems.append(f"{name} must be {rule}, got {value!r}")
+            except ValueError as exc:
+                # the parser's own reason, e.g. a window parameter's range
+                reason = f" ({exc})" if str(exc) else ""
+                problems.append(f"{name} must be {rule}, got {value!r}"
+                                + reason)
             else:
                 setattr(self, name, parsed)
         if problems:

@@ -150,9 +150,10 @@ def load_coefficients(path) -> Coefficients:
         if type(header["window"]) is not str:
             raise ValueError
         window = parse_window_spec(header["window"])
-    except ValueError:
+    except ValueError as exc:
+        reason = f" ({exc})" if str(exc) else ""
         raise ValueError(f"{side}: window must be a window spec, got "
-                         f"{header['window']!r}") from None
+                         f"{header['window']!r}{reason}") from None
     grid = SampledGrid.from_json(header["grid"], side)
     cov = build_covering(header["alpha"], header["eps"], header["c"],
                          header["time_range"], header["freq_range"])
@@ -283,20 +284,28 @@ def reconstruct(f: Signal, fr: AlphaFrame, tol: float = 1e-8,
                 max_iter: int = 1000) -> ReconstructionResult:
     """f_rec = S^{-1} S f by scipy's conjugate gradient on the frame
     operator, stopped at relative residual tol; IterationError when it
-    takes max_iter iterations without getting there, or when the true
-    residual of the result is above tol or not finite (a tol below the
-    attainable accuracy)."""
+    takes max_iter iterations without getting there, at the first
+    iterate that is not finite, or when the true residual of the result
+    is above tol (both from a tol below the attainable accuracy)."""
     if not f.grid.isclose(fr.signal_grid):
         raise GridMismatchError("signal grid differs from the frame grid")
     S = _S_operator(fr)
     b = S @ f.values
     iters = 0
 
-    def count(_):
+    def count(xk):
         nonlocal iters
         iters += 1
+        if not np.all(np.isfinite(xk)):
+            raise IterationError(
+                f"CG iterate {iters} is not finite (cap of {max_iter} "
+                f"iterations): relative residual nan, not <= {tol:g}")
 
-    x, info = cg(S, b, rtol=tol, atol=0.0, maxiter=max_iter, callback=count)
+    # a recursive residual that reaches 0 overflows cg's step ratios;
+    # the iterate check above reports that step
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        x, info = cg(S, b, rtol=tol, atol=0.0, maxiter=max_iter,
+                     callback=count)
     b_norm = np.linalg.norm(b)
     residual = (float(np.linalg.norm(b - S @ x) / b_norm) if b_norm > 0
                 else 0.0)

@@ -218,10 +218,17 @@ def bump_window(radius: float) -> Window:
     The spectrum has no closed form; psi_hat^(l) is tabulated on 2^16
     points over [-128, 128] via the transform of (-2*pi*i*t)^l psi(t) and
     interpolated cubically.  Beyond that band the (super-polynomially
-    tiny) tail is treated as zero.
+    tiny) tail is treated as zero.  The table resolves radii that span
+    16 or more of its time steps (1/256) while 1/radius spans 16 or more
+    of its frequency steps (1/256): radius in [1/16, 16].
     """
-    if not radius > 0:
-        raise ValueError(f"bump radius must be > 0, got {radius}")
+    band, table_size = 128.0, 2**16
+    step = 1.0 / (2.0 * band)
+    r_min, r_max = 16 * step, table_size * step / 16
+    if not r_min <= radius <= r_max:
+        raise ValueError(
+            f"bump radius must be in [{r_min:g}, {r_max:g}], where its "
+            f"spectral table resolves it, got {radius}")
     R = float(radius)
 
     def raw(t):
@@ -241,8 +248,7 @@ def bump_window(radius: float) -> Window:
         return scale * raw(t)
 
     # dense spectral table: psi_hat^(l) = F[(-2 pi i t)^l psi]
-    band, table_size = 128.0, 2**16
-    tgrid = SampledGrid.centered(table_size, 1.0 / (2.0 * band))
+    tgrid = SampledGrid.centered(table_size, step)
     t = tgrid.coords
     base = time_fn(t)
     splines = []
@@ -271,10 +277,14 @@ def bandlimited_window(cutoff: float) -> Window:
 
     psi_hat(xi) = ((1 + cos(pi xi / cutoff)) / 2)^2 inside the band and
     exactly zero outside; the time profile is the closed-form inverse
-    transform (a combination of sinc terms).
+    transform (a combination of sinc terms).  The cutoff lies in
+    [1e-100, 1e100], where the third spectral derivative, of order
+    (pi/cutoff)^3, and |psi|^2, of order cutoff^2, are finite doubles.
     """
-    if not cutoff > 0:
-        raise ValueError(f"cutoff must be > 0, got {cutoff}")
+    if not 1e-100 <= cutoff <= 1e100:
+        raise ValueError(f"bandlimited cutoff must be in [1e-100, 1e100], "
+                         f"where its spectral derivatives and its energy "
+                         f"are finite doubles, got {cutoff}")
     c = float(cutoff)
     a = np.pi / c
 

@@ -137,6 +137,25 @@ def test_bad_numeric_option_exits_2_naming_it(tmp_path, capsys, argv, key):
     assert f"config error: {key} must" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec, bounds", [
+    ("bandlimited:1e-300", "[1e-100, 1e100]"),
+    ("bandlimited:inf", "[1e-100, 1e100]"),
+    ("bandlimited:nan", "[1e-100, 1e100]"),
+    ("bump:1e-300", "[0.0625, 16]"),
+    ("bump:nan", "[0.0625, 16]"),
+])
+def test_degenerate_window_parameter_exits_2_stating_range(tmp_path, capsys,
+                                                          spec, bounds):
+    out = tmp_path / "out"
+    assert run("admissible", "--window", spec, "--scan-nodes", "41",
+               "--xi-max", "20", "--output-dir", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "config error: window must be window spec" in err
+    assert f"must be in {bounds}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_roundtrip_missing_input(tmp_path):
     assert run("roundtrip", str(tmp_path / "nope.csv"),
                "--output-dir", str(tmp_path)) == 2

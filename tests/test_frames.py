@@ -1,4 +1,6 @@
 import json
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -243,16 +245,32 @@ def test_reconstruction_raises_at_iteration_cap(chirp, gauss):
         reconstruct(chirp, fr, max_iter=1)
 
 
+def _chirp(grid):
+    t = grid.coords
+    return Signal(grid, np.exp(-np.pi * (t / 2.5) ** 2)
+                  * np.exp(2j * np.pi * (0.5 * t + 0.35 * t ** 2)))
+
+
 @pytest.mark.parametrize("tol", [1e-31, 1e-301])
 def test_reconstruction_raises_below_attainable_accuracy(small_frame, tol):
     """cg's recursive residual can pass a tol below rounding level while
     the true one stays near 1e-16 (tol = 1e-31), or reach 0 and turn
     the iterates into NaN (tol = 1e-301); neither result is returned."""
-    t = small_frame.signal_grid.coords
-    f = Signal(small_frame.signal_grid, np.exp(-np.pi * (t / 2.5) ** 2)
-               * np.exp(2j * np.pi * (0.5 * t + 0.35 * t ** 2)))
     with pytest.raises(IterationError, match="relative residual"):
-        reconstruct(f, small_frame, tol=tol)
+        reconstruct(_chirp(small_frame.signal_grid), small_frame, tol=tol)
+
+
+def test_reconstruction_stops_at_the_first_nonfinite_iterate(small_frame):
+    """At tol = 1e-301 cg's recursive residual reaches 0, and the next
+    iterate is NaN: reconstruct raises there, far below the cap, and
+    scipy's overflow warnings of that step stay quiet."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(IterationError, match="not finite") as exc:
+            reconstruct(_chirp(small_frame.signal_grid), small_frame,
+                        tol=1e-301, max_iter=1000)
+    iters = int(re.search(r"CG iterate (\d+) ", str(exc.value)).group(1))
+    assert iters < 500
 
 
 def test_reconstruction_residual_is_the_true_residual(small_frame):

@@ -8,7 +8,8 @@ from alphamod.transform import (MassCaptureError, SupportSpillWarning,
                                 VoiceMap, check_reproducing,
                                 coorbit_norm, dual_transform, kernel_K,
                                 make_atom, reproducing_kernel,
-                                synthesize_voice, voice_transform)
+                                _band_matrix, synthesize_voice,
+                                voice_transform)
 from alphamod.windows import parse_window_spec
 
 # one window per time-support rule of the banded atom matrix: the
@@ -86,6 +87,43 @@ def test_voice_on_lattice_matches_dense_oracle():
 def test_voice_off_lattice_matches_dense_oracle():
     # spacing 0.3 is no multiple of the sample spacing 1/8
     _check_voice_against_oracle(SampledGrid(57, 0.3, -8.45))
+
+
+@pytest.mark.parametrize("w", ORACLE_WINDOWS, ids=ORACLE_SPECS)
+def test_band_matrix_matches_dense_formula_entry_by_entry(w):
+    """Every entry of the banded atom matrix against the atom formula on
+    every sample, on a benchmark-scale grid (n = 2048, dt = 1/16, t in
+    [-64, 64)) with frequencies up to |omega| = 8: the per-atom phase
+    times the (omega, offset) table is the per-sample exponential."""
+    grid = SampledGrid.centered(2048, 1.0 / 16.0)
+    # on the lattice (-64, -20, 0, 63.9375), off it, cut by the left or
+    # the right edge, and wholly past either edge
+    xs = np.array([-64.0, -63.3, -20.0, 0.0, 17.71, 41.03, 63.9375, 64.4,
+                   -80.0, 200.0])
+    oms = np.array([-8.0, -2.75, 0.0, 1.0 / 3.0, 5.1, 8.0])
+    A = _band_matrix(w, 0.5, np.repeat(oms, xs.size), np.tile(xs, oms.size),
+                     grid)
+    D = np.vstack([dense_atom_rows(w, 0.5, om, xs, grid) for om in oms])
+    # each row stores one run of columns holding every sample within the
+    # time radius, with at most two samples of slack per side
+    for m, (x, om) in enumerate(zip(np.tile(xs, oms.size),
+                                    np.repeat(oms, xs.size))):
+        cols = A.indices[A.indptr[m]:A.indptr[m + 1]]
+        dist = np.abs(grid.coords - x)
+        reach = w.time_radius * beta(om, 0.5)
+        near = np.nonzero(dist <= reach)[0]
+        assert np.array_equal(cols, np.arange(cols[0], cols[-1] + 1)
+                              if cols.size else cols)
+        assert np.isin(near, cols).all()
+        assert np.all(dist[cols] <= reach + 2 * grid.spacing)
+    if np.isfinite(w.time_radius):
+        # the atoms past either edge store no entry
+        counts = np.diff(A.indptr).reshape(oms.size, xs.size)
+        assert counts[:, -2:].sum() == 0
+    err = np.abs(A.toarray() - D).max()
+    assert err <= 1e-13 * np.abs(D).max()
+    empty = _band_matrix(w, 0.5, np.zeros(0), np.zeros(0), grid)
+    assert empty.shape == (0, grid.n) and empty.nnz == 0
 
 
 def test_voice_values_are_inner_products(chirp, gauss):

@@ -162,3 +162,22 @@ def test_parse_window_spec():
 def test_alpha_domain_validated():
     with pytest.raises(ValueError):
         required_decay(Purpose.ADMISSIBILITY, 1.0)
+
+
+@pytest.mark.parametrize("make, value", [
+    (bump_window, 1e-300), (bump_window, 0.06), (bump_window, 16.5),
+    (bump_window, math.inf), (bump_window, math.nan),
+    (bandlimited_window, 1e-300), (bandlimited_window, 1e101),
+    (bandlimited_window, math.inf), (bandlimited_window, math.nan),
+])
+def test_window_parameter_outside_its_range(make, value):
+    with pytest.raises(ValueError, match=r"must be in \[.*\], .* got"):
+        make(value)
+
+
+def test_window_parameter_range_ends_are_representable():
+    for w in (bump_window(1.0 / 16.0), bump_window(16.0),
+              bandlimited_window(1e-100), bandlimited_window(1e100)):
+        xi = np.linspace(-2.0, 2.0, 9)
+        assert all(np.all(np.isfinite(w.fourier(xi, l))) for l in range(4))
+        assert np.all(np.isfinite(w.time(xi))), w
