@@ -39,7 +39,13 @@ __all__ = [
 @dataclass(frozen=True)
 class TruncationConfig:
     """Truncated domain |x| <= x_max, |omega| <= omega_max.  rho doubles
-    it until its estimate moves by less than 5 %, at most 3 times."""
+    it until its estimate moves by less than 5 %, at most 3 times.
+
+    n_probes frequencies spread evenly on [-probe_omega_max,
+    probe_omega_max] are the probes rho and gamma maximize over.  For an
+    even window (and, for gamma, a mirrored covering) p and -p carry the
+    same mass, so only the upper half of them, the middle one included,
+    is swept; otherwise all of them (_swept_probes)."""
 
     x_max: float = 8.0
     omega_max: float = 32.0
@@ -197,6 +203,27 @@ def _probe_omegas(trunc: TruncationConfig) -> np.ndarray:
                        trunc.n_probes)
 
 
+def _swept_probes(trunc: TruncationConfig, w: Window,
+                  cov: AlphaCovering | None = None) -> np.ndarray:
+    """The probes rho (cov None) and gamma sweep: the upper half when
+    probes p and -p carry the same mass, else every probe.
+
+    For an even window psi_hat and beta are even, so
+    G_{-w,-eta}(-xi) = G_{w,eta}(xi): R(-x, -y) = R(x, y) and
+    Gamma(-y, -z) = Gamma(y, z).  The omega grid, the u grid and w_s
+    are mirror-symmetric, and Q_{-y} = -Q_y when the covering's row
+    table is mirrored by (t, w) -> (-t, -w).  Evenness is checked bit
+    for bit on sample times.  The half is taken by index: linspace's
+    middle probe can be -1e-16 rather than 0.
+    """
+    probes = _probe_omegas(trunc)
+    t = np.geomspace(1.0 / 64.0, 64.0, 193)
+    mirrored = np.array_equal(w.time(t), w.time(-t)) and (
+        cov is None or (np.array_equal(cov.omegas, -cov.omegas[::-1])
+                        and np.array_equal(cov.k_lo, -cov.k_hi[::-1])))
+    return probes[len(probes) // 2:] if mirrored else probes
+
+
 def _weighted_mass(values: np.ndarray, omegas: np.ndarray,
                    omega_star: float, weight: Weight, du: float) -> float:
     """d_omega sum_i w_s(omegas[i], omega_star) du sum_u values[i, u]:
@@ -211,11 +238,12 @@ def _rho_once(w: Window, alpha: float, s: float, tab: SymbolTable,
               probes: np.ndarray) -> float:
     engine = _SliceEngine(w, alpha, tab, 1, omega_max, x_max)
     omegas = _omega_grid(omega_max)
+    left = engine._atoms_hat(omegas)
     in_x = np.abs(engine.u) <= x_max
     weight = Weight(s)
-    return max((_weighted_mass(np.abs(engine.slices(omegas, eta)[:, in_x]),
-                               omegas, eta, weight, engine.du)
-                for eta in probes), default=0.0)
+    return max((_weighted_mass(
+        np.abs(engine.slices(omegas, eta, left)[:, in_x]),
+        omegas, eta, weight, engine.du) for eta in probes), default=0.0)
 
 
 def estimate_rho(w: Window, alpha: float, s: float, tab: SymbolTable,
@@ -225,11 +253,13 @@ def estimate_rho(w: Window, alpha: float, s: float, tab: SymbolTable,
     int int |R(x, w; 0, w*)| w_s(w, w*) dx dw on the truncated domain.
 
     The probe time coordinate is irrelevant: R depends on time only
-    through the difference x - x*.
+    through the difference x - x*.  For an even window probes w* and
+    -w* carry the same mass, so only the upper half of the probes is
+    swept; any other window sweeps them all (_swept_probes).
     """
     if not tab.admissible:
         raise NotAdmissibleError("rho needs an admissible window")
-    probes = _probe_omegas(trunc)
+    probes = _swept_probes(trunc, w)
     x_max, omega_max = trunc.x_max, trunc.omega_max
     value = _rho_once(w, alpha, s, tab, x_max, omega_max, probes)
     history = [value]
@@ -270,8 +300,8 @@ def oscillation_kernel(w: Window, alpha: float, tab: SymbolTable,
     return float(np.abs(R[0] - phase * R[1:]).max())
 
 
-# bytes of the two gather buffers in _osc, complex block and modulus, and
-# of a block of z spectra with its FFT: 4 MiB
+# bytes of the two gather buffers in _osc, complex block and squared
+# modulus, and of a block of z spectra with its FFT: 4 MiB
 _GATHER = 1 << 22
 
 
@@ -293,12 +323,13 @@ def _osc(engine: _SliceEngine, cov: AlphaCovering, density: int,
     into each z frequency's slices R(x, z) = P[at] on the u window a
     covering row gathers; the pre-twiddle into the x spectra.  A row's
     gather is laid out (z, b, batch * a), so the sup over z is a maximum
-    of contiguous planes, taken in chunks of z.  A sample outside its
-    time's box reuses an inside one of the same time (same max); a time
-    with none gets 0 from the row.  The chunk and its modulus (24 bytes
-    an element) fill at most max(_GATHER, one z-plane) bytes; a row's z
-    spectra and their FFT (32 bytes) at most max(_GATHER, one z
-    frequency).  Returns an array of shape x_w.shape[:-1] + (a, b).
+    of contiguous planes, taken in chunks of z on squared moduli (the
+    sum of squares of the difference's float view), with one sqrt per
+    covering row.  A sample outside its time's box reuses an inside one
+    of the same time (same max); a time with none gets 0 from the row.
+    The chunk and its squared modulus (24 bytes an element) fill at
+    most max(_GATHER, one z-plane) bytes; a row's z spectra and their
+    FFT (32 bytes) at most max(_GATHER, one z frequency).  Returns an array of shape x_w.shape[:-1] + (a, b).
     """
     x_t, x_w, y_t, y_w = (np.atleast_1d(np.asarray(v, dtype=float))
                           for v in (x_t, x_w, y_t, y_w))
@@ -343,8 +374,11 @@ def _osc(engine: _SliceEngine, cov: AlphaCovering, density: int,
                     g = block[:ks.size * R_y.shape[1]].reshape(*ks.shape, -1)
                     m = mod[:g.size].reshape(g.shape)
                     np.take(Q, ks, axis=0, out=g, mode="clip")
-                    np.abs(np.subtract(g, R_y, out=g), out=m)
+                    d = np.subtract(g, R_y, out=g).view(float)
+                    np.square(d, out=d)
+                    np.add(d[..., ::2], d[..., 1::2], out=m)
                     np.maximum(row, np.maximum.reduce(m, out=plane), out=row)
+        np.sqrt(row, out=row)
         row *= inside.any(axis=1)[:, None]
         osc[:, rows] = np.maximum(osc[:, rows],
                                   row.reshape(len(row), len(x_w), -1)
@@ -363,8 +397,11 @@ def estimate_gamma(w: Window, alpha: float, s: float, tab: SymbolTable,
     frequency; the time coordinate of the probe is fixed at 0 (the
     kernel is covariant under joint time shifts and the box quantization
     only perturbs this periodically at sub-probe scale).  gamma1 runs
-    all probes through one _osc call, gamma2 one call per probe.  The
-    gathers read |x_t - z_t| <= x_max + 2 * eps (a box is at most
+    all probes through one _osc call, gamma2 one call per probe.  For
+    an even window on a covering mirrored by (t, w) -> (-t, -w), probes
+    p and -p carry the same gamma1 and gamma2 masses, so only the upper
+    half of the probes is swept; otherwise every probe (_swept_probes).
+    The gathers read |x_t - z_t| <= x_max + 2 * eps (a box is at most
     2 * eps wide in time), so that is the engine's u_max.
     """
     if not tab.admissible:
@@ -373,7 +410,7 @@ def estimate_gamma(w: Window, alpha: float, s: float, tab: SymbolTable,
                           trunc.x_max + 2.0 * cov.eps)
     omegas = _omega_grid(trunc.omega_max)
     u_in = engine.u[np.abs(engine.u) <= trunc.x_max]
-    probes, d = _probe_omegas(trunc), trunc.z_density
+    probes, d = _swept_probes(trunc, w, cov), trunc.z_density
 
     def mass(osc, probe):
         return _weighted_mass(osc, omegas, probe, Weight(s), engine.du)

@@ -333,7 +333,9 @@ def estimate_decay_rate(w: Window, l_max: int, xi_range: float) -> float:
 
     Fits log max_l |psi_hat^(l)(xi)| against -r log(1 + xi) on the local
     maxima of the envelope for xi in [1, xi_range], sampled on a grid of
-    16001 points.
+    16001 points.  Values below 1e-10 of the envelope's maximum are left
+    out: bump_window's tables carry rounding noise up to about 2e-12 of
+    it, which on a bump of radius 4 or more sets in by xi ~ 20.
     """
     if xi_range < 10:
         raise ValueError("xi_range must be >= 10")
@@ -344,7 +346,7 @@ def estimate_decay_rate(w: Window, l_max: int, xi_range: float) -> float:
     )
     if not np.any(env > 0):
         raise ValueError("all-zero spectrum")
-    floor = 1e-12 * env.max()  # below this the table/FFT noise dominates
+    floor = 1e-10 * env.max()  # below this the table/FFT noise dominates
     peaks = (env[1:-1] >= env[:-2]) & (env[1:-1] >= env[2:])
     mask = np.zeros_like(env, dtype=bool)
     mask[1:-1] = peaks

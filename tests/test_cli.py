@@ -35,6 +35,15 @@ def test_admissible_gaussian(tmp_path):
     assert curve.shape == (401, 2)
 
 
+def test_admissible_wide_bump(tmp_path):
+    code = run("admissible", "--window", "bump:4", "--alpha", "0.5",
+               "--scan-nodes", "41", "--xi-max", "20",
+               "--output-dir", str(tmp_path))
+    assert code == 0
+    report = json.loads((tmp_path / "admissible.json").read_text())
+    assert report["hypothesis"]["certified_r"] > 1.0
+
+
 def test_admissible_rejects_alpha_one(tmp_path):
     assert run("admissible", "--window", "gaussian", "--alpha", "1.0",
                "--output-dir", str(tmp_path)) == 2

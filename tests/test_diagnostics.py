@@ -7,13 +7,14 @@ from alphamod import ScanConfig, admissibility_scan, parse_window_spec
 from alphamod.covering import build_covering, q_samples
 from alphamod.diagnostics import (KernelEstimate, TruncationConfig,
                                   _omega_grid, _osc, _probe_omegas,
-                                  _SliceEngine, _weighted_mass,
-                                  discretization_condition, estimate_gamma,
-                                  estimate_rho, lambda_fn,
+                                  _rho_once, _SliceEngine, _swept_probes,
+                                  _weighted_mass, discretization_condition,
+                                  estimate_gamma, estimate_rho, lambda_fn,
                                   oscillation_kernel, theta_fn)
 from alphamod.grids import Weight
 from alphamod.symbol import NotAdmissibleError, beta
 from alphamod.transform import kernel_K
+from alphamod.windows import Window
 
 
 LIGHT = TruncationConfig(x_max=4.0, omega_max=8.0, n_probes=3,
@@ -263,3 +264,79 @@ def test_estimate_gamma_holds_at_twice_the_fft_length(gauss, gauss_tab):
              for p in probes)
     assert g1 == pytest.approx(r1, rel=1e-7)
     assert g2 == pytest.approx(r2, rel=1e-7)
+
+
+def _probe_masses(w, tab, cov, trunc, probes, s=0.0):
+    """The rho (first truncation), gamma1 and gamma2 masses of the given
+    probes, computed as estimate_rho and estimate_gamma do before taking
+    their max over the probes."""
+    rho = [_rho_once(w, 0.5, s, tab, trunc.x_max, trunc.omega_max, [p])
+           for p in probes]
+    engine = _SliceEngine(w, 0.5, tab, 1, trunc.omega_max,
+                          trunc.x_max + 2.0 * cov.eps)
+    omegas = _omega_grid(trunc.omega_max)
+    u_in = engine.u[np.abs(engine.u) <= trunc.x_max]
+    d = trunc.z_density
+
+    def mass(osc, probe):
+        return _weighted_mass(osc, omegas, probe, Weight(s), engine.du)
+    g1 = list(map(mass, _osc(engine, cov, d, 0.0, probes[:, None], u_in,
+                             omegas), probes))
+    g2 = [mass(_osc(engine, cov, d, u_in, omegas, 0.0, p), p)
+          for p in probes]
+    return np.array(rho), np.array(g1), np.array(g2)
+
+
+@pytest.mark.parametrize("spec", ["gaussian", "bump:1.0", "bspline:2",
+                                  "bspline:4"])
+def test_mirror_probes_carry_the_same_mass(spec):
+    """An even window on a mirrored covering: probes p and -p carry the
+    same rho, gamma1 and gamma2 mass, so sweeping the upper half of the
+    probes loses nothing.  LIGHT's outer probes, -2 and 2, are compared
+    (its middle one is 0); s = 1 makes the weight part of the check."""
+    w = parse_window_spec(spec)
+    tab = admissibility_scan(w, 0.5, ScanConfig(xi_max=80, n_nodes=801))
+    cov = build_covering(0.5, 0.25, 1.0, (-8, 8), (-16, 16))
+    np.testing.assert_array_equal(_swept_probes(LIGHT, w, cov), [0.0, 2.0])
+    for lo, hi in _probe_masses(w, tab, cov, LIGHT, np.array([-2.0, 2.0]),
+                                s=1.0):
+        assert hi == pytest.approx(lo, rel=1e-12)
+
+
+def test_unmirrored_covering_sweeps_every_probe(gauss, gauss_tab):
+    """A covering on (-8, 6) is not mirrored, so estimate_gamma sweeps
+    every probe: it equals the max over all probe masses, which here
+    differs from the max over the upper half."""
+    cov = build_covering(0.5, 0.25, 1.0, (-8, 6), (-16, 16))
+    np.testing.assert_array_equal(_swept_probes(LIGHT, gauss, cov),
+                                  _probe_omegas(LIGHT))
+    _, m1, m2 = _probe_masses(gauss, gauss_tab, cov, LIGHT,
+                              _probe_omegas(LIGHT))
+    g1, g2, _ = estimate_gamma(gauss, 0.5, 0.0, gauss_tab, cov, LIGHT)
+    assert (g1, g2) == (m1.max(), m2.max())
+    assert (m1.max(), m2.max()) != (m1[1:].max(), m2[1:].max())
+
+
+def test_uneven_window_sweeps_every_probe(gauss):
+    """Evenness is read from the time profile alone."""
+    shifted = Window("shifted", lambda t: gauss.time(t - 0.1),
+                     gauss._fourier, 1.0)
+    np.testing.assert_array_equal(_swept_probes(LIGHT, shifted),
+                                  _probe_omegas(LIGHT))
+    assert _swept_probes(LIGHT, gauss).size == 2
+
+
+def test_middle_probe_below_zero_is_swept(gauss, gauss_tab):
+    """linspace(-0.9, 0.9, 7) puts its middle probe at -1.1e-16; the half
+    is taken by index, so that probe, which holds rho's largest mass
+    here, is still evaluated."""
+    trunc = TruncationConfig(x_max=4.0, omega_max=8.0, n_probes=7,
+                             probe_omega_max=0.9)
+    middle = _probe_omegas(trunc)[3]
+    assert -1e-15 < middle < 0
+    assert _swept_probes(trunc, gauss)[0] == middle
+    masses = [_rho_once(gauss, 0.5, 0.0, gauss_tab, 4.0, 8.0, [p])
+              for p in _probe_omegas(trunc)]
+    assert max(masses) == masses[3] > max(masses[:3] + masses[4:])
+    est = estimate_rho(gauss, 0.5, 0.0, gauss_tab, trunc)
+    assert est.truncation["history"][0] == masses[3]
