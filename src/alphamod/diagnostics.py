@@ -329,7 +329,8 @@ def _osc(engine: _SliceEngine, cov: AlphaCovering, density: int,
     of the same time (same max); a time with none gets 0 from the row.
     The chunk and its squared modulus (24 bytes an element) fill at
     most max(_GATHER, one z-plane) bytes; a row's z spectra and their
-    FFT (32 bytes) at most max(_GATHER, one z frequency).  Returns an array of shape x_w.shape[:-1] + (a, b).
+    FFT (32 bytes) at most max(_GATHER, one z frequency).  Returns an
+    array of shape x_w.shape[:-1] + (a, b).
     """
     x_t, x_w, y_t, y_w = (np.atleast_1d(np.asarray(v, dtype=float))
                           for v in (x_t, x_w, y_t, y_w))
