@@ -114,8 +114,8 @@ def test_estimate_decay_rate_recovers_bspline_order():
 @pytest.mark.parametrize("radius", [4.0, 8.0, 16.0])
 def test_wide_bump_certifies_decay(radius):
     """A wide bump's spectrum falls to its table's rounding noise within
-    xi < 100; fitting that noise certified r ~ -2.1 for a smooth,
-    compactly supported window."""
+    xi < 100.  The fit must stop above that noise, or a smooth, compactly
+    supported window certifies a negative exponent."""
     assert bump_window(radius).decay_certificate > 1.0
 
 
