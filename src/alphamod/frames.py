@@ -211,14 +211,11 @@ def _S_operator(fr: AlphaFrame) -> LinearOperator:
 def _lanczos_extreme(op: LinearOperator, which: str, v0: np.ndarray,
                      tol: float, max_iter: int) -> float:
     """Largest (which="LA") or smallest (which="SA") eigenvalue of the
-    Hermitian operator op, by ARPACK's restarted Lanczos."""
+    Hermitian operator op, by ARPACK's restarted Lanczos with scipy's
+    default of 20 Lanczos vectors."""
     try:
-        # wide Krylov space: the bottom of a loose frame's spectrum can
-        # sit near zero, where ARPACK's relative tolerance needs room,
-        # and the top of a snug frame's spectrum is a tight cluster
-        vals = eigsh(op, k=1, which=which, tol=tol,
-                     ncv=min(op.shape[0], 80), v0=v0, maxiter=max_iter,
-                     return_eigenvectors=False)
+        vals = eigsh(op, k=1, which=which, tol=tol, v0=v0,
+                     maxiter=max_iter, return_eigenvectors=False)
     except ArpackNoConvergence as exc:
         partial = exc.eigenvalues
         raise IterationError(

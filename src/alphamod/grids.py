@@ -235,9 +235,16 @@ def _read_grid(path) -> SampledGrid:
 
 def _write_csv(path, rows, header: str):
     """The package's CSV dialect: comma-separated %.17g, which reads back
-    bit-exact, under a header line unless header is empty."""
-    np.savetxt(path, rows, delimiter=",", fmt="%.17g", header=header,
-               comments="")
+    bit-exact, under a header line unless header is empty; a 1-D array
+    is one column.  The bytes are np.savetxt's with that format, written
+    by one % over the whole array rather than one per row."""
+    rows = np.asarray(rows)
+    if rows.ndim == 1:
+        rows = rows[:, None]
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    text = line * rows.shape[0] % tuple(rows.ravel().tolist())
+    with open(path, "w") as fh:
+        fh.write(header + "\n" + text if header else text)
 
 
 def save_signal_csv(f: Signal, path):

@@ -22,6 +22,12 @@ per-atom phase times a table of phases per (frequency, sample offset)
 times the window's real time factor (see _band_matrix); they agree with
 the atom formula evaluated sample by sample to about 6e-16 of the
 largest entry on a 2048-sample grid with |t| <= 64 and |w| <= 8.
+
+The voice transform and its synthesis build that matrix for blocks of
+consecutive atoms of about 2^18 entries each (_VOICE_BLOCK), one at a
+time, so their peak memory is one block, about 10 MiB, on any grid and
+for any window.  A block's rows are those of the whole grid's matrix,
+so the voice transform is bit-identical to its one-matrix product.
 """
 
 from __future__ import annotations
@@ -196,12 +202,39 @@ def _voice_matrix(w: Window, alpha: float, x_grid: SampledGrid,
                         np.tile(x_grid.coords, omega_grid.n), grid)
 
 
+# stored entries per block of _voice_blocks: of 2^16 to 2^22, 2^18 ran
+# the benchmark's 256 x 256 voice grid fastest
+_VOICE_BLOCK = 1 << 18
+
+
+def _voice_blocks(w: Window, alpha: float, x_grid: SampledGrid,
+                  omega_grid: SampledGrid, grid: SampledGrid):
+    """(atoms, omegas, xs) for consecutive blocks of _voice_matrix's rows:
+    atoms slices VoiceMap's flattened order, and _band_matrix on the
+    block holds at most _VOICE_BLOCK entries, or one atom."""
+    omegas = np.repeat(omega_grid.coords, x_grid.n)
+    xs = np.tile(x_grid.coords, omega_grid.n)
+    # _band_matrix stores fewer than 2 * reach / dt + 3 samples per atom
+    reach = np.max(beta(omega_grid.coords, alpha)) * w.time_radius
+    widest = min(grid.n, 2.0 * reach / grid.spacing + 3.0)
+    step = max(1, _VOICE_BLOCK // int(widest))
+    for a0 in range(0, xs.size, step):
+        atoms = slice(a0, a0 + step)
+        yield atoms, omegas[atoms], xs[atoms]
+
+
 def voice_transform(f: Signal, w: Window, alpha: float,
                     x_grid: SampledGrid, omega_grid: SampledGrid) -> VoiceMap:
     """V f(x, w) = <f, a_{x,w}> on the product grid; the x nodes need not
-    lie on the signal lattice."""
-    A = _voice_matrix(w, alpha, x_grid, omega_grid, f.grid)
-    values = f.grid.spacing * np.conj(A @ np.conj(f.values))
+    lie on the signal lattice.  Built in blocks of about 2^18 stored
+    entries, so the peak memory is one block (about 10 MiB) plus the
+    map; bit-identical to the product with _voice_matrix."""
+    conj_f = np.conj(f.values)
+    values = np.empty(omega_grid.n * x_grid.n, dtype=complex)
+    for atoms, omegas, xs in _voice_blocks(w, alpha, x_grid, omega_grid,
+                                           f.grid):
+        values[atoms] = _band_matrix(w, alpha, omegas, xs, f.grid) @ conj_f
+    values = f.grid.spacing * np.conj(values)
     return VoiceMap(x_grid, omega_grid,
                     values.reshape(omega_grid.n, x_grid.n))
 
@@ -209,10 +242,16 @@ def voice_transform(f: Signal, w: Window, alpha: float,
 def synthesize_voice(vm: VoiceMap, w: Window, alpha: float,
                      grid: SampledGrid) -> Signal:
     """Riemann sum of the inverse pairing:
-    g = sum V(x, w) a_{x,w} dx dw over the voice grid."""
+    g = sum V(x, w) a_{x,w} dx dw over the voice grid.  Summed over the
+    voice transform's blocks, with its peak memory; the order of the sum
+    moves g from the product with _voice_matrix by about 1e-15 relative."""
     cell = vm.x_grid.spacing * vm.omega_grid.spacing
-    A = _voice_matrix(w, alpha, vm.x_grid, vm.omega_grid, grid)
-    return Signal(grid, cell * (A.T @ vm.values.ravel()))
+    v = vm.values.ravel()
+    g = np.zeros(grid.n, dtype=complex)
+    for atoms, omegas, xs in _voice_blocks(w, alpha, vm.x_grid,
+                                           vm.omega_grid, grid):
+        g += _band_matrix(w, alpha, omegas, xs, grid).T @ v[atoms]
+    return Signal(grid, cell * g)
 
 
 def dual_transform(f: Signal, w: Window, alpha: float, tab: SymbolTable,
@@ -270,7 +309,8 @@ def check_reproducing(f: Signal, w: Window, alpha: float, tab: SymbolTable,
 
     The kernel integral is evaluated as V(A^{-1} synthesize(V f)), which
     is the same operator applied with the atom matrix and its adjoint
-    instead of a dense kernel matrix; one atom matrix of the (x, w) grid
+    instead of a dense kernel matrix; one atom matrix of the (x, w) grid,
+    built whole and once rather than in the voice transform's blocks,
     serves V f, W f, the synthesis and V of the result.  Rejects grids
     capturing less than 0.999 of ||f||^2 in the pairing
     <V f, W f> dmu.

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alphamod.grids import (GridMismatchError, SampledGrid, Signal, Weight,
-                            forward_fourier, inner_product, inverse_fourier,
+                            _write_csv, forward_fourier, inner_product, inverse_fourier,
                             load_signal_csv, load_signal_raw, save_signal_csv,
                             save_signal_raw, weighted_lp_norm)
 
@@ -116,6 +116,23 @@ def test_signal_file_roundtrips(tmp_path):
     h = load_signal_csv(csv)
     assert h.grid.isclose(f.grid)
     assert np.max(np.abs(h.values - f.values)) < 1e-15
+
+
+@pytest.mark.parametrize("header", ["j,k,x", ""])
+def test_csv_bytes_equal_savetxt(tmp_path, header):
+    """One % over the whole array writes np.savetxt's bytes: signed zero,
+    nan, infinities, subnormals, 17 digits, 1-D and empty input."""
+    special = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -2.2e-308,
+               1.0 / 3.0, -1e300, 12345678901234567.0, 1.0, -7.0]
+    rng = np.random.default_rng(3)
+    arrays = [np.array(special).reshape(4, 3), np.array(special),
+              rng.standard_normal((50, 6)), np.empty((0, 4))]
+    for i, rows in enumerate(arrays):
+        ours, ref = tmp_path / f"ours{i}.csv", tmp_path / f"ref{i}.csv"
+        _write_csv(ours, rows, header)
+        np.savetxt(ref, rows, delimiter=",", fmt="%.17g", header=header,
+                   comments="")
+        assert ours.read_bytes() == ref.read_bytes(), rows.shape
 
 
 def test_grid_json_roundtrip_and_rejects():

@@ -1,15 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import dense_atom_rows
 
+import alphamod.transform as transform
 from alphamod.grids import SampledGrid, Signal, inner_product
 from alphamod.symbol import NotAdmissibleError, beta
 from alphamod.transform import (MassCaptureError, SupportSpillWarning,
                                 VoiceMap, check_reproducing,
                                 coorbit_norm, dual_transform, kernel_K,
                                 make_atom, reproducing_kernel,
-                                _band_matrix, synthesize_voice,
-                                voice_transform)
+                                _band_matrix, _voice_matrix, _VOICE_BLOCK,
+                                synthesize_voice, voice_transform)
 from alphamod.windows import parse_window_spec
 
 # one window per time-support rule of the banded atom matrix: the
@@ -87,6 +90,76 @@ def test_voice_on_lattice_matches_dense_oracle():
 def test_voice_off_lattice_matches_dense_oracle():
     # spacing 0.3 is no multiple of the sample spacing 1/8
     _check_voice_against_oracle(SampledGrid(57, 0.3, -8.45))
+
+
+# x nodes per window: enough atoms for 3 or more blocks of _VOICE_BLOCK
+# entries on a 33-frequency grid, whose widest bands are 115 samples for
+# the Gaussian, 35 for the compact windows and 512 for bandlimited rows
+BLOCK_NX = {"gaussian": 240, "bspline:2": 480, "bump:1.0": 480,
+            "bandlimited:1.0": 48}
+
+
+@pytest.mark.parametrize("on_lattice", [True, False], ids=["on", "off"])
+@pytest.mark.parametrize("spec", ORACLE_SPECS)
+def test_blocked_voice_matches_whole_matrix(spec, on_lattice, monkeypatch):
+    """voice_transform, block by block, is bit-identical to the product
+    with _voice_matrix; synthesize_voice agrees with its adjoint to
+    rounding, since the block sums are added in another order."""
+    w = parse_window_spec(spec)
+    grid = SampledGrid.centered(512, 1.0 / 16.0)
+    rng = np.random.default_rng(5)
+    f = Signal(grid, rng.standard_normal(grid.n)
+               + 1j * rng.standard_normal(grid.n))
+    nx = BLOCK_NX[spec]
+    # nodes across about [-15.5, 15.5]: a multiple of the sample spacing
+    # 1/16 from a sample, or a spacing that is none, from off a sample
+    dx = 31.0 / nx
+    gx = (SampledGrid(nx, np.floor(16 * dx) / 16, -15.5) if on_lattice
+          else SampledGrid(nx, dx, -15.47))
+    gw = SampledGrid.centered(33, 0.5)
+    block_nnz = []
+
+    def counted(*args):
+        A = _band_matrix(*args)
+        block_nnz.append(A.nnz)
+        return A
+
+    monkeypatch.setattr(transform, "_band_matrix", counted)
+    V = voice_transform(f, w, 0.5, gx, gw).values
+    assert len(block_nnz) >= 3 and max(block_nnz) <= _VOICE_BLOCK
+    A = _voice_matrix(w, 0.5, gx, gw, grid)
+    assert np.array_equal(V.ravel(),
+                          grid.spacing * np.conj(A @ np.conj(f.values)))
+    vm = VoiceMap(gx, gw, rng.standard_normal((gw.n, gx.n))
+                  + 1j * rng.standard_normal((gw.n, gx.n)))
+    g = synthesize_voice(vm, w, 0.5, grid).values
+    ref = gx.spacing * gw.spacing * (A.T @ vm.values.ravel())
+    assert np.linalg.norm(g - ref) <= 4e-15 * np.linalg.norm(ref)
+
+
+def test_voice_peak_memory_is_bounded_by_one_block():
+    """Bandlimited rows fill the grid: the whole matrix of this voice grid
+    holds 8 x _VOICE_BLOCK entries (48 MiB), yet the transform and its
+    synthesis hold no more than 3 blocks' bytes, 24 per stored entry (a
+    complex value and an int64 index); both measured 1.7 blocks."""
+    w = parse_window_spec("bandlimited:1.0")
+    grid = SampledGrid.centered(256, 1.0 / 8.0)
+    gx = SampledGrid.centered(128, 0.25)
+    gw = SampledGrid.centered(64, 0.25)
+    assert gx.n * gw.n * grid.n >= 8 * _VOICE_BLOCK
+    f = Signal(grid, np.exp(-grid.coords**2).astype(complex))
+    block_bytes = 24 * _VOICE_BLOCK
+    tracemalloc.start()
+    try:
+        vm = voice_transform(f, w, 0.5, gx, gw)
+        voice_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        synthesize_voice(vm, w, 0.5, grid)
+        synth_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert voice_peak <= 3 * block_bytes
+    assert synth_peak <= 3 * block_bytes
 
 
 @pytest.mark.parametrize("w", ORACLE_WINDOWS, ids=ORACLE_SPECS)
