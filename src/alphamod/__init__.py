@@ -16,8 +16,7 @@ from .grids import (GridMismatchError, SampledGrid, Signal, Weight,
 from .quadrature import QuadratureConfig, QuadratureError, integrate
 from .windows import (HypothesisVerdict, Purpose, Window, bandlimited_window,
                       bspline_window, bump_window, check_hypotheses,
-                      estimate_decay_rate, gaussian_window,
-                      parse_window_spec, required_decay)
+                      gaussian_window, parse_window_spec, required_decay)
 from .symbol import (CriticalPointNotApplicable, NotAdmissibleError,
                      RxiProfile, ScanConfig, SymbolTable,
                      admissibility_scan, apply_multiplier, beta,

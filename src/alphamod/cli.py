@@ -171,8 +171,26 @@ def _save_signal(f: Signal, path: Path):
         save_signal_raw(f, path)
 
 
+def _plain(value):
+    """value for strict JSON (RFC 8259): a number that is not an int as
+    a float, or as "inf", "-inf" or "nan", which float() reads back."""
+    if isinstance(value, dict):
+        return {key: _plain(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if value is None or isinstance(value, (str, int)):
+        return value
+    value = float(value)
+    return value if math.isfinite(value) else str(value)
+
+
+def _json(payload: dict, **kwargs) -> str:
+    """The one JSON writer of the CLI's files and printed lines."""
+    return json.dumps(_plain(payload), allow_nan=False, **kwargs)
+
+
 def _write_json(payload: dict, path: Path):
-    path.write_text(json.dumps(payload, indent=2, default=float))
+    path.write_text(_json(payload, indent=2))
 
 
 def cmd_admissible(cfg: RunConfig, args: argparse.Namespace) -> int:
@@ -200,7 +218,7 @@ def cmd_admissible(cfg: RunConfig, args: argparse.Namespace) -> int:
         "passed": verdict.passed,
     }
     _write_json(report, out / "admissible.json")
-    print(json.dumps(report, default=float))
+    print(_json(report))
     ok = tab is not None and tab.admissible and verdict.passed
     return EXIT_OK if ok else EXIT_THRESHOLD
 
@@ -217,7 +235,7 @@ def cmd_frame_info(cfg: RunConfig, args: argparse.Namespace) -> int:
         "moderate": diag.moderate, "C_w": diag.C_w,
     }
     _write_json(report, cfg.output_dir / "frame_info.json")
-    print(json.dumps(report, default=float))
+    print(_json(report))
     return EXIT_OK
 
 
@@ -249,7 +267,7 @@ def cmd_roundtrip(cfg: RunConfig, args: argparse.Namespace) -> int:
     report = {"error": res.error, "iters": res.iters,
               "residual": res.residual, "threshold": cfg.threshold}
     _write_json(report, cfg.output_dir / "roundtrip.json")
-    print(json.dumps(report, default=float))
+    print(_json(report))
     return EXIT_OK if res.error <= cfg.threshold else EXIT_THRESHOLD
 
 
@@ -262,8 +280,8 @@ def cmd_diagnostics(cfg: RunConfig, args: argparse.Namespace) -> int:
     _write_csv(cfg.output_dir / "diagnostics.csv",
                np.column_stack([report["eps_list"], report["gamma"],
                                 report["lhs"]]), "eps,gamma,lhs")
-    print(json.dumps({"rho": report["rho"], "gamma": report["gamma"],
-                      "pass": report["pass"]}, default=float))
+    print(_json({"rho": report["rho"], "gamma": report["gamma"],
+                 "pass": report["pass"]}))
     return EXIT_OK if all(report["pass"]) else EXIT_THRESHOLD
 
 
@@ -277,7 +295,7 @@ def cmd_coorbit_norm(cfg: RunConfig, args: argparse.Namespace) -> int:
     w_grid = SampledGrid(nx, (f1 - f0) / nx, f0)
     value = coorbit_norm(f, cfg.window, cfg.alpha, tab, cfg.p, cfg.s,
                          x_grid, w_grid)
-    print(json.dumps({"p": cfg.p, "s": cfg.s, "norm": value}))
+    print(_json({"p": cfg.p, "s": cfg.s, "norm": value}))
     return EXIT_OK
 
 

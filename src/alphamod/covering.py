@@ -168,7 +168,7 @@ def build_covering(alpha: float, eps: float, c: float,
     k_hi = np.ceil(q[1]).astype(np.int64) + 1
     cov = AlphaCovering(alpha, eps, c, (t0, t1), (f0, f1), js, omegas,
                         k_lo, k_hi)
-    if validate and not _probe_covers(cov, density=20):
+    if validate and not _probe_covers(cov):
         raise CoveringGapError(
             f"eps={eps}, c={c} leaves gaps in the covering; increase c or "
             f"decrease eps"

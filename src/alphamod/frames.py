@@ -208,14 +208,18 @@ def _S_operator(fr: AlphaFrame) -> LinearOperator:
         matvec=lambda v: _S_block(v.reshape(-1, 1), fr)[:, 0])
 
 
-def _lanczos_extreme(op: LinearOperator, which: str, v0: np.ndarray,
-                     tol: float, max_iter: int) -> float:
+_LANCZOS_TOL = 1e-8  # relative accuracy of the frame bounds
+_LANCZOS_MAX_ITER = 10_000  # restarts before IterationError
+
+
+def _lanczos_extreme(op: LinearOperator, which: str,
+                     v0: np.ndarray) -> float:
     """Largest (which="LA") or smallest (which="SA") eigenvalue of the
     Hermitian operator op, by ARPACK's restarted Lanczos with scipy's
-    default of 20 Lanczos vectors."""
+    default of 20 Lanczos vectors, to _LANCZOS_TOL."""
     try:
-        vals = eigsh(op, k=1, which=which, tol=tol, v0=v0,
-                     maxiter=max_iter, return_eigenvectors=False)
+        vals = eigsh(op, k=1, which=which, tol=_LANCZOS_TOL, v0=v0,
+                     maxiter=_LANCZOS_MAX_ITER, return_eigenvectors=False)
     except ArpackNoConvergence as exc:
         partial = exc.eigenvalues
         raise IterationError(
@@ -225,8 +229,7 @@ def _lanczos_extreme(op: LinearOperator, which: str, v0: np.ndarray,
     return float(vals[0])
 
 
-def estimate_frame_bounds(fr: AlphaFrame, tol: float = 1e-8,
-                          max_iter: int = 10_000, seed: int = 42):
+def estimate_frame_bounds(fr: AlphaFrame, seed: int = 42):
     """(A_est, B_est): extreme Rayleigh quotients of the frame operator.
 
     Both by Lanczos from one seeded start vector.  B is the top of the
@@ -249,7 +252,7 @@ def estimate_frame_bounds(fr: AlphaFrame, tol: float = 1e-8,
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     S = _S_operator(fr)
-    B_est = _lanczos_extreme(S, "LA", v0, tol, max_iter)
+    B_est = _lanczos_extreme(S, "LA", v0)
 
     pre, _ = _dft_phases(fr.signal_grid, dual)
     root_n = math.sqrt(n)
@@ -265,7 +268,7 @@ def estimate_frame_bounds(fr: AlphaFrame, tol: float = 1e-8,
     # E^H S E: S compressed to the in-band signals
     E = LinearOperator((n, idx.size), dtype=complex, matvec=embed,
                        rmatvec=compress)
-    A_est = _lanczos_extreme(E.H @ S @ E, "SA", E.H @ v0, tol, max_iter)
+    A_est = _lanczos_extreme(E.H @ S @ E, "SA", E.H @ v0)
     return A_est, B_est
 
 

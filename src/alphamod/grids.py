@@ -30,6 +30,7 @@ class SampledGrid:
     n: int
     spacing: float
     origin: float
+    _RTOL = 1e-9  # relative tolerance of isclose; not a field
 
     def __post_init__(self):
         if self.n < 2:
@@ -48,12 +49,12 @@ class SampledGrid:
         dxi = 1.0 / (self.n * self.spacing)
         return SampledGrid(self.n, dxi, -(self.n // 2) * dxi)
 
-    def isclose(self, other: "SampledGrid", rtol: float = 1e-9) -> bool:
-        return (
-            self.n == other.n
-            and math.isclose(self.spacing, other.spacing, rel_tol=rtol)
-            and abs(self.origin - other.origin) <= rtol * max(1.0, abs(self.origin))
-        )
+    def isclose(self, other: "SampledGrid") -> bool:
+        r = self._RTOL
+        return (self.n == other.n
+                and math.isclose(self.spacing, other.spacing, rel_tol=r)
+                and abs(self.origin - other.origin)
+                <= r * max(1.0, abs(self.origin)))
 
     @staticmethod
     def centered(n: int, spacing: float) -> "SampledGrid":
@@ -225,7 +226,7 @@ def _sidecar(path) -> Path:
 
 
 def _write_sidecar(path, meta: dict):
-    _sidecar(path).write_text(json.dumps(meta))
+    _sidecar(path).write_text(json.dumps(meta, allow_nan=False))
 
 
 def _read_grid(path) -> SampledGrid:

@@ -192,6 +192,9 @@ def _band_matrix(w: Window, alpha: float, omegas: np.ndarray,
         u /= np.repeat(b[a0:a1], c)
         out *= w.time(u)
         indices[s0:s1] = cols
+    # scipy stores the indices in indptr's dtype: int32 halves them, and
+    # int64 stays past 2^31 entries, where int32 would wrap
+    indptr = indptr.astype(np.int32) if nnz < 2**31 else indptr
     return sparse.csr_array((data, indices, indptr), shape=(xs.size, n))
 
 

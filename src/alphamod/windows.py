@@ -4,9 +4,15 @@ Each window exposes its time profile, its Fourier transform and the first
 three frequency-side derivatives, plus a polynomial decay certificate: an
 exponent r such that |psi_hat^(l)(xi)| <= C (1 + |xi|)^(-r) for l = 0..3
 and some constant C.  The certificate is what the admissibility and
-discretization threshold checks consume.  A window also states its time
-radius, beyond which psi is zero to double precision: half its support
-when compact, 3.53 for the Gaussian, infinite for the bandlimited window.
+discretization threshold checks consume.  Each family states it from a
+theorem, not from a fit: m for the B-spline of order m, whose spectrum
+sinc^m decays like |xi|^(-m) with its derivatives; infinite for the
+Gaussian and the C-infinity bump, whose spectra are Schwartz functions
+(every derivative decays faster than any power); infinite for the
+bandlimited window, whose spectrum has compact support.  A window also
+states its time radius, beyond which psi is zero to double precision:
+half its support when compact, 3.53 for the Gaussian, infinite for the
+bandlimited window.
 """
 
 from __future__ import annotations
@@ -55,8 +61,10 @@ class Window:
         Vectorized (xi, l) -> psi_hat^(l)(xi), l = 0..max_deriv.
     l2_norm : float
     decay_certificate : float or None
-        The decay exponent r of the module docstring (inf for the
-        Gaussian and the bandlimited window).
+        The decay exponent r of the module docstring, from the family's
+        theorem: m for the B-spline of order m (|sinc|^m), inf for the
+        Gaussian and the bump (Schwartz spectra) and for the bandlimited
+        window (compact spectrum).
     support : (a, b) or None
         Exact time support, when compact.
     freq_support : (a, b) or None
@@ -220,7 +228,9 @@ def bump_window(radius: float) -> Window:
     interpolated cubically.  Beyond that band the (super-polynomially
     tiny) tail is treated as zero.  The table resolves radii that span
     16 or more of its time steps (1/256) while 1/radius spans 16 or more
-    of its frequency steps (1/256): radius in [1/16, 16].
+    of its frequency steps (1/256): radius in [1/16, 16].  The decay
+    certificate is infinite, as psi_hat is a Schwartz function: a fact
+    of the exact spectrum, not of the table and its rounding noise.
     """
     band, table_size = 128.0, 2**16
     step = 1.0 / (2.0 * band)
@@ -266,10 +276,8 @@ def bump_window(radius: float) -> Window:
             out[inside] = splines[l](xi[inside])
         return out
 
-    w = Window(f"bump:{radius:g}", time_fn, fourier_fn, 1.0, support=(-R, R))
-    r_hat = estimate_decay_rate(w, 3, 100.0)
-    w.decay_certificate = 0.9 * r_hat  # fitted exponents are optimistic
-    return w
+    return Window(f"bump:{radius:g}", time_fn, fourier_fn, 1.0,
+                  decay_certificate=math.inf, support=(-R, R))
 
 
 def bandlimited_window(cutoff: float) -> Window:
@@ -325,44 +333,7 @@ def bandlimited_window(cutoff: float) -> Window:
 
 
 # ---------------------------------------------------------------------------
-# decay certification and theorem thresholds
-
-
-def estimate_decay_rate(w: Window, l_max: int, xi_range: float) -> float:
-    """Least-squares fit of the spectral envelope decay exponent r_hat.
-
-    Fits log max_l |psi_hat^(l)(xi)| against -r log(1 + xi) on the local
-    maxima of the envelope for xi in [1, xi_range], sampled on a grid of
-    16001 points.  Values below 1e-10 of the envelope's maximum are left
-    out: bump_window's tables carry rounding noise up to about 2e-12 of
-    it, which on a bump of radius 4 or more sets in by xi ~ 20.
-    """
-    if xi_range < 10:
-        raise ValueError("xi_range must be >= 10")
-    xi = np.linspace(0.0, xi_range, 16001)
-    env = np.max(
-        [np.abs(w.fourier(xi, l)) for l in range(min(l_max, w.max_deriv) + 1)],
-        axis=0,
-    )
-    if not np.any(env > 0):
-        raise ValueError("all-zero spectrum")
-    floor = 1e-10 * env.max()  # below this the table/FFT noise dominates
-    peaks = (env[1:-1] >= env[:-2]) & (env[1:-1] >= env[2:])
-    mask = np.zeros_like(env, dtype=bool)
-    mask[1:-1] = peaks
-    mask &= (xi >= 1.0) & (env > floor)
-    if mask.sum() < 3:
-        mask = (xi >= 1.0) & (env > floor)
-    # fit the upper half of the usable range: the pre-asymptotic region
-    # flattens the slope for super-polynomially decaying spectra
-    xi_hi = xi[mask].max()
-    tail = mask & (xi >= max(1.0, 0.5 * xi_hi))
-    if tail.sum() >= 3:
-        mask = tail
-    logx = np.log1p(xi[mask])
-    logy = np.log(env[mask])
-    slope, _ = np.polyfit(logx, logy, 1)
-    return -float(slope)
+# theorem thresholds and hypothesis checks
 
 
 def required_decay(purpose: Purpose, alpha: float, s: float = 0.0) -> float:

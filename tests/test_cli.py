@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import shlex
 from pathlib import Path
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from alphamod.cli import _OPTIONS, RunConfig, build_parser, main
+from alphamod.cli import _OPTIONS, RunConfig, _json, build_parser, main
 from alphamod.grids import (SampledGrid, Signal, load_signal_csv,
                             save_signal_csv)
 
@@ -41,7 +42,48 @@ def test_admissible_wide_bump(tmp_path):
                "--output-dir", str(tmp_path))
     assert code == 0
     report = json.loads((tmp_path / "admissible.json").read_text())
-    assert report["hypothesis"]["certified_r"] > 1.0
+    assert float(report["hypothesis"]["certified_r"]) > 1.0
+
+
+def _strict(text):
+    """json.loads under RFC 8259, which has no NaN or Infinity token."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("window", ["gaussian", "bump:1.0"])
+def test_admissible_writes_strict_json_for_an_infinite_certificate(
+        tmp_path, capsys, window):
+    code = run("admissible", "--window", window, "--alpha", "0.5",
+               "--scan-nodes", "41", "--xi-max", "20",
+               "--output-dir", str(tmp_path))
+    assert code == 0
+    printed = capsys.readouterr().out.strip().splitlines()[-1]
+    for text in ((tmp_path / "admissible.json").read_text(), printed):
+        hypothesis = _strict(text)["hypothesis"]
+        assert hypothesis["certified_r"] == "inf"
+        assert float(hypothesis["certified_r"]) == math.inf
+        assert hypothesis["passed"] is True
+
+
+def test_coorbit_norm_p_inf_prints_strict_json(tmp_path, chirp_csv, capsys):
+    code = run("coorbit-norm", chirp_csv, "--alpha", "0.5", "--p", "inf",
+               "--xi-max", "40", "--scan-nodes", "401",
+               "--output-dir", str(tmp_path))
+    assert code == 0
+    out = _strict(capsys.readouterr().out.strip().splitlines()[-1])
+    assert out["p"] == "inf" and out["norm"] > 0
+
+
+def test_json_writes_non_finite_floats_as_strings():
+    payload = {"a": [np.float64(np.inf), -math.inf, math.nan, 1.5],
+               "b": (True, None, "x", 3, np.int64(4), np.bool_(True))}
+    assert _strict(_json(payload)) == {
+        "a": ["inf", "-inf", "nan", 1.5],
+        "b": [True, None, "x", 3, 4.0, 1.0]}
+    assert [float(v) for v in _strict(_json(payload))["a"][:2]] == [
+        math.inf, -math.inf]
 
 
 def test_admissible_rejects_alpha_one(tmp_path):

@@ -199,6 +199,19 @@ def test_band_matrix_matches_dense_formula_entry_by_entry(w):
     assert empty.shape == (0, grid.n) and empty.nnz == 0
 
 
+@pytest.mark.parametrize("spec", ["gaussian", "bandlimited:1.0"])
+def test_band_matrix_stores_int32_indices(spec):
+    """Below 2^31 stored entries the index arrays are int32: 4 bytes per
+    entry, not the 8 of an int64 copy."""
+    grid = SampledGrid.centered(256, 1.0 / 16.0)
+    oms = np.linspace(-8.0, 8.0, 9)
+    xs = np.linspace(-8.0, 8.0, 17)
+    A = _band_matrix(parse_window_spec(spec), 0.5, np.repeat(oms, xs.size),
+                     np.tile(xs, oms.size), grid)
+    assert A.nnz > 0
+    assert A.indices.dtype == np.int32 and A.indptr.dtype == np.int32
+
+
 def test_voice_values_are_inner_products(chirp, gauss):
     gx = SampledGrid(3, 1.0, -1.0)
     gw = SampledGrid(3, 2.0, -2.0)

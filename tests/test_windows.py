@@ -7,8 +7,8 @@ from alphamod.quadrature import integrate
 from alphamod.windows import (_TAYLOR_CUT, HypothesisVerdict, Purpose,
                               Window, _sinc_power_derivs, bandlimited_window,
                               bspline_window, bump_window, check_hypotheses,
-                              estimate_decay_rate, gaussian_window,
-                              parse_window_spec, required_decay)
+                              gaussian_window, parse_window_spec,
+                              required_decay)
 
 
 def quad1(f, a, b, tol):
@@ -105,18 +105,29 @@ def test_bandlimited_spectrum_compact():
     assert w.l2_norm**2 == pytest.approx(35.0 / 64.0)
 
 
-def test_estimate_decay_rate_recovers_bspline_order():
-    w = bspline_window(3)
-    r = estimate_decay_rate(w, 0, 200.0)
-    assert r == pytest.approx(3.0, abs=0.2)
-
-
 @pytest.mark.parametrize("radius", [4.0, 8.0, 16.0])
 def test_wide_bump_certifies_decay(radius):
-    """A wide bump's spectrum falls to its table's rounding noise within
-    xi < 100.  The fit must stop above that noise, or a smooth, compactly
-    supported window certifies a negative exponent."""
+    """A wide bump's spectral table reaches its rounding noise within
+    xi < 100.  The certificate rests on the bump being smooth with
+    compact support, not on the table, so the noise cannot lower it."""
     assert bump_window(radius).decay_certificate > 1.0
+
+
+@pytest.mark.parametrize("spec, certificate", [
+    ("bspline:1", 1.0), ("bspline:4", 4.0), ("gaussian", math.inf),
+    ("bump:1.0", math.inf), ("bandlimited:2.0", math.inf)])
+def test_decay_certificate_is_the_family_theorem(spec, certificate):
+    # |sinc|^m for B-splines, Schwartz spectra for the Gaussian and the
+    # bump, a compact spectrum for the bandlimited window
+    assert parse_window_spec(spec).decay_certificate == certificate
+
+
+@pytest.mark.parametrize("purpose", list(Purpose))
+@pytest.mark.parametrize("radius", [0.5, 1.0, 4.0])
+def test_bump_meets_every_coorbit_threshold(radius, purpose):
+    """A smooth window of compact support meets every decay threshold
+    of the coorbit theory, at alpha = 0.5 as at any other alpha."""
+    assert check_hypotheses(bump_window(radius), 0.5, 0.0, purpose).passed
 
 
 def test_required_decay_closed_forms():
