@@ -184,9 +184,9 @@ def _plain(value):
     return value if math.isfinite(value) else str(value)
 
 
-def _json(payload: dict, **kwargs) -> str:
+def _json(payload: dict, indent: int | None = None) -> str:
     """The one JSON writer of the CLI's files and printed lines."""
-    return json.dumps(_plain(payload), allow_nan=False, **kwargs)
+    return json.dumps(_plain(payload), indent=indent, allow_nan=False)
 
 
 def _write_json(payload: dict, path: Path):

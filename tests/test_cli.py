@@ -63,7 +63,6 @@ def test_admissible_writes_strict_json_for_an_infinite_certificate(
     for text in ((tmp_path / "admissible.json").read_text(), printed):
         hypothesis = _strict(text)["hypothesis"]
         assert hypothesis["certified_r"] == "inf"
-        assert float(hypothesis["certified_r"]) == math.inf
         assert hypothesis["passed"] is True
 
 
@@ -79,11 +78,10 @@ def test_coorbit_norm_p_inf_prints_strict_json(tmp_path, chirp_csv, capsys):
 def test_json_writes_non_finite_floats_as_strings():
     payload = {"a": [np.float64(np.inf), -math.inf, math.nan, 1.5],
                "b": (True, None, "x", 3, np.int64(4), np.bool_(True))}
-    assert _strict(_json(payload)) == {
-        "a": ["inf", "-inf", "nan", 1.5],
-        "b": [True, None, "x", 3, 4.0, 1.0]}
-    assert [float(v) for v in _strict(_json(payload))["a"][:2]] == [
-        math.inf, -math.inf]
+    out = _strict(_json(payload))
+    assert out == {"a": ["inf", "-inf", "nan", 1.5],
+                   "b": [True, None, "x", 3, 4.0, 1.0]}
+    assert [float(v) for v in out["a"][:2]] == [math.inf, -math.inf]
 
 
 def test_admissible_rejects_alpha_one(tmp_path):
