@@ -3,7 +3,7 @@
 Subcommands wire the library into reproducible file-based runs:
 
     admissible     window admissibility scan + hypothesis check
-    frame-info     build a frame, report bounds and covering diagnostics
+    frame-info     frame bounds and the covering's exact overlap and gaps
     analyze        signal -> coefficient file
     synthesize     coefficient file -> signal
     roundtrip      analyze + reconstruct, report the error

@@ -132,11 +132,10 @@ class CoveringDiagnostics:
 
 def build_covering(alpha: float, eps: float, c: float,
                    time_range: tuple[float, float],
-                   freq_range: tuple[float, float],
-                   validate: bool = True) -> AlphaCovering:
+                   freq_range: tuple[float, float]) -> AlphaCovering:
     """All boxes meeting the rectangle; boxes straddling an edge are kept
-    whole.  With validate=True a probe scan rejects (eps, c) pairs whose
-    boxes leave gaps in the rectangle."""
+    whole.  Raises CoveringGapError, naming a point, when the boxes leave
+    part of the rectangle uncovered."""
     _check_alpha(alpha)
     if eps <= 0 or c <= 0:
         raise ValueError(f"eps and c must be positive, got eps={eps}, c={c}")
@@ -145,13 +144,19 @@ def build_covering(alpha: float, eps: float, c: float,
     if not (t1 > t0 and f1 > f0):
         raise ValueError("time_range and freq_range must be increasing pairs")
 
-    # a box at node w_j reaches 2*eps*c/beta(w_j) in frequency; invert the
-    # node map with that slack to bracket the contributing j values
+    # node w's band reaches slack*v^alpha from w, v = 1 + |w|.  Once
+    # v^(1-alpha) >= 2*slack, i.e. |p_alpha_inv(w)| >= (2*slack - 1) /
+    # (1 - alpha), its end nearer 0 moves away from 0 as |w| grows and is
+    # at least |w|/2 - 1/2 from 0, so no row past |w| = 2|f| + 1 reaches f.
+    # Inside this bracket band ends need not be monotone in j; keep is exact
     slack = 2.0 * eps * c
-    j_lo = math.floor(p_alpha_inv(f0 - slack / beta(f0, alpha), alpha) / eps) - 1
-    j_hi = math.ceil(p_alpha_inv(f1 + slack / beta(f1, alpha), alpha) / eps) + 1
 
-    js = np.arange(j_lo, j_hi + 1)
+    def reach(f):
+        y = max((2.0 * slack - 1.0) / (1.0 - alpha),
+                p_alpha_inv(2.0 * abs(f) + 1.0, alpha))
+        return math.ceil(y / eps)
+
+    js = np.arange(-reach(f0), reach(f1) + 1)
     omegas = p_alpha(eps * js, alpha)
     betas = beta(omegas, alpha)
     keep = (omegas + slack / betas > f0) & (omegas - slack / betas < f1)
@@ -168,79 +173,71 @@ def build_covering(alpha: float, eps: float, c: float,
     k_hi = np.ceil(q[1]).astype(np.int64) + 1
     cov = AlphaCovering(alpha, eps, c, (t0, t1), (f0, f1), js, omegas,
                         k_lo, k_hi)
-    if validate and not _probe_covers(cov):
-        raise CoveringGapError(
-            f"eps={eps}, c={c} leaves gaps in the covering; increase c or "
-            f"decrease eps"
-        )
+    point = _uncovered_point(cov)
+    if point is not None:
+        raise CoveringGapError(f"eps={eps}, c={c} leaves the point {point} "
+                               f"uncovered; increase c or decrease eps")
     return cov
 
 
-def _probe_covers(cov: AlphaCovering, density: int = 20) -> bool:
-    """Dense probe of the rectangle; True when every point lies in a box.
+def _uncovered_point(cov: AlphaCovering):
+    """A point (t, omega) of the closed rectangle that no box contains, or
+    None when the boxes cover it.
 
-    Row r covers the probe times x with rint(x / (eps * b_r)) in its
-    k-range; that index is nondecreasing in x, so the covered times form
-    one run [a_r, e_r) of the sorted probes.  Likewise the probe
-    frequencies inside row r's band form one run [start_r, stop_r).  The
-    set of rows over a frequency changes only at the ends of these runs,
-    so each piece between consecutive ends is checked once: the runs of
-    its rows, sorted by a_r, must chain from 0 to nx without a gap.
+    Consecutive boxes of a row overlap, so row r covers the open time
+    interval eps*b_r*(k_lo - 1, k_hi + 1) over its open band; a row with
+    k_lo > k_hi covers nothing.  The rows over a frequency change only at
+    band ends, so it is enough to check f0, f1, every band end between
+    them and one frequency inside each piece between these.  There the
+    intervals of the rows over it, sorted by start, must chain over
+    [t0, t1]: with p the end of the chain so far (t0 at first), the next
+    interval must start below p, or [p, its start] is uncovered.  A last
+    interval starting at +inf asks the chain to pass t1.
     """
     t0, t1 = cov.time_range
     f0, f1 = cov.freq_range
-    ws, bs, halves = cov.omegas, cov.betas, cov.halves
-    # probe spacing follows the finest box dimensions present
-    nw = max(64, int(density * (f1 - f0) / (2.0 * halves.min())))
-    nx = max(64, int(density * (t1 - t0) / (2.0 * cov.eps * bs.min())))
-    nx = min(nx, 20000)
-    nw = min(nw, 20000)
-    xs = np.linspace(t0, t1, nx)
-    fs = np.linspace(f0, f1, nw)
-    k = np.rint(xs[None, :] / (cov.eps * bs[:, None]))
-    a = np.sum(k < cov.k_lo[:, None], axis=1)
-    e = np.sum(k <= cov.k_hi[:, None], axis=1)
-    start = np.searchsorted(fs, ws - halves, side="right")
-    stop = np.searchsorted(fs, ws + halves, side="left")
-    pieces = np.unique(np.concatenate([[0], start, stop]))
-    pieces = pieces[pieces < nw]
+    ends = np.concatenate([[f0, f1], cov.omegas - cov.halves,
+                           cov.omegas + cov.halves])
+    ends = np.unique(ends[(ends >= f0) & (ends <= f1)])
+    fs = np.concatenate([ends, (ends[:-1] + ends[1:]) / 2])
+    steps = cov.eps * cov.betas
+    a, b = steps * (cov.k_lo - 1), steps * (cov.k_hi + 1)
     order = np.argsort(a, kind="stable")
-    a, e, start, stop = a[order], e[order], start[order], stop[order]
-    on = (start <= pieces[:, None]) & (pieces[:, None] < stop)
-    reach = np.maximum.accumulate(np.where(on, e, 0), axis=1)
-    before = np.concatenate([np.zeros((pieces.size, 1), dtype=reach.dtype),
-                             reach[:, :-1]], axis=1)
-    return bool(np.all(~on | (a <= before)) and np.all(reach[:, -1] == nx))
+    a, b = np.append(a[order], np.inf), b[order]
+    on = ((np.abs(fs[:, None] - cov.omegas[order]) < cov.halves[order])
+          & (cov.k_lo <= cov.k_hi)[order])
+    chain = np.maximum.accumulate(
+        np.column_stack([np.full(fs.size, t0), np.where(on, b, t0)]), axis=1)
+    gap = (np.column_stack([on, np.ones(fs.size, dtype=bool)])
+           & (a >= chain) & (chain <= t1))
+    if not gap.any():
+        return None
+    m, i = np.argwhere(gap)[0]
+    return float((chain[m, i] + min(a[i], t1)) / 2), float(fs[m])
 
 
 def _max_overlap(cov: AlphaCovering) -> int:
-    """sup over boxes of the number of boxes meeting it, by interval
-    arithmetic on rows.
+    """sup over boxes of the number of boxes meeting it, itself included.
 
-    The count is uniform in k away from the row ends, so each row i is
-    probed at its interior and end boxes.  Box k' of row r meets the
-    x-interval (x_lo, x_hi) of a probe when eps*b_r*(k'-1) < x_hi and
-    eps*b_r*(k'+1) > x_lo; its candidates lie between floor(x_lo/step)
-    and ceil(x_hi/step), and the strict comparisons are checked on them.
+    Box k' of row r meets a box (x_lo, x_hi) of row i when the two rows'
+    bands meet, eps*b_r*(k'-1) < x_hi and eps*b_r*(k'+1) > x_lo.  Both
+    ends increase with k', so for every box of row i the count is the
+    number of starts below x_hi less the number of ends at or below x_lo:
+    two searchsorted calls per pair of rows whose bands meet.
     """
-    lo = cov.omegas - cov.halves
-    hi = cov.omegas + cov.halves
+    lo, hi = cov.omegas - cov.halves, cov.omegas + cov.halves
     steps = cov.eps * cov.betas
+    starts = [s * np.arange(k0 - 1, k1)
+              for s, k0, k1 in zip(steps, cov.k_lo, cov.k_hi)]
+    stops = [s * np.arange(k0 + 1, k1 + 2)
+             for s, k0, k1 in zip(steps, cov.k_lo, cov.k_hi)]
     worst = 0
     for i in range(cov.js.size):
-        rows = np.nonzero((lo < hi[i]) & (hi > lo[i]))[0]
-        k0, k1 = cov.k_lo[i], cov.k_hi[i]
-        probes = np.array([k0, k0 + 1, (k0 + k1) // 2, k1 - 1, k1])
-        x_lo = (steps[i] * (probes - 1))[:, None, None]
-        x_hi = (steps[i] * (probes + 1))[:, None, None]
-        step = steps[rows][:, None]
-        k_min = np.maximum(cov.k_lo[rows][:, None], np.floor(x_lo / step))
-        k_max = np.minimum(cov.k_hi[rows][:, None], np.ceil(x_hi / step))
-        width = max(int(np.max(k_max - k_min)) + 1, 0)
-        kp = k_min + np.arange(width)
-        meets = ((kp <= k_max) & (step * (kp - 1) < x_hi)
-                 & (step * (kp + 1) > x_lo))
-        worst = max(worst, int(meets.sum(axis=(1, 2)).max()))
+        count = np.zeros(starts[i].size, dtype=np.int64)
+        for r in np.nonzero((lo < hi[i]) & (hi > lo[i]))[0]:
+            count += (np.searchsorted(starts[r], stops[i])
+                      - np.searchsorted(stops[r], starts[i], side="right"))
+        worst = max(worst, int(count.max(initial=0)))
     return worst
 
 
@@ -265,7 +262,7 @@ def covering_diagnostics(cov: AlphaCovering,
                                 rtol=1e-12) and areas.min() > 0)
     return CoveringDiagnostics(
         max_overlap=_max_overlap(cov),
-        covers_region=_probe_covers(cov),
+        covers_region=_uncovered_point(cov) is None,
         moderate=moderate,
         C_w=mutual_weight_bound(cov, s),
     )

@@ -153,7 +153,7 @@ def test_criterion_06_covering_exact_and_gapless():
             ok = ok and diag.covers_region
     elapsed = time.monotonic() - t0
     ok = ok and elapsed < 30.0
-    _report(6, "box areas exact and density-20 probing finds no gaps",
+    _report(6, "box areas exact and the exact gap check finds no gaps",
             ok, f"{elapsed:.1f}s")
 
 

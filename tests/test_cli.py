@@ -354,13 +354,13 @@ def test_covering_dump(tmp_path):
 
 
 def test_covering_with_a_missing_row(tmp_path):
-    # rows -3..-1 and 1..4 at alpha = 0.9: row 0 misses the rectangle
+    # rows -9..-1 and 1..10 at alpha = 0.9: row 0 misses the rectangle
     cfg = ("--alpha", "0.9", "--eps", "1", "--c", "1", "--time-range=-4,4",
            "--freq-range=3,4")
     out = tmp_path / "cov"
     assert run("covering-dump", *cfg, "--output-dir", str(out)) == 0
     data = np.loadtxt(out / "covering.csv", delimiter=",", skiprows=1)
-    assert sorted(set(data[:, 0])) == [-3, -2, -1, 1, 2, 3, 4]
+    assert sorted(set(data[:, 0])) == [*range(-9, 0), *range(1, 11)]
     assert run("frame-info", *cfg, "--grid-n", "64",
                "--output-dir", str(tmp_path / "fi")) == 0
 
@@ -374,6 +374,14 @@ def test_covering_with_a_missing_row(tmp_path):
 def test_frame_info_tiny_dimension_exit(tmp_path, capsys, argv):
     assert run("frame-info", *argv, "--output-dir", str(tmp_path)) == 2
     assert "in-band" in capsys.readouterr().err
+
+
+def test_frame_info_on_touching_bands_exits_2(tmp_path, capsys):
+    # bands (0.5 j -+ 0.25) only touch: no box contains omega = 0.75
+    assert run("frame-info", "--alpha", "0", "--eps", "0.5", "--c", "0.25",
+               "--time-range=-4,4", "--freq-range=0.3,2",
+               "--output-dir", str(tmp_path)) == 2
+    assert "(0.0, 0.75) uncovered" in capsys.readouterr().err
 
 
 def test_diagnostics_empty_eps_list(tmp_path):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alphamod.covering import (CoveringGapError, _max_overlap, _probe_covers,
+from alphamod.covering import (CoveringGapError, UncoveredPointError,
+                               _max_overlap, _uncovered_point,
                                build_covering, covering_diagnostics,
                                mutual_weight_bound, p_alpha, p_alpha_inv,
                                q_neighborhood, q_samples)
@@ -57,28 +59,55 @@ def test_boxes_contain_their_nodes():
         assert cov.box(int(j), int(k)).contains(x, om)
 
 
-def _max_overlap_loop(cov):
-    """The overlap count one k' at a time: oracle for _max_overlap."""
-    bs, klo, khi = cov.betas, cov.k_lo, cov.k_hi
-    lo = cov.omegas - cov.halves
-    hi = cov.omegas + cov.halves
+def _box_table(cov):
+    """(x_lo, x_hi, w_lo, w_hi) of every box, one row per box."""
+    return np.array([(b.x_lo, b.x_hi, b.w_lo, b.w_hi)
+                     for b in cov.boxes()]).reshape(-1, 4)
+
+
+def _max_overlap_brute(cov):
+    """The most boxes meeting one box, itself included, over every pair of
+    boxes: oracle for _max_overlap."""
+    boxes = _box_table(cov)
     worst = 0
-    for i in range(cov.js.size):
-        rows = np.nonzero((lo < hi[i]) & (hi > lo[i]))[0]
-        k0, k1 = klo[i], khi[i]
-        for k in {k0, k0 + 1, (k0 + k1) // 2, k1 - 1, k1}:
-            x_lo = cov.eps * bs[i] * (k - 1)
-            x_hi = cov.eps * bs[i] * (k + 1)
-            count = 0
-            for r in rows:
-                k_min = max(klo[r], math.floor(x_lo / (cov.eps * bs[r])))
-                k_max = min(khi[r], math.ceil(x_hi / (cov.eps * bs[r])))
-                for kp in range(k_min, k_max + 1):
-                    if (cov.eps * bs[r] * (kp - 1) < x_hi
-                            and cov.eps * bs[r] * (kp + 1) > x_lo):
-                        count += 1
-            worst = max(worst, count)
+    for blk in np.array_split(boxes, max(1, len(boxes) // 256)):
+        meets = ((boxes[:, 0] < blk[:, 1:2]) & (boxes[:, 1] > blk[:, :1])
+                 & (boxes[:, 2] < blk[:, 3:]) & (boxes[:, 3] > blk[:, 2:3]))
+        worst = max(worst, int(meets.sum(axis=1).max()))
     return worst
+
+
+def _covers_brute(cov, n=64):
+    """Whether every sample point of the closed rectangle lies in a box,
+    over every box: oracle for _uncovered_point.  The samples are an
+    n x n grid plus every band end and every row end in the rectangle;
+    an uncovered stretch of the open boxes starts at one of them."""
+    t0, t1 = cov.time_range
+    f0, f1 = cov.freq_range
+    boxes = _box_table(cov)
+    steps = cov.eps * cov.betas
+    ts = np.concatenate([np.linspace(t0, t1, n), steps * (cov.k_lo - 1),
+                         steps * (cov.k_hi + 1)])
+    fs = np.concatenate([np.linspace(f0, f1, n), boxes[:, 2], boxes[:, 3]])
+    ts = np.unique(ts[(ts >= t0) & (ts <= t1)])
+    fs = np.unique(fs[(fs >= f0) & (fs <= f1)])
+    for omega in fs:
+        band = boxes[(boxes[:, 2] < omega) & (omega < boxes[:, 3])]
+        if not ((band[:, :1] < ts) & (ts < band[:, 1:2])).any(axis=0).all():
+            return False
+    return True
+
+
+def _unchecked(alpha, eps, c, time_range, freq_range):
+    """The row table build_covering makes, without its gap check: the
+    rows of the gapless covering at max(c, 1), narrowed to c, that still
+    meet the rectangle."""
+    cov = dataclasses.replace(
+        build_covering(alpha, eps, max(c, 1.0), time_range, freq_range), c=c)
+    f0, f1 = freq_range
+    keep = (cov.omegas + cov.halves > f0) & (cov.omegas - cov.halves < f1)
+    return dataclasses.replace(cov, js=cov.js[keep], omegas=cov.omegas[keep],
+                               k_lo=cov.k_lo[keep], k_hi=cov.k_hi[keep])
 
 
 def test_gabor_overlap_oracle():
@@ -86,83 +115,96 @@ def test_gabor_overlap_oracle():
     # arithmetic gives 3 time neighbors x 7 frequency rows per point
     cov = build_covering(0.0, 1.0, 1.0, (-6, 6), (-4, 4))
     diag = covering_diagnostics(cov)
-    assert diag.max_overlap == 21 == _max_overlap_loop(cov)
+    assert diag.max_overlap == 21 == _max_overlap_brute(cov)
     assert diag.covers_region
     assert diag.moderate
 
 
+@pytest.mark.parametrize("args, want", [
+    # five probe boxes per row read 21 and 30 here
+    ((0.75, 0.3, 0.6, (-5, 7), (-3, 9)), 23),
+    ((0.5, 0.5, 1.0, (-1.5, 1.0), (-4, 4)), 34),
+])
+def test_max_overlap_counts_every_box(args, want):
+    cov = build_covering(*args)
+    assert covering_diagnostics(cov).max_overlap == want
+    assert _max_overlap_brute(cov) == want
+
+
 def test_covering_gap_detected():
-    with pytest.raises(CoveringGapError):
-        build_covering(0.5, 0.25, 0.2, (-4, 4), (-4, 4))
+    # bands too thin for the node spacing, and bands (0.5 j -+ 0.25) that
+    # only touch, leaving the line omega = 0.75 uncovered
+    for args in ((0.5, 0.25, 0.2, (-4, 4), (-4, 4)),
+                 (0.0, 0.5, 0.25, (-4, 4), (0.3, 2.0))):
+        cov = _unchecked(*args)
+        point = _uncovered_point(cov)
+        with pytest.raises(CoveringGapError, match=re.escape(str(point))):
+            build_covering(*args)
+        assert not covering_diagnostics(cov).covers_region
+        assert not any(b.contains(*point) for b in cov.boxes())
+        with pytest.raises(UncoveredPointError):
+            q_neighborhood(cov, point)
 
 
-def _probe_covers_loop(cov, density=20):
-    """The probe one frequency at a time: oracle for _probe_covers."""
-    t0, t1 = cov.time_range
-    f0, f1 = cov.freq_range
-    ws, bs, halves = cov.omegas, cov.betas, cov.halves
-    klo, khi = cov.k_lo, cov.k_hi
-    nw = max(64, int(density * (f1 - f0) / (2.0 * halves.min())))
-    nx = max(64, int(density * (t1 - t0) / (2.0 * cov.eps * bs.min())))
-    nx = min(nx, 20000)
-    nw = min(nw, 20000)
-    xs = np.linspace(t0, t1, nx)
-    fs = np.linspace(f0, f1, nw)
-    for omega in fs:
-        rows = np.nonzero((ws - halves < omega) & (omega < ws + halves))[0]
-        if rows.size == 0:
-            return False
-        covered = np.zeros(xs.size, dtype=bool)
-        for i in rows:
-            u = xs / (cov.eps * bs[i])
-            k = np.rint(u)
-            ok = (np.abs(u - k) < 1.0) & (k >= klo[i]) & (k <= khi[i])
-            edge = np.isclose(np.abs(u - k), 1.0)
-            covered |= ok | (edge & (k + np.sign(u - k) >= klo[i])
-                             & (k + np.sign(u - k) <= khi[i]))
-        if not covered.all():
-            return False
-    return True
-
-
-def test_probe_covers_matches_loop_oracle():
+def test_gap_and_overlap_match_brute_force_oracles():
     rng = np.random.default_rng(5)
     verdicts = []
-    for _ in range(40):
+    for _ in range(64):
         alpha = rng.choice([0.0, 0.25, 0.5, 0.75])
         eps = rng.uniform(0.2, 1.0)
         c = rng.uniform(0.1, 0.7)
         t0, f0 = rng.uniform(-6.0, 0.0, size=2)
         tr = (t0, t0 + rng.uniform(1.0, 8.0))
         fr = (f0, f0 + rng.uniform(1.0, 8.0))
-        cov = build_covering(alpha, eps, c, tr, fr, validate=False)
+        cov = _unchecked(alpha, eps, c, tr, fr)
         if rng.random() < 0.5:
             # trimmed k-ranges put the row ends inside the rectangle; one
-            # (k_lo, k_hi) pair of draws per row, in row order
+            # (k_lo, k_hi) pair of draws per row, and one row left empty
             d = rng.integers(3, size=(cov.js.size, 2))
-            cov = dataclasses.replace(cov, k_lo=cov.k_lo + d[:, 0],
-                                      k_hi=cov.k_hi - d[:, 1])
-        for density in (10, 20):
-            verdicts.append(_probe_covers(cov, density))
-            assert verdicts[-1] == _probe_covers_loop(cov, density)
-        assert _max_overlap(cov) == _max_overlap_loop(cov)
+            k_lo, k_hi = cov.k_lo + d[:, 0], cov.k_hi - d[:, 1]
+            empty = rng.integers(cov.js.size)
+            k_hi[empty] = k_lo[empty] - 1 - rng.integers(2)
+            cov = dataclasses.replace(cov, k_lo=k_lo, k_hi=k_hi)
+        point = _uncovered_point(cov)
+        verdicts.append(point is None)
+        assert verdicts[-1] == _covers_brute(cov)
+        if point is not None:
+            assert not any(b.contains(*point) for b in cov.boxes())
+        assert _max_overlap(cov) == _max_overlap_brute(cov)
     assert any(verdicts) and not all(verdicts)
     # a covering with gaps (see test_covering_gap_detected), a gapless
     # one at the same geometry, and open bands that only touch: the first
-    # or the last probe frequency, 0.25, sits exactly on a band edge
+    # or the last frequency, 0.25, or the inner 0.75 sits on a band edge
     for args, want in (((0.5, 0.25, 0.2, (-4, 4), (-4, 4)), False),
                        ((0.5, 0.25, 1.0, (-4, 4), (-4, 4)), True),
                        ((0.0, 0.5, 0.25, (-4, 4), (0.25, 2.0)), False),
-                       ((0.0, 0.5, 0.25, (-4, 4), (-2.0, 0.25)), False)):
-        cov = build_covering(*args, validate=False)
-        assert _probe_covers(cov) == _probe_covers_loop(cov) == want
+                       ((0.0, 0.5, 0.25, (-4, 4), (-2.0, 0.25)), False),
+                       ((0.0, 0.5, 0.25, (-4, 4), (0.3, 2.0)), False)):
+        cov = _unchecked(*args)
+        assert (_uncovered_point(cov) is None) == _covers_brute(cov) == want
+    # exact ties in time: at alpha = 0 every step is eps = 0.5, and rows
+    # -1..2 lie over all of (0.1, 0.2).  The open row intervals (-5, 0)
+    # and (0, 5) leave t = 0 uncovered, (-5, 4) leaves t1 = 4 uncovered,
+    # and a row emptied to k_lo = k_hi + 1 covers nothing, not (0, 0.5)
+    tie = _unchecked(0.0, 0.5, 1.0, (-4, 4), (0.1, 0.2))
+    short = _unchecked(0.0, 0.5, 1.0, (0.1, 0.2), (0.1, 0.2))
+    assert tie.js.tolist() == short.js.tolist() == [-1, 0, 1, 2]
+    for cov, k_lo, k_hi in ((tie, [-9, -9, 1, 1], [-1, -1, 9, 9]),
+                            (tie, [-9] * 4, [7] * 4),
+                            (short, [1] * 4, [0] * 4)):
+        cov = dataclasses.replace(cov, k_lo=np.array(k_lo),
+                                  k_hi=np.array(k_hi))
+        assert _uncovered_point(cov) is not None
+        assert not _covers_brute(cov)
 
 
 def test_covering_with_a_missing_row():
     # at alpha = 0.9 the bands are wide enough that row 0 (band (-2, 2))
-    # misses the rectangle while rows -1 and 1 on both sides of it meet it
+    # misses the rectangle while rows -1 and 1 on both sides of it meet
+    # it.  The band ends are not monotone in j here, so rows far out
+    # (row 10 sits at omega = 1023, band (-1, 2047)) meet it too
     cov = build_covering(0.9, 1.0, 1.0, (-4, 4), (3, 4))
-    assert cov.js.tolist() == [-3, -2, -1, 1, 2, 3, 4]
+    assert cov.js.tolist() == [*range(-9, 0), *range(1, 11)]
     with pytest.raises(KeyError):
         cov.row(0)
     boxes = list(cov.boxes())
@@ -172,12 +214,22 @@ def test_covering_with_a_missing_row():
     assert all(b.contains(x, om) for b, (_, _, x, om) in zip(boxes, nodes))
     diag = covering_diagnostics(cov)
     assert diag.covers_region and diag.moderate
-    assert diag.max_overlap == _max_overlap_loop(cov)
+    assert diag.max_overlap == _max_overlap_brute(cov)
 
 
-def test_validate_false_skips_probe():
-    cov = build_covering(0.5, 0.25, 0.2, (-4, 4), (-4, 4), validate=False)
-    assert not covering_diagnostics(cov).covers_region
+def test_rows_are_every_band_meeting_the_rectangle():
+    # brute force over |j| <= 2000, where 2*eps*c*alpha > 1 makes the band
+    # ends non-monotone in j and where it does not; bracketing j by the
+    # band reach at the rectangle's edges missed row -6 of the second
+    for args in ((0.9, 1.0, 1.0, (-4, 4), (3, 4)),
+                 (0.75, 0.25, 2.0, (-1, 1), (0, 1)),
+                 (0.5, 0.25, 1.0, (-4, 4), (-4, 4))):
+        alpha, eps, c, _, (f0, f1) = args
+        js = np.arange(-2000, 2001)
+        w = p_alpha(eps * js, alpha)
+        half = 2.0 * eps * c / beta(w, alpha)
+        want = js[(w + half > f0) & (w - half < f1)]
+        assert np.array_equal(build_covering(*args).js, want)
 
 
 def test_row_ends_at_exact_ties():
@@ -185,8 +237,7 @@ def test_row_ends_at_exact_ties():
     # with eps = 1/20 both ends of every row fall exactly on a box edge,
     # where floor and ceil must not depend on the last bit of beta
     eps = Fraction(1, 20)
-    cov = build_covering(0.5, float(eps), 1.0, (-64, 64), (-16, 16),
-                         validate=False)
+    cov = build_covering(0.5, float(eps), 1.0, (-64, 64), (-16, 16))
     steps = [eps / (1 + eps * abs(int(j)) / 2) for j in cov.js]
     assert cov.k_lo.tolist() == [math.floor(-64 / s) - 1 for s in steps]
     assert cov.k_hi.tolist() == [math.ceil(64 / s) + 1 for s in steps]

@@ -176,7 +176,7 @@ def test_osc_matches_dense_oracle(osc_engine, time_range):
     axis of x_w, checked probe by probe, and gamma2's; at an even and an
     odd density.  The (-1.5, 1) covering stops inside the probed times,
     so some times have no inside sample in a row."""
-    cov = build_covering(0.5, 0.5, 1.0, time_range, (-4, 4), validate=False)
+    cov = build_covering(0.5, 0.5, 1.0, time_range, (-4, 4))
     u_in = osc_engine.u[np.abs(osc_engine.u) <= 2.0]
     omegas = np.linspace(-3.0, 3.0, 13)
     probes = np.array([-2.0, 0.5, 1.75])

@@ -110,7 +110,7 @@ def test_analysis_values_are_inner_products(small_frame):
 
 
 def test_frame_on_a_covering_with_a_missing_row(gauss):
-    # rows -3..-1 and 1..4: row 0 misses the rectangle
+    # rows -9..-1 and 1..10: row 0 misses the rectangle
     cov = build_covering(0.9, 1.0, 1.0, (-4, 4), (3, 4))
     fr = AlphaFrame(cov, gauss, SampledGrid.centered(64, 0.125))
     assert fr.n_atoms == cov.n_boxes
