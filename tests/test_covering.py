@@ -77,18 +77,18 @@ def _max_overlap_brute(cov):
     return worst
 
 
-def _covers_brute(cov, n=64):
+def _covers_brute(cov):
     """Whether every sample point of the closed rectangle lies in a box,
-    over every box: oracle for _uncovered_point.  The samples are an
-    n x n grid plus every band end and every row end in the rectangle;
+    over every box: oracle for _uncovered_point.  The samples are a
+    64 x 64 grid plus every band end and every row end in the rectangle;
     an uncovered stretch of the open boxes starts at one of them."""
     t0, t1 = cov.time_range
     f0, f1 = cov.freq_range
     boxes = _box_table(cov)
     steps = cov.eps * cov.betas
-    ts = np.concatenate([np.linspace(t0, t1, n), steps * (cov.k_lo - 1),
+    ts = np.concatenate([np.linspace(t0, t1, 64), steps * (cov.k_lo - 1),
                          steps * (cov.k_hi + 1)])
-    fs = np.concatenate([np.linspace(f0, f1, n), boxes[:, 2], boxes[:, 3]])
+    fs = np.concatenate([np.linspace(f0, f1, 64), boxes[:, 2], boxes[:, 3]])
     ts = np.unique(ts[(ts >= t0) & (ts <= t1)])
     fs = np.unique(fs[(fs >= f0) & (fs <= f1)])
     for omega in fs:
