@@ -146,6 +146,13 @@ def test_covering_gap_detected():
             q_neighborhood(cov, point)
 
 
+def test_validate_false_skips_probe():
+    # a table made without build_covering's gap check (there is no switch
+    # for it any more) is still diagnosed, and its gap reported, not raised
+    cov = _unchecked(0.5, 0.25, 0.2, (-4, 4), (-4, 4))
+    assert not covering_diagnostics(cov).covers_region
+
+
 def test_gap_and_overlap_match_brute_force_oracles():
     rng = np.random.default_rng(5)
     verdicts = []
