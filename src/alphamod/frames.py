@@ -6,8 +6,10 @@ as one sparse matrix with a band of samples per atom (see transform):
 analysis, synthesis and the frame operator are products with it and
 its adjoint.  The frame operator S is one scipy LinearOperator: both
 frame bounds are Lanczos eigenvalues of it, and reconstruction is
-scipy's CG on it.  A window of infinite time radius (the bandlimited
-one) gives dense rows, n_atoms * n entries, with no memory budget.
+scipy's CG on it; scipy.sparse.linalg is imported by the functions
+that call it, so only frame ops load it.  A window of infinite time
+radius (the bandlimited one) gives dense rows, n_atoms * n entries, with
+no memory budget.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator, cg,
-                                 eigsh)
 
 from .covering import AlphaCovering, build_covering
 from .grids import (GridMismatchError, Signal, SampledGrid, _dft_phases,
@@ -202,6 +202,7 @@ def _S_block(V: np.ndarray, fr: AlphaFrame) -> np.ndarray:
 def _S_operator(fr: AlphaFrame) -> LinearOperator:
     """The frame operator S on C^n as a scipy LinearOperator, for the
     Lanczos bounds and for CG."""
+    from scipy.sparse.linalg import LinearOperator
     n = fr.signal_grid.n
     return LinearOperator(
         (n, n), dtype=complex,
@@ -217,6 +218,7 @@ def _lanczos_extreme(op: LinearOperator, which: str,
     """Largest (which="LA") or smallest (which="SA") eigenvalue of the
     Hermitian operator op, by ARPACK's restarted Lanczos with scipy's
     default of 20 Lanczos vectors, to _LANCZOS_TOL."""
+    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
     try:
         vals = eigsh(op, k=1, which=which, tol=_LANCZOS_TOL, v0=v0,
                      maxiter=_LANCZOS_MAX_ITER, return_eigenvectors=False)
@@ -254,6 +256,7 @@ def estimate_frame_bounds(fr: AlphaFrame, seed: int = 42):
     S = _S_operator(fr)
     B_est = _lanczos_extreme(S, "LA", v0)
 
+    from scipy.sparse.linalg import LinearOperator
     pre, _ = _dft_phases(fr.signal_grid, dual)
     root_n = math.sqrt(n)
 
@@ -289,6 +292,7 @@ def reconstruct(f: Signal, fr: AlphaFrame, tol: float = 1e-8,
     is above tol (both from a tol below the attainable accuracy)."""
     if not f.grid.isclose(fr.signal_grid):
         raise GridMismatchError("signal grid differs from the frame grid")
+    from scipy.sparse.linalg import cg
     S = _S_operator(fr)
     b = S @ f.values
     iters = 0

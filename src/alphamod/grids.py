@@ -187,6 +187,72 @@ def inner_product(f: Signal, g: Signal) -> complex:
     return complex(f.grid.spacing * np.vdot(g.values, f.values))
 
 
+def _cyclic_reduction(a, b, c, r):
+    """x with a[i] x[i-1] + b[i] x[i] + c[i] x[i+1] = r[..., i], a[0] =
+    c[-1] = 0, diagonally dominant, in place of r: freed of their even
+    neighbours, the odd rows are a system of half the size, so log2(n)
+    levels solve it."""
+    n = b.size
+    if n == 1:
+        return r / b
+    if n % 2 == 0:  # a last row x[n] = 0 gives every odd row two neighbours
+        a, b, c = (np.append(v, e) for v, e in ((a, 0.0), (b, 1.0), (c, 0.0)))
+        r = np.concatenate([r, np.zeros_like(r[..., :1])], axis=-1)
+    lo, hi = a[1::2] / b[:-1:2], c[1::2] / b[2::2]
+    r[..., 1::2] = _cyclic_reduction(
+        -lo * a[:-1:2], b[1::2] - lo * c[:-1:2] - hi * a[2::2], -hi * c[2::2],
+        r[..., 1::2] - lo * r[..., :-1:2] - hi * r[..., 2::2])
+    r[..., 2::2] -= a[2::2] * r[..., 1::2]
+    r[..., :-1:2] -= c[:-1:2] * r[..., 1::2]
+    r[..., ::2] /= b[::2]
+    return r[..., :n]
+
+
+def cubic_spline(x, y):
+    """The not-a-knot cubic spline through (x[i], y[i]), n >= 3 nodes,
+    that scipy's CubicSpline builds (de Boor 1978): spline(xi, col=0) is
+    column col of y (a 1-D y is one column) at points of [x[0], x[-1]].
+    Its slope system, less its two not-a-knot rows, is diagonally
+    dominant and solved for all columns at once; only y and the slopes
+    are kept.  xi's piece is found by floor on a uniform x, else by
+    bisection."""
+    x = np.asarray(x, dtype=float)
+    n, h = x.size, np.diff(x)
+    y = np.ascontiguousarray(np.reshape(y, (n, -1)).T, dtype=float)
+    k = np.diff(y) / h  # chord slopes
+    d0, d1 = h[0] + h[1], h[-1] + h[-2]
+    # not-a-knot rows: h[1] s[0] + d0 s[1] = r0, d1 s[-2] + h[-2] s[-1] = r1
+    r0 = ((h[0] + 2 * d0) * h[1] * k[:, 0] + h[0] ** 2 * k[:, 1]) / d0
+    r1 = (h[-1] ** 2 * k[:, -2] + (2 * d1 + h[-1]) * h[-2] * k[:, -1]) / d1
+    # rows 1..n-2: h[i] s[i-1] + 2 (h[i-1] + h[i]) s[i] + h[i-1] s[i+1]
+    a, c = np.append(0.0, h[2:]), np.append(h[:-2], 0.0)
+    b = 2.0 * (h[:-1] + h[1:])
+    r = 3.0 * (h[1:] * k[:, :-1] + h[:-1] * k[:, 1:])
+    b[0], r[:, 0] = b[0] - d0, r[:, 0] - r0
+    b[-1], r[:, -1] = b[-1] - d1, r[:, -1] - r1
+    if n == 3:  # both not-a-knot rows hold the parabola: its middle slope
+        b[0], r[:, 0] = d0, h[1] * k[:, 0] + h[0] * k[:, 1]
+    s = _cyclic_reduction(a, b, c, r)
+    s = np.column_stack([(r0 - d0 * s[:, 0]) / h[1], s,
+                         (r1 - d1 * s[:, -1]) / h[-2]])
+    step = (x[-1] - x[0]) / (n - 1)
+    uniform = np.allclose(h, step, rtol=1e-9, atol=0.0)
+
+    def spline(xi, col=0):
+        xi = np.asarray(xi, dtype=float)
+        i = (np.clip((xi - x[0]) / step, 0, n - 2).astype(np.intp) if uniform
+             else np.clip(np.searchsorted(x, xi, "right") - 1, 0, n - 2))
+        # the cubic on piece i, by the arithmetic of scipy's PPoly
+        d, dx, y0 = xi - x[i], h[i], y[col, i]
+        s0, s1 = s[col, i], s[col, i + 1]
+        k = (y[col, i + 1] - y0) / dx
+        t = (s0 + s1 - 2.0 * k) / dx
+        return (y0 + s0 * d + ((k - s0) / dx - t) * (d * d)
+                + t / dx * (d * d * d))
+
+    return spline
+
+
 def weighted_lp_norm(
     values: np.ndarray,
     x_grid: SampledGrid,

@@ -9,18 +9,20 @@ multiplier with real symbol
 and the window is admissible exactly when 0 < A <= m_psi <= B < inf.
 The integrand is sharply localized near w = xi and (for alpha*|xi| > 1)
 has a secondary structure at the critical point of r_xi(w) =
-beta(w)(xi - w); panels are anchored there.
+beta(w)(xi - w); panels are anchored there.  A scan's table is read
+between its nodes by the not-a-knot cubic spline of grids.cubic_spline,
+and the whole symbol path runs on numpy alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
-from .grids import (Signal, SampledGrid, _write_csv, forward_fourier,
-                    inverse_fourier)
+from .grids import (Signal, SampledGrid, _write_csv, cubic_spline,
+                    forward_fourier, inverse_fourier)
 from .quadrature import QuadratureConfig, QuadratureError, integrate
 from .windows import Window
 
@@ -200,24 +202,23 @@ class SymbolTable:
     alpha: float
     window_label: str = ""
     tol: float = 1e-8
-    _spline: CubicSpline = field(init=False, repr=False)
+    _spline: Callable = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._spline = CubicSpline(self.xi_grid.coords, self.values)
+        self._spline = cubic_spline(self.xi_grid.coords, self.values)
 
     @property
     def admissible(self) -> bool:
         return self.A > 0
 
     def __call__(self, xi):
-        """Cubic interpolation on the table; tail value beyond it."""
+        """Cubic interpolation on the table, evaluated only at points
+        inside it; tail value beyond it."""
         xi = np.asarray(xi, dtype=float)
-        lo, hi = self.xi_grid.coords[0], self.xi_grid.coords[-1]
-        out = np.where(
-            (xi >= lo) & (xi <= hi),
-            self._spline(np.clip(xi, lo, hi)),
-            self.tail_value,
-        )
+        lo, hi = self.xi_grid.coords[[0, -1]]
+        inside = (xi >= lo) & (xi <= hi)
+        out = np.full(xi.shape, self.tail_value)
+        out[inside] = self._spline(xi[inside])
         return out
 
     def report(self) -> dict:

@@ -37,7 +37,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .grids import (Signal, SampledGrid, Weight, _sidecar, _write_csv,
                     _write_sidecar, weighted_lp_norm)
@@ -152,6 +151,7 @@ def _band_matrix(w: Window, alpha: float, omegas: np.ndarray,
     sample; a phase taken from the band's first sample instead is off by
     7e-13 on full-width bandlimited rows with |t - x| up to 64, omega 8.
     """
+    from scipy import sparse
     b = beta(omegas, alpha)
     n, t, dt = grid.n, grid.coords, grid.spacing
     reach = w.time_radius * b

@@ -12,20 +12,23 @@ Gaussian and the C-infinity bump, whose spectra are Schwartz functions
 bandlimited window, whose spectrum has compact support.  A window also
 states its time radius, beyond which psi is zero to double precision:
 half its support when compact, 3.53 for the Gaussian, infinite for the
-bandlimited window.
+bandlimited window.  Every evaluator runs on numpy alone: the B-spline's
+profile is its pieces' polynomials and its norm the exact B_2m(0); the
+bump's spectrum is grids.cubic_spline through a dense FFT table.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import quad as _scipy_quad
-from scipy.interpolate import BSpline, CubicSpline
 
-from .grids import SampledGrid, Signal, forward_fourier
+from .grids import SampledGrid, Signal, cubic_spline, forward_fourier
+from .quadrature import integrate
 
 _TAYLOR_CUT = 1e-3  # |xi| below which sinc derivatives switch to series
 
@@ -168,28 +171,53 @@ def _sinc_power_derivs(xi: np.ndarray, m: int):
 # window constructors
 
 
+@functools.cache
+def _bspline_pieces(m: int) -> np.ndarray:
+    """Row j: the order-m cardinal B-spline, supported on [0, m], on
+    [j, j + 1) in powers of x - j, highest first.  The Cox-de Boor
+    recursion builds every order up to m, in O(m^3), within an ulp of
+    the largest coefficient; a factor x - j shifts a row up a power."""
+    pieces = np.ones((1, 1))
+    for k in range(2, m + 1):
+        j = np.arange(k)[:, None]
+        same = np.pad(pieces, ((0, 1), (0, 1)))
+        left = np.roll(same, 1, axis=0)  # the piece one interval left
+        pieces = (j * same + (k - j) * left
+                  + np.roll(same - left, 1, axis=1)) / (k - 1)
+    return pieces[:, ::-1]
+
+
 def bspline_window(m: int) -> Window:
-    """Centered cardinal B-spline of order m; spectrum sinc(xi)^m."""
+    """Centered cardinal B-spline of order m; spectrum sinc(xi)^m.  Its
+    time profile is Horner's rule on its pieces (built at the first
+    call), evaluated at |t|, so it is even bit for bit."""
     if m < 1:
         raise ValueError(f"B-spline order must be >= 1, got {m}")
     m = int(m)
-    basis = BSpline.basis_element(np.arange(m + 1) - m / 2.0, extrapolate=False)
     half = m / 2.0
 
     def time_fn(t):
-        t = np.asarray(t, dtype=float)
-        inside = np.abs(t) < half
-        out = np.zeros_like(t)
-        if np.any(inside):
-            out[inside] = np.nan_to_num(basis(t[inside]))
+        u = np.abs(np.asarray(t, dtype=float))
+        inside = u < half
+        x = u[inside] + half
+        j = np.minimum(x.astype(np.intp), m - 1)
+        x -= j
+        pieces = _bspline_pieces(m)
+        val = pieces[j, 0]
+        for p in range(1, m):
+            val = val * x + pieces[j, p]
+        out = np.zeros_like(u)
+        out[inside] = val
         return out
 
     def fourier_fn(xi, l):
         return np.sinc(xi) ** m if l == 0 else _sinc_power_derivs(xi, m)[l]
 
-    # ||B_m||^2 = (B_m * B_m)(0) = B_{2m}(0), the centered order-2m spline
-    b2m = BSpline.basis_element(np.arange(2 * m + 1) - float(m))
-    l2 = math.sqrt(float(b2m(0.0)))
+    # ||B_m||^2 = (B_m * B_m)(0) = B_{2m}(0), the centered order-2m
+    # spline: its truncated-power sum, exact in rationals
+    norm2 = sum((-1) ** i * math.comb(2 * m, i) * (m - i) ** (2 * m - 1)
+                for i in range(m + 1))
+    l2 = math.sqrt(Fraction(norm2, math.factorial(2 * m - 1)))
     return Window(f"bspline:{m}", time_fn, fourier_fn, l2,
                   decay_certificate=float(m), support=(-half, half))
 
@@ -240,40 +268,31 @@ def bump_window(radius: float) -> Window:
             f"bump radius must be in [{r_min:g}, {r_max:g}], where its "
             f"spectral table resolves it, got {radius}")
     R = float(radius)
-
-    def raw(t):
-        t = np.asarray(t, dtype=float)
-        u = t / R
-        inside = np.abs(u) < 1.0
-        out = np.zeros_like(t)
-        ui = u[inside]
-        out[inside] = np.exp(-1.0 / (1.0 - ui**2))
-        return out
-
-    norm2 = R * _scipy_quad(lambda u: math.exp(-2.0 / (1.0 - u * u)),
-                            -1.0, 1.0)[0]
-    scale = 1.0 / math.sqrt(norm2)
+    unit = integrate(lambda u, _: np.exp(-2.0 / (1.0 - u * u)), [-1.0, 1.0],
+                     tol=1e-15)[0][0]
+    scale = 1.0 / math.sqrt(R * unit)
 
     def time_fn(t):
-        return scale * raw(t)
+        u = np.asarray(t, dtype=float) / R
+        inside = np.abs(u) < 1.0
+        out = np.zeros_like(u)
+        out[inside] = scale * np.exp(-1.0 / (1.0 - u[inside] ** 2))
+        return out
 
     # dense spectral table: psi_hat^(l) = F[(-2 pi i t)^l psi]
     tgrid = SampledGrid.centered(table_size, step)
     t = tgrid.coords
     base = time_fn(t)
-    splines = []
-    for l in range(4):
-        mom = Signal(tgrid, ((-2j * np.pi * t) ** l * base).astype(complex))
-        spec = forward_fourier(mom)
-        # psi real and even, so every psi_hat^(l) is real-valued
-        splines.append(CubicSpline(spec.grid.coords, spec.values.real))
+    # psi real and even, so every psi_hat^(l) is real-valued
+    spline = cubic_spline(tgrid.dual().coords, np.column_stack(
+        [forward_fourier(Signal(tgrid, (-2j * np.pi * t) ** l * base))
+         .values.real for l in range(4)]))
 
     def fourier_fn(xi, l):
         xi = np.asarray(xi, dtype=float)
         inside = np.abs(xi) < band - 1.0
         out = np.zeros(xi.shape, dtype=float)
-        if np.any(inside):
-            out[inside] = splines[l](xi[inside])
+        out[inside] = spline(xi[inside], l)
         return out
 
     return Window(f"bump:{radius:g}", time_fn, fourier_fn, 1.0,

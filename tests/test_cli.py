@@ -1,7 +1,10 @@
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -110,6 +113,41 @@ def test_frame_info(tmp_path):
     assert report["A_est"] > 0
     assert report["A_est"] <= report["B_est"]
     assert report["covers_region"] and report["moderate"]
+
+
+_IMPORT_GUARD = """
+import sys
+from alphamod.cli import main
+
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+out = sys.argv[1]
+scan = ["--alpha", "0.5", "--scan-nodes", "41", "--xi-max", "20"]
+for window in ("gaussian", "bump:1.0", "bspline:4"):
+    assert main(["admissible", "--window", window, *scan,
+                 "--output-dir", out]) == 0
+assert main(["diagnostics", "--eps-list", "0.5", "--x-max", "1",
+             "--omega-max", "2", *scan, "--output-dir", out]) in (0, 1)
+assert main(["covering-dump", "--output-dir", out]) == 0
+assert not loaded(), loaded()
+assert main(["frame-info", "--alpha", "0.5", "--eps", "0.25", "--grid-n",
+             "64", "--grid-spacing", "0.25", "--time-range=-8,8",
+             "--freq-range=-2,2", "--output-dir", out]) == 0
+assert "scipy.sparse.linalg" in loaded()
+assert not {"scipy.interpolate", "scipy.integrate"} & set(loaded()), loaded()
+"""
+
+
+def test_scans_and_the_gate_import_no_scipy(tmp_path):
+    """The symbol path runs on numpy alone; frames load scipy's sparse
+    matrices and solvers only when a frame op runs.  A fresh process, as
+    the test session itself has scipy loaded."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD,
+                           str(tmp_path)], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_roundtrip_chirp(tmp_path, chirp_csv):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from conftest import dense_atom_rows
 
+from alphamod import frames as frames_module
 from alphamod.covering import build_covering
 from alphamod.symbol import ScanConfig, admissibility_scan
 from alphamod.frames import (AlphaFrame, Coefficients, IterationError,
@@ -227,6 +228,12 @@ def test_reconstruction_of_band_limited_signal(small_frame):
     res = reconstruct(f, small_frame)
     assert res.error <= 1e-6
     assert res.iters < 200
+
+
+def test_lanczos_that_cannot_converge_raises(monkeypatch, snug_frame):
+    monkeypatch.setattr(frames_module, "_LANCZOS_MAX_ITER", 1)
+    with pytest.raises(IterationError, match="Lanczos"):
+        estimate_frame_bounds(snug_frame)
 
 
 def test_reconstruction_chirp(chirp, gauss):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from alphamod import symbol as symbol_module
 from alphamod.grids import SampledGrid, Signal, forward_fourier
@@ -197,6 +198,17 @@ def test_scan_table_interpolates_and_tails(gauss, gauss_tab):
     # beyond the scanned range the constant tail takes over
     assert tab(500.0) == tab.tail_value
     assert tab(np.array([-500.0, 500.0])) == pytest.approx(tab.tail_value)
+
+
+def test_scan_table_is_scipys_spline_inside_and_the_tail_outside(gauss_tab):
+    tab = gauss_tab
+    xi_max = tab.xi_grid.coords[-1]
+    xi = np.random.default_rng(0).uniform(-1.5 * xi_max, 1.5 * xi_max, 4000)
+    inside = np.abs(xi) <= xi_max
+    ref = np.where(inside, CubicSpline(tab.xi_grid.coords, tab.values)(xi),
+                   tab.tail_value)
+    assert np.max(np.abs(tab(xi) - ref)) <= 1e-14 * np.max(tab.values)
+    assert np.array_equal(tab(xi[~inside]), ref[~inside])
 
 
 def test_scan_symmetric_grid_for_real_window(gauss_tab):

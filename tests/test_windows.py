@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import BSpline
 
 from alphamod.quadrature import integrate
 from alphamod.windows import (_TAYLOR_CUT, HypothesisVerdict, Purpose,
@@ -90,6 +91,32 @@ def test_bspline_compact_support():
     assert w.time(np.array([half + 1e-9, -half - 1e-9, half + 5.0])) \
         == pytest.approx(0.0)
     assert w.time(0.0) > 0
+
+
+@pytest.mark.parametrize("m", [*range(1, 9), 30])
+def test_bspline_time_matches_scipy_and_is_even(m):
+    """The profile against scipy's de Boor evaluation on the open
+    support; bit-for-bit even, which _swept_probes relies on."""
+    w = bspline_window(m)
+    t = np.linspace(-m / 2.0 - 0.5, m / 2.0 + 0.5, 20_001)
+    basis = BSpline.basis_element(np.arange(m + 1) - m / 2.0,
+                                  extrapolate=False)
+    ref = np.where(np.abs(t) < m / 2.0, np.nan_to_num(basis(t)), 0.0)
+    assert np.max(np.abs(w.time(t) - ref)) <= 2e-15 * np.max(ref)
+    assert np.array_equal(w.time(t), w.time(-t))
+
+
+@pytest.mark.parametrize("m, norm2", [(1, 1.0), (2, 2.0 / 3.0),
+                                      (3, 11.0 / 20.0), (4, 151.0 / 315.0)])
+def test_bspline_norm_is_exact(m, norm2):
+    assert bspline_window(m).l2_norm ** 2 == pytest.approx(norm2, rel=1e-15)
+
+
+def test_bump_normalization_integral():
+    """int exp(-2 / (1 - u^2)) du over (-1, 1), to 30 digits by mpmath,
+    is what the unit-radius bump's peak exp(-1) / sqrt(I) implies."""
+    unit = math.exp(-2.0) / float(bump_window(1.0).time(0.0)) ** 2
+    assert unit == pytest.approx(0.1330861208449942716, rel=1e-14)
 
 
 def test_bump_compact_support():
