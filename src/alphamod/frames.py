@@ -6,10 +6,9 @@ as one sparse matrix with a band of samples per atom (see transform):
 analysis, synthesis and the frame operator are products with it and
 its adjoint.  The frame operator S is one scipy LinearOperator: both
 frame bounds are Lanczos eigenvalues of it, and reconstruction is
-scipy's CG on it; scipy.sparse.linalg is imported by the functions
-that call it, so only frame ops load it.  A window of infinite time
-radius (the bandlimited one) gives dense rows, n_atoms * n entries, with
-no memory budget.
+scipy's CG on it, each imported where it is called.  A window of
+infinite time radius (the bandlimited one) gives dense rows, n_atoms * n
+entries, with no memory budget.
 """
 
 from __future__ import annotations

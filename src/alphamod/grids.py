@@ -188,10 +188,9 @@ def inner_product(f: Signal, g: Signal) -> complex:
 
 
 def _cyclic_reduction(a, b, c, r):
-    """x with a[i] x[i-1] + b[i] x[i] + c[i] x[i+1] = r[..., i], a[0] =
-    c[-1] = 0, diagonally dominant, in place of r: freed of their even
-    neighbours, the odd rows are a system of half the size, so log2(n)
-    levels solve it."""
+    """x, in place of r, with a[i] x[i-1] + b[i] x[i] + c[i] x[i+1] = r[..., i]
+    (a[0] = c[-1] = 0, diagonally dominant): the odd rows, freed of their
+    even neighbours, are a system of half the size, solved first."""
     n = b.size
     if n == 1:
         return r / b

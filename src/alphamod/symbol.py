@@ -9,9 +9,8 @@ multiplier with real symbol
 and the window is admissible exactly when 0 < A <= m_psi <= B < inf.
 The integrand is sharply localized near w = xi and (for alpha*|xi| > 1)
 has a secondary structure at the critical point of r_xi(w) =
-beta(w)(xi - w); panels are anchored there.  A scan's table is read
-between its nodes by the not-a-knot cubic spline of grids.cubic_spline,
-and the whole symbol path runs on numpy alone.
+beta(w)(xi - w); panels are anchored there.  A scan's table is read by
+grids.cubic_spline: the symbol path runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -212,8 +211,7 @@ class SymbolTable:
         return self.A > 0
 
     def __call__(self, xi):
-        """Cubic interpolation on the table, evaluated only at points
-        inside it; tail value beyond it."""
+        """Cubic interpolation inside the table; tail value beyond it."""
         xi = np.asarray(xi, dtype=float)
         lo, hi = self.xi_grid.coords[[0, -1]]
         inside = (xi >= lo) & (xi <= hi)

@@ -12,9 +12,8 @@ Gaussian and the C-infinity bump, whose spectra are Schwartz functions
 bandlimited window, whose spectrum has compact support.  A window also
 states its time radius, beyond which psi is zero to double precision:
 half its support when compact, 3.53 for the Gaussian, infinite for the
-bandlimited window.  Every evaluator runs on numpy alone: the B-spline's
-profile is its pieces' polynomials and its norm the exact B_2m(0); the
-bump's spectrum is grids.cubic_spline through a dense FFT table.
+bandlimited window.  Every evaluator runs on numpy alone: B-splines by
+their pieces, the bump's spectrum by grids.cubic_spline on an FFT table.
 """
 
 from __future__ import annotations
@@ -173,10 +172,9 @@ def _sinc_power_derivs(xi: np.ndarray, m: int):
 
 @functools.cache
 def _bspline_pieces(m: int) -> np.ndarray:
-    """Row j: the order-m cardinal B-spline, supported on [0, m], on
-    [j, j + 1) in powers of x - j, highest first.  The Cox-de Boor
-    recursion builds every order up to m, in O(m^3), within an ulp of
-    the largest coefficient; a factor x - j shifts a row up a power."""
+    """Row j: the order-m B-spline on [0, m], its piece on [j, j + 1) in
+    powers of x - j, highest first, by the Cox-de Boor recursion over
+    every order, in O(m^3); a factor x - j shifts a row up a power."""
     pieces = np.ones((1, 1))
     for k in range(2, m + 1):
         j = np.arange(k)[:, None]
@@ -189,8 +187,8 @@ def _bspline_pieces(m: int) -> np.ndarray:
 
 def bspline_window(m: int) -> Window:
     """Centered cardinal B-spline of order m; spectrum sinc(xi)^m.  Its
-    time profile is Horner's rule on its pieces (built at the first
-    call), evaluated at |t|, so it is even bit for bit."""
+    time profile is Horner's rule on its pieces (built once per order, at
+    the first call), evaluated at |t|, so it is even bit for bit."""
     if m < 1:
         raise ValueError(f"B-spline order must be >= 1, got {m}")
     m = int(m)
