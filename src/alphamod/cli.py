@@ -144,8 +144,15 @@ class RunConfig:
                                  / self.grid_n)
 
     def grid(self) -> SampledGrid:
-        return SampledGrid(self.grid_n, self.grid_spacing,
-                           self.time_range[0])
+        """grid_n samples of grid_spacing from the time range's start,
+        ending inside it: samples past its end hold signals that no
+        atom reaches, and frame-info's eigensolve for A stalls on them."""
+        t0, t1 = self.time_range
+        last = t0 + (self.grid_n - 1) * self.grid_spacing
+        if last > t1:
+            raise ConfigError(f"signal grid [{t0:g}, {last:g}] is not "
+                              f"inside the time range [{t0:g}, {t1:g}]")
+        return SampledGrid(self.grid_n, self.grid_spacing, t0)
 
     def scan_config(self) -> ScanConfig:
         return ScanConfig(xi_max=self.xi_max, n_nodes=self.scan_nodes,

@@ -45,7 +45,8 @@ class TruncationConfig:
     probe_omega_max] are the probes rho and gamma maximize over.  For an
     even window (and, for gamma, a mirrored covering) p and -p carry the
     same mass, so only the upper half of them, the middle one included,
-    is swept; otherwise all of them (_swept_probes)."""
+    is swept; otherwise all of them.  gamma halves its times alike
+    (_reflections)."""
 
     x_max: float = 8.0
     omega_max: float = 32.0
@@ -203,25 +204,38 @@ def _probe_omegas(trunc: TruncationConfig) -> np.ndarray:
                        trunc.n_probes)
 
 
+def _reflections(w: Window, cov: AlphaCovering | None = None
+                 ) -> tuple[bool, bool]:
+    """(mirror, time): whether the probe mirror (t, w) -> (-t, -w) keeps
+    the masses of rho (cov None) and gamma, and whether the time flip
+    t -> -t keeps gamma's osc.
+
+    The window is real, so an even psi (checked bit for bit on sample
+    times) has a real, even psi_hat; beta is even.  So R(-x, -y) = R(x, y)
+    and Gamma(-y, -z) = Gamma(y, z), and R and Gamma turn into their
+    conjugates when only the times flip.  The omega and u grids and w_s
+    are mirror-symmetric.  Q_{-y} = -Q_y when the row table is mirrored,
+    and Q_y flips with y_t when every row's k range is symmetric (boxes
+    sit at eps * beta * k): then osc is even in y_t at x_t = 0 (gamma1)
+    and in x_t at y_t = 0 (gamma2).
+    """
+    t = np.geomspace(1.0 / 64.0, 64.0, 193)
+    even = bool(np.array_equal(w.time(t), w.time(-t)))
+    if cov is None:
+        return even, False
+    return (even and np.array_equal(cov.omegas, -cov.omegas[::-1])
+            and np.array_equal(cov.k_lo, -cov.k_hi[::-1]),
+            even and np.array_equal(cov.k_lo, -cov.k_hi))
+
+
 def _swept_probes(trunc: TruncationConfig, w: Window,
                   cov: AlphaCovering | None = None) -> np.ndarray:
     """The probes rho (cov None) and gamma sweep: the upper half when
-    probes p and -p carry the same mass, else every probe.
-
-    For an even window psi_hat and beta are even, so
-    G_{-w,-eta}(-xi) = G_{w,eta}(xi): R(-x, -y) = R(x, y) and
-    Gamma(-y, -z) = Gamma(y, z).  The omega grid, the u grid and w_s
-    are mirror-symmetric, and Q_{-y} = -Q_y when the covering's row
-    table is mirrored by (t, w) -> (-t, -w).  Evenness is checked bit
-    for bit on sample times.  The half is taken by index: linspace's
-    middle probe can be -1e-16 rather than 0.
-    """
+    probes p and -p carry the same mass (_reflections), else every
+    probe.  The half is taken by index: linspace's middle probe can be
+    -1e-16 rather than 0."""
     probes = _probe_omegas(trunc)
-    t = np.geomspace(1.0 / 64.0, 64.0, 193)
-    mirrored = np.array_equal(w.time(t), w.time(-t)) and (
-        cov is None or (np.array_equal(cov.omegas, -cov.omegas[::-1])
-                        and np.array_equal(cov.k_lo, -cov.k_hi[::-1])))
-    return probes[len(probes) // 2:] if mirrored else probes
+    return probes[len(probes) // 2:] if _reflections(w, cov)[0] else probes
 
 
 def _weighted_mass(values: np.ndarray, omegas: np.ndarray,
@@ -401,9 +415,11 @@ def estimate_gamma(w: Window, alpha: float, s: float, tab: SymbolTable,
     all probes through one _osc call, gamma2 one call per probe.  For
     an even window on a covering mirrored by (t, w) -> (-t, -w), probes
     p and -p carry the same gamma1 and gamma2 masses, so only the upper
-    half of the probes is swept; otherwise every probe (_swept_probes).
-    The gathers read |x_t - z_t| <= x_max + 2 * eps (a box is at most
-    2 * eps wide in time), so that is the engine's u_max.
+    half of the probes is swept; otherwise every probe.  If every row's
+    k range is symmetric too, only times u >= 0 are swept, each u > 0
+    counting twice (_reflections).  The gathers read
+    |x_t - z_t| <= x_max + 2 * eps (a box is at most 2 * eps wide in
+    time), so that is the engine's u_max.
     """
     if not tab.admissible:
         raise NotAdmissibleError("gamma needs an admissible window")
@@ -412,9 +428,12 @@ def estimate_gamma(w: Window, alpha: float, s: float, tab: SymbolTable,
     omegas = _omega_grid(trunc.omega_max)
     u_in = engine.u[np.abs(engine.u) <= trunc.x_max]
     probes, d = _swept_probes(trunc, w, cov), trunc.z_density
+    reflect = _reflections(w, cov)[1]
+    u_in = u_in[u_in >= 0] if reflect else u_in
+    fold = np.where(u_in > 0, 1.0 + reflect, 1.0)  # u > 0 stands for -u
 
     def mass(osc, probe):
-        return _weighted_mass(osc, omegas, probe, Weight(s), engine.du)
+        return _weighted_mass(osc * fold, omegas, probe, Weight(s), engine.du)
     g1 = max(map(mass, _osc(engine, cov, d, 0.0, probes[:, None], u_in,
                             omegas), probes), default=0.0)
     g2 = max((mass(_osc(engine, cov, d, u_in, omegas, 0.0, p), p)

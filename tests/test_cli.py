@@ -414,6 +414,18 @@ def test_frame_info_tiny_dimension_exit(tmp_path, capsys, argv):
     assert "in-band" in capsys.readouterr().err
 
 
+def test_frame_info_grid_past_the_time_range_exits_2(tmp_path, capsys):
+    # 64 samples of 0.25 from -4 end at 11.75: signals there are out of
+    # every atom's reach, and the eigensolve for A ran to its cap
+    assert run("frame-info", "--alpha", "0.5", "--eps", "0.5",
+               "--grid-n", "64", "--grid-spacing", "0.25",
+               "--time-range=-4,4", "--freq-range=-1,1",
+               "--output-dir", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert "signal grid [-4, 11.75]" in err and "time range [-4, 4]" in err
+    assert not (tmp_path / "frame_info.json").exists()
+
+
 def test_frame_info_on_touching_bands_exits_2(tmp_path, capsys):
     # bands (0.5 j -+ 0.25) only touch: no box contains omega = 0.75
     assert run("frame-info", "--alpha", "0", "--eps", "0.5", "--c", "0.25",

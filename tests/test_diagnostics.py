@@ -7,7 +7,8 @@ from alphamod import ScanConfig, admissibility_scan, parse_window_spec
 from alphamod.covering import build_covering, q_samples
 from alphamod.diagnostics import (KernelEstimate, TruncationConfig,
                                   _omega_grid, _osc, _probe_omegas,
-                                  _rho_once, _SliceEngine, _swept_probes,
+                                  _reflections, _rho_once, _SliceEngine,
+                                  _swept_probes,
                                   _weighted_mass, discretization_condition,
                                   estimate_gamma, estimate_rho, lambda_fn,
                                   oscillation_kernel, theta_fn)
@@ -233,8 +234,12 @@ def test_estimate_gamma_structure(gauss, gauss_tab):
     g1, g2, g = estimate_gamma(gauss, 0.5, 0.0, gauss_tab, cov, LIGHT)
     assert g == max(g1, g2)
     assert g1 > 0 and g2 > 0
-    # pinned: any change in how Q_y is sampled or z is snapped shows here
-    assert g1 == pytest.approx(6.582632650729726, rel=1e-12)
+    # pinned: any change in how Q_y is sampled or z is snapped shows here.
+    # The full u sweep gave g1 = 6.582632650729726; the time reflection
+    # moves it by -1.3e-8 through grid ties: z_t = +-25/12 lies an exact
+    # half-integer number of du = 1/34.8 from u grid points, and the two
+    # signs round to different sides when snapped.
+    assert g1 == pytest.approx(6.582632563985738, rel=1e-12)
     assert g2 == pytest.approx(5.27247853103112, rel=1e-12)
 
 
@@ -340,3 +345,35 @@ def test_middle_probe_below_zero_is_swept(gauss, gauss_tab):
     assert max(masses) == masses[3] > max(masses[:3] + masses[4:])
     est = estimate_rho(gauss, 0.5, 0.0, gauss_tab, trunc)
     assert est.truncation["history"][0] == masses[3]
+
+
+def test_time_reflection_matches_the_full_sweep(gauss, gauss_tab):
+    """At the benchmark's gate (eps 0.25, x_max 4, omega_max 8, 9
+    probes, density 7), gamma sweeping only u >= 0 and counting u > 0
+    twice equals the max over the swept probes' full-u masses."""
+    trunc = TruncationConfig(x_max=4.0, omega_max=8.0)
+    cov = build_covering(0.5, 0.25, 1.0, (-8, 8), (-16, 16))
+    assert _reflections(gauss, cov) == (True, True)
+    _, m1, m2 = _probe_masses(gauss, gauss_tab, cov, trunc,
+                              _swept_probes(trunc, gauss, cov))
+    g1, g2, _ = estimate_gamma(gauss, 0.5, 0.0, gauss_tab, cov, trunc)
+    assert g1 == pytest.approx(m1.max(), rel=1e-12)
+    assert g2 == pytest.approx(m2.max(), rel=1e-12)
+
+
+@pytest.mark.parametrize("shifted, time_range", [(True, (-8, 8)),
+                                                  (False, (-6, 8))],
+                         ids=["uneven-window", "asymmetric-rows"])
+def test_no_time_reflection_sweeps_every_time(gauss, gauss_tab, shifted,
+                                               time_range):
+    """An uneven window, or a covering whose rows are not time-symmetric
+    (k_lo != -k_hi), turns the time reflection off: gamma is the full u
+    sweep's, bit for bit."""
+    w = Window("shifted", lambda t: gauss.time(t - 0.1), gauss._fourier,
+               1.0) if shifted else gauss
+    cov = build_covering(0.5, 0.25, 1.0, time_range, (-16, 16))
+    assert not _reflections(w, cov)[1]
+    _, m1, m2 = _probe_masses(w, gauss_tab, cov, LIGHT,
+                              _swept_probes(LIGHT, w, cov))
+    g1, g2, _ = estimate_gamma(w, 0.5, 0.0, gauss_tab, cov, LIGHT)
+    assert (g1, g2) == (m1.max(), m2.max())

@@ -96,7 +96,7 @@ def test_bspline_compact_support():
 @pytest.mark.parametrize("m", [*range(1, 9), 30])
 def test_bspline_time_matches_scipy_and_is_even(m):
     """The profile against scipy's de Boor evaluation on the open
-    support; bit-for-bit even, which _swept_probes relies on."""
+    support; bit-for-bit even, which _reflections relies on."""
     w = bspline_window(m)
     t = np.linspace(-m / 2.0 - 0.5, m / 2.0 + 0.5, 20_001)
     basis = BSpline.basis_element(np.arange(m + 1) - m / 2.0,
