@@ -45,8 +45,8 @@ class TruncationConfig:
     probe_omega_max] are the probes rho and gamma maximize over.  For an
     even window (and, for gamma, a mirrored covering) p and -p carry the
     same mass, so only the upper half of them, the middle one included,
-    is swept; otherwise all of them.  gamma halves its times alike
-    (_reflections)."""
+    is swept; otherwise all of them.  gamma likewise sweeps only times
+    u >= 0 on a covering with time-symmetric rows (_reflections)."""
 
     x_max: float = 8.0
     omega_max: float = 32.0
@@ -207,18 +207,15 @@ def _probe_omegas(trunc: TruncationConfig) -> np.ndarray:
 def _reflections(w: Window, cov: AlphaCovering | None = None
                  ) -> tuple[bool, bool]:
     """(mirror, time): whether the probe mirror (t, w) -> (-t, -w) keeps
-    the masses of rho (cov None) and gamma, and whether the time flip
-    t -> -t keeps gamma's osc.
-
-    The window is real, so an even psi (checked bit for bit on sample
-    times) has a real, even psi_hat; beta is even.  So R(-x, -y) = R(x, y)
-    and Gamma(-y, -z) = Gamma(y, z), and R and Gamma turn into their
-    conjugates when only the times flip.  The omega and u grids and w_s
-    are mirror-symmetric.  Q_{-y} = -Q_y when the row table is mirrored,
-    and Q_y flips with y_t when every row's k range is symmetric (boxes
-    sit at eps * beta * k): then osc is even in y_t at x_t = 0 (gamma1)
-    and in x_t at y_t = 0 (gamma2).
-    """
+    the masses of rho (cov None) and gamma, and the time flip t -> -t
+    gamma's osc.  A real psi that is even (bit for bit on sample times)
+    has a real, even psi_hat; beta is even.  So R(-x, -y) = R(x, y) and
+    Gamma(-y, -z) = Gamma(y, z), and flipping only the times conjugates
+    both.  The omega and u grids and w_s are mirror-symmetric;
+    Q_{-y} = -Q_y on a mirrored row table, and Q_y flips with y_t when
+    every row's k range is symmetric (boxes sit at eps * beta * k).
+    Then osc is even in y_t at x_t = 0 (gamma1) and in x_t at y_t = 0
+    (gamma2)."""
     t = np.geomspace(1.0 / 64.0, 64.0, 193)
     even = bool(np.array_equal(w.time(t), w.time(-t)))
     if cov is None:

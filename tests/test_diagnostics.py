@@ -8,9 +8,9 @@ from alphamod.covering import build_covering, q_samples
 from alphamod.diagnostics import (KernelEstimate, TruncationConfig,
                                   _omega_grid, _osc, _probe_omegas,
                                   _reflections, _rho_once, _SliceEngine,
-                                  _swept_probes,
-                                  _weighted_mass, discretization_condition,
-                                  estimate_gamma, estimate_rho, lambda_fn,
+                                  _swept_probes, _weighted_mass,
+                                  discretization_condition, estimate_gamma,
+                                  estimate_rho, lambda_fn,
                                   oscillation_kernel, theta_fn)
 from alphamod.grids import Weight
 from alphamod.symbol import NotAdmissibleError, beta
