@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covering import AlphaCovering, UncoveredPointError, q_samples
-from .grids import SampledGrid, Weight, _dft_phases
+from .grids import SampledGrid, Weight
 from .symbol import NotAdmissibleError, SymbolTable, beta
 from .transform import _kernel_pairs
 from .windows import Window
@@ -128,6 +128,18 @@ class _SliceEngine:
     in u with period 1/dxi >= 4 * u_max, so their aliases stay 3 * u_max
     away; the u grid, of spacing du = 1/(2 * xi_max) whatever n is, spans
     about [-2 * u_max, 2 * u_max], and u_index rejects u off it.
+
+    Rounding n up to a power of two widens the period past 4 * u_max,
+    and that margin carries part of the accuracy budget against periodic
+    ghosts of the symbol spline: on the engine of
+    test_slice_engine_matches_quadrature_kernel (n = 1024, period 45.5)
+    the slices meet the quadrature kernel to 1e-8, at the 2*3*5-smooth
+    n = 576 (period 25.6) they miss it by 2.4e-8.  Do not shrink n.
+
+    Both grids are centered and du * dxi * n = 1, so the DFT twiddles are
+    signs: P(j du) = dxi (-1)^j fft(G)[j mod n].  G is real (_atoms_hat),
+    so u_window reads H[j] = dxi (-1)^j rfft(G)[j], j = 0..n/2, and
+    P(-j du) = conj(H[j]).
     """
 
     def __init__(self, w: Window, alpha: float, tab: SymbolTable,
@@ -150,15 +162,18 @@ class _SliceEngine:
         self.du = 1.0 / (n * self.dxi)
         self.u = (np.arange(n) - n // 2) * self.du
         self._m_pow = self.tab(self.xi) ** (-kappa) if kappa else None
-        self._pre, post = _dft_phases(xi_grid, xi_grid.dual())
-        self._post = self.dxi * post
+        self._sign = np.resize([self.dxi, -self.dxi], n // 2 + 1)
 
     def _atoms_hat(self, ws) -> np.ndarray:
-        """sqrt(b_w) psi_hat(b_w (xi - w)), one row per frequency w."""
+        """sqrt(b_w) psi_hat(b_w (xi - w)), one row per frequency w; a
+        ValueError names a window whose spectrum is complex."""
         ws = np.atleast_1d(np.asarray(ws, dtype=float))
         b = beta(ws, self.alpha)
         F = self.w.fourier((b[:, None] * (self.xi[None, :]
                                           - ws[:, None])).ravel())
+        if np.iscomplexobj(F):
+            raise ValueError(f"window {self.w.label!r} has a complex "
+                             f"spectrum; kernel slices need a real one")
         return F.reshape(ws.size, self.n) * np.sqrt(b)[:, None]
 
     def spectral_profiles(self, omegas, etas, left=None) -> np.ndarray:
@@ -167,24 +182,39 @@ class _SliceEngine:
         given, is _atoms_hat(omegas), computed once by the caller; it
         broadcasts against the (etas, n) right side, so a left of shape
         (..., 1, n) pairs each of its rows with every eta."""
-        right = np.conj(self._atoms_hat(etas))
-        if self._m_pow is not None:
-            right = right * self._m_pow
         if left is None:
             left = self._atoms_hat(omegas)
-        return left * right
+        return left * self._right_hat(etas)
+
+    def _right_hat(self, etas) -> np.ndarray:
+        """G's right side, m^-kappa conj(_atoms_hat(etas)); atoms are real."""
+        right = self._atoms_hat(etas)
+        return right if self._m_pow is None else right * self._m_pow
+
+    def u_window(self, G, lo, hi) -> np.ndarray:
+        """P on u grid indices [lo, hi) from real profiles G: the half
+        spectra H, read as two contiguous slices, reversed and conjugated
+        for u < 0, as they are for u >= 0."""
+        H = np.fft.rfft(G, axis=-1)
+        H *= self._sign
+        h = self.n // 2
+        neg = H[..., max(h - lo, 0):h - min(hi, h):-1]
+        out = np.empty(H.shape[:-1] + (hi - lo,), complex)
+        np.conjugate(neg, out=out[..., :neg.shape[-1]])
+        out[..., neg.shape[-1]:] = H[..., max(lo - h, 0):max(hi - h, 0)]
+        return out
 
     def slices(self, omegas, etas, left=None) -> np.ndarray:
         """P[i, m] = R(((u_m + t), omegas[i]), (t, etas[i])) for any t."""
-        G = self.spectral_profiles(omegas, etas, left)
-        return self._post[None, :] * np.fft.fft(G * self._pre[None, :],
-                                                axis=1)
+        return self.u_window(self.spectral_profiles(omegas, etas, left),
+                             0, self.n)
 
     def u_index(self, u_values) -> np.ndarray:
         """Nearest grid index of u values (snapping error <= du/2); a
-        ValueError names the first u that would snap off the grid."""
+        ValueError names the first u that would snap off the grid.  rint
+        is sign-symmetric, so u and -u snap to mirror indices."""
         u = np.asarray(u_values, dtype=float)
-        idx = np.rint((u - self.u[0]) / self.du)
+        idx = np.rint(u / self.du) + self.n // 2
         off = ~((idx >= 0) & (idx <= self.n - 1))
         if off.any():
             raise ValueError(f"u = {u[off].flat[0]!r} lies off the slice "
@@ -244,17 +274,36 @@ def _weighted_mass(values: np.ndarray, omegas: np.ndarray,
     return d_omega * float(np.sum(weight.mutual(omegas, omega_star) * x_int))
 
 
+# bytes of a working block: omega rows in _rho_once; in _osc the gather
+# buffers, and z spectra with their half transforms: 4 MiB
+_BLOCK = 1 << 22
+
+
 def _rho_once(w: Window, alpha: float, s: float, tab: SymbolTable,
               x_max: float, omega_max: float,
               probes: np.ndarray) -> float:
+    """Max over the probes of the weighted mass of |P| on |u| <= x_max,
+    read at u >= 0 (|P(-u)| = |P(u)|, so u > 0 counts twice).  Omega
+    rows go in blocks of max(1, _BLOCK // (32 n)), 32 bytes a xi sample
+    covering atoms, profiles, half spectra and the u window with its
+    moduli; row sums are weighted once at the end, so blocks leave rho
+    as is."""
     engine = _SliceEngine(w, alpha, tab, 1, omega_max, x_max)
     omegas = _omega_grid(omega_max)
-    left = engine._atoms_hat(omegas)
-    in_x = np.abs(engine.u) <= x_max
+    h = engine.n // 2
+    n_u = int(np.count_nonzero(engine.u[h:] <= x_max))
+    fold = np.where(np.arange(n_u) > 0, 2.0, 1.0)
+    rights = engine._right_hat(probes)
+    sums = np.empty((len(probes), len(omegas), 1))
+    rows = max(1, _BLOCK // (32 * engine.n))
+    for i in range(0, len(omegas), rows):
+        left = engine._atoms_hat(omegas[i:i + rows])
+        for row_sums, right in zip(sums, rights):
+            P = engine.u_window(left * right, h, h + n_u)
+            row_sums[i:i + rows, 0] = (np.abs(P) * fold).sum(axis=1)
     weight = Weight(s)
-    return max((_weighted_mass(
-        np.abs(engine.slices(omegas, eta, left)[:, in_x]),
-        omegas, eta, weight, engine.du) for eta in probes), default=0.0)
+    return max((_weighted_mass(row_sums, omegas, eta, weight, engine.du)
+                for row_sums, eta in zip(sums, probes)), default=0.0)
 
 
 def estimate_rho(w: Window, alpha: float, s: float, tab: SymbolTable,
@@ -311,11 +360,6 @@ def oscillation_kernel(w: Window, alpha: float, tab: SymbolTable,
     return float(np.abs(R[0] - phase * R[1:]).max())
 
 
-# bytes of the two gather buffers in _osc, complex block and squared
-# modulus, and of a block of z spectra with its FFT: 4 MiB
-_GATHER = 1 << 22
-
-
 def _osc(engine: _SliceEngine, cov: AlphaCovering, density: int,
          x_t, x_w, y_t, y_w) -> np.ndarray:
     """osc(x, y) = max over the sampled z in Q_y of
@@ -330,18 +374,19 @@ def _osc(engine: _SliceEngine, cov: AlphaCovering, density: int,
     engine's u grid, and x_t - z_t is snapped onto it (u_index raises if
     the engine does not reach it): z_t = x_t - u[at], so Gamma =
     exp(-2 pi i y_w (y_t - x_t)) exp(-2 pi i y_w u[at]).  The first
-    factor goes into R(x, y); the second, with the FFT's post-twiddle,
-    into each z frequency's slices R(x, z) = P[at] on the u window a
-    covering row gathers; the pre-twiddle into the x spectra.  A row's
+    factor goes into R(x, y); the second into each z frequency's slices
+    R(x, z) = P[at], read from their half spectra on the u window
+    [lo, hi) a covering row gathers (_SliceEngine.u_window).  A row's
     gather is laid out (z, b, batch * a), so the sup over z is a maximum
     of contiguous planes, taken in chunks of z on squared moduli (the
     sum of squares of the difference's float view), with one sqrt per
     covering row.  A sample outside its time's box reuses an inside one
     of the same time (same max); a time with none gets 0 from the row.
     The chunk and its squared modulus (24 bytes an element) fill at
-    most max(_GATHER, one z-plane) bytes; a row's z spectra and their
-    FFT (32 bytes) at most max(_GATHER, one z frequency).  Returns an
-    array of shape x_w.shape[:-1] + (a, b).
+    most max(_BLOCK, one z-plane) bytes.  A row's real z spectra and
+    their half transforms (16 bytes a spectrum sample) with the window
+    read from them (16 bytes a u sample) fill at most max(_BLOCK, one z
+    frequency).  Returns an array of shape x_w.shape[:-1] + (a, b).
     """
     x_t, x_w, y_t, y_w = (np.atleast_1d(np.asarray(v, dtype=float))
                           for v in (x_t, x_w, y_t, y_w))
@@ -349,12 +394,12 @@ def _osc(engine: _SliceEngine, cov: AlphaCovering, density: int,
     x_w = x_w.reshape(-1, x_w.shape[-1])
     x_hat = engine._atoms_hat(x_w.ravel()).reshape(*x_w.shape, -1)
     at = engine.u_index(x_t - y_t)
-    base = np.stack([engine.slices(xw, y_w, xh)[:, at]
-                     for xw, xh in zip(x_w, x_hat)])
+    lo = at.min()
+    base = engine.u_window(engine.spectral_profiles(None, y_w, x_hat),
+                           lo, at.max() + 1)[..., at - lo]
     base *= np.exp(2j * np.pi * y_w[:, None] * (y_t - x_t))
-    x_hat = x_hat * engine._pre
     osc = np.zeros(base.shape)
-    cap = max(_GATHER // 24, osc.size)
+    cap = max(_BLOCK // 24, osc.size)
     block, mod = np.empty(cap, complex), np.empty(cap)
     for band, z_t, inside, z_w in q_samples(cov, y_t, y_w, density):
         rows = np.broadcast_to(band, osc.shape[1:2])
@@ -369,16 +414,16 @@ def _osc(engine: _SliceEngine, cov: AlphaCovering, density: int,
                                      inside.argmax(axis=1)][:, None])
         lo, hi = at.min(), at.max() + 1
         at = (at - lo).T
-        post = (engine._post[lo:hi, None]
-                * np.exp(-2j * np.pi * engine.u[lo:hi, None] * yw))
+        post = np.exp(-2j * np.pi * engine.u[lo:hi, None] * yw)
         R_y = base[:, rows].transpose(2, 0, 1).reshape(base.shape[2], -1)
         row, plane = np.zeros(R_y.shape), np.empty(R_y.shape)
         Q = np.empty((hi - lo, R_y.shape[1]), complex)
-        n_z = max(1, _GATHER // (32 * xw_hat.size))
+        n_z = max(1, _BLOCK // (16 * (engine.n + hi - lo)
+                                * (xw_hat.size // engine.n)))
         for c in range(0, len(z_w), n_z):
-            F = np.fft.fft(engine.spectral_profiles(None, z_w[c:c + n_z],
-                                                    xw_hat))
-            for Fz in np.moveaxis(F[..., lo:hi], 2, 0):
+            F = engine.u_window(engine.spectral_profiles(
+                None, z_w[c:c + n_z], xw_hat), lo, hi)
+            for Fz in np.moveaxis(F, 2, 0):
                 np.multiply(Fz.transpose(2, 0, 1), post[:, None, :],
                             out=Q.reshape(hi - lo, len(x_w), -1))
                 for k in range(0, len(at), cap // R_y.size):

@@ -12,7 +12,8 @@ from alphamod.diagnostics import (KernelEstimate, TruncationConfig,
                                   discretization_condition, estimate_gamma,
                                   estimate_rho, lambda_fn,
                                   oscillation_kernel, theta_fn)
-from alphamod.grids import Weight
+from alphamod import diagnostics
+from alphamod.grids import SampledGrid, Weight, _dft_phases
 from alphamod.symbol import NotAdmissibleError, beta
 from alphamod.transform import kernel_K
 from alphamod.windows import Window
@@ -97,6 +98,44 @@ def test_slice_engine_matches_quadrature_kernel(gauss, gauss_tab):
             ref = kernel_K(gauss, 0.5, gauss_tab, 1,
                            (float(engine.u[idx]), float(om)), (0.0, eta))
             assert P[i, idx] == pytest.approx(ref, abs=1e-8)
+
+
+@pytest.mark.parametrize("kappa", [0, 1])
+def test_half_spectrum_slices_match_the_full_fft(gauss, gauss_tab, kappa):
+    """The half-length real transform, with u < 0 read by conjugation,
+    against the full complex FFT between the DFT phases of the centered
+    xi grid and its dual, at every u of a small engine.  Those phases
+    are the signs (-1)^k and (-1)^(m - n/2); _dft_phases computes them
+    as exponentials of phases up to pi n / 2, 4e-13 off at n = 512, so
+    the oracle takes the signs themselves."""
+    engine = _SliceEngine(gauss, 0.5, gauss_tab, kappa, omega_max=2.0,
+                          u_max=2.0)
+    n = engine.n
+    assert n == 512
+    xi_grid = SampledGrid.centered(n, engine.dxi)
+    pre, post = _dft_phases(xi_grid, xi_grid.dual())
+    k = np.arange(n)
+    sign = np.where(k % 2, -1.0, 1.0)
+    np.testing.assert_allclose(pre, sign, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(post, sign[k - n // 2], rtol=0, atol=1e-12)
+    omegas, etas = np.array([-1.5, 0.0, 2.0]), np.array([0.5, -1.0, 2.0])
+    G = engine.spectral_profiles(omegas, etas)
+    ref = engine.dxi * sign[k - n // 2] * np.fft.fft(G * sign, axis=1)
+    P = engine.slices(omegas, etas)
+    assert np.abs(P - ref).max() <= 1e-14 * np.abs(ref).max()
+    for lo, hi in [(0, 7), (250, 262), (256, 300), (505, 512)]:
+        np.testing.assert_array_equal(engine.u_window(G, lo, hi),
+                                      P[:, lo:hi])
+
+
+def test_complex_spectrum_is_refused(gauss, gauss_tab):
+    """Kernel slices assume a real profile; a hand-built window whose
+    spectrum is complex (the Gaussian shifted by 0.1) is named."""
+    shifted = Window("shifted-gaussian", lambda t: gauss.time(t - 0.1),
+                     lambda xi, l: (gauss._fourier(xi, l)
+                                    * np.exp(-2j * np.pi * xi * 0.1)), 1.0)
+    with pytest.raises(ValueError, match="shifted-gaussian"):
+        estimate_rho(shifted, 0.5, 0.0, gauss_tab, LIGHT)
 
 
 def test_slice_engine_kappa_zero(gauss, gauss_tab):
@@ -217,6 +256,15 @@ def test_estimate_rho_converged(gauss, gauss_tab):
     assert est.value == pytest.approx(2.090531430020757, rel=1e-12)
 
 
+def test_rho_blocks_do_not_change_rho(gauss, gauss_tab, monkeypatch):
+    """_rho_once keeps each omega row's u sum and weights them once at
+    the end, so one row per block gives rho bit for bit."""
+    args = (gauss, 0.5, 1.0, gauss_tab, 4.0, 8.0, _probe_omegas(LIGHT))
+    whole = _rho_once(*args)
+    monkeypatch.setattr(diagnostics, "_BLOCK", 1)
+    assert _rho_once(*args) == whole
+
+
 def test_estimate_rho_weight_monotone(gauss, gauss_tab):
     r0 = estimate_rho(gauss, 0.5, 0.0, gauss_tab, LIGHT).value
     r1 = estimate_rho(gauss, 0.5, 1.0, gauss_tab, LIGHT).value
@@ -235,11 +283,12 @@ def test_estimate_gamma_structure(gauss, gauss_tab):
     assert g == max(g1, g2)
     assert g1 > 0 and g2 > 0
     # pinned: any change in how Q_y is sampled or z is snapped shows here.
-    # The full u sweep gave g1 = 6.582632650729726; the time reflection
-    # moves it by -1.3e-8 through grid ties: z_t = +-25/12 lies an exact
-    # half-integer number of du = 1/34.8 from u grid points, and the two
-    # signs round to different sides when snapped.
-    assert g1 == pytest.approx(6.582632563985738, rel=1e-12)
+    # z_t = +-25/12 lies an exact half-integer number of du = 1/34.8 from
+    # u grid points.  u_index rounds u / du, which is sign-symmetric, so
+    # the two signs snap to mirror points and the half time sweep counts
+    # what the full one does.  Rounding (u - u[0]) / du snapped them to
+    # different sides and gave 6.582632563985738.
+    assert g1 == pytest.approx(6.582632743227604, rel=1e-12)
     assert g2 == pytest.approx(5.27247853103112, rel=1e-12)
 
 
@@ -357,6 +406,22 @@ def test_time_reflection_matches_the_full_sweep(gauss, gauss_tab):
     _, m1, m2 = _probe_masses(gauss, gauss_tab, cov, trunc,
                               _swept_probes(trunc, gauss, cov))
     g1, g2, _ = estimate_gamma(gauss, 0.5, 0.0, gauss_tab, cov, trunc)
+    assert g1 == pytest.approx(m1.max(), rel=1e-12)
+    assert g2 == pytest.approx(m2.max(), rel=1e-12)
+
+
+def test_time_reflection_matches_the_full_sweep_on_grid_ties():
+    """bump:1.0 at LIGHT (du = 1/405) puts many x_t - z_t on exact
+    half-integer multiples of du.  u_index snaps u and -u to mirror
+    points, so gamma sweeping u >= 0 still equals the full u sweep; when
+    it rounded from the grid's first point the two differed by 1.7e-5."""
+    w = parse_window_spec("bump:1.0")
+    tab = admissibility_scan(w, 0.5, ScanConfig(xi_max=80, n_nodes=801))
+    cov = build_covering(0.5, 0.25, 1.0, (-8, 8), (-16, 16))
+    assert _reflections(w, cov) == (True, True)
+    _, m1, m2 = _probe_masses(w, tab, cov, LIGHT,
+                              _swept_probes(LIGHT, w, cov))
+    g1, g2, _ = estimate_gamma(w, 0.5, 0.0, tab, cov, LIGHT)
     assert g1 == pytest.approx(m1.max(), rel=1e-12)
     assert g2 == pytest.approx(m2.max(), rel=1e-12)
 
