@@ -138,8 +138,9 @@ class _SliceEngine:
 
     Both grids are centered and du * dxi * n = 1, so the DFT twiddles are
     signs: P(j du) = dxi (-1)^j fft(G)[j mod n].  G is real (_atoms_hat),
-    so u_window reads H[j] = dxi (-1)^j rfft(G)[j], j = 0..n/2, and
-    P(-j du) = conj(H[j]).
+    so slices reads H[j] = dxi (-1)^j rfft(G)[j], j = 0..n/2, and
+    P(-j du) = conj(H[j]).  slices pairs every omega of its left side
+    with every eta of its right side; callers build each side once.
     """
 
     def __init__(self, w: Window, alpha: float, tab: SymbolTable,
@@ -176,26 +177,20 @@ class _SliceEngine:
                              f"spectrum; kernel slices need a real one")
         return F.reshape(ws.size, self.n) * np.sqrt(b)[:, None]
 
-    def spectral_profiles(self, omegas, etas, left=None) -> np.ndarray:
-        """G matrix, one row per (omega, eta) pair; a single frequency on
-        either side pairs with every frequency on the other.  left, if
-        given, is _atoms_hat(omegas), computed once by the caller; it
-        broadcasts against the (etas, n) right side, so a left of shape
-        (..., 1, n) pairs each of its rows with every eta."""
-        if left is None:
-            left = self._atoms_hat(omegas)
-        return left * self._right_hat(etas)
-
-    def _right_hat(self, etas) -> np.ndarray:
+    def right_hat(self, etas) -> np.ndarray:
         """G's right side, m^-kappa conj(_atoms_hat(etas)); atoms are real."""
         right = self._atoms_hat(etas)
         return right if self._m_pow is None else right * self._m_pow
 
-    def u_window(self, G, lo, hi) -> np.ndarray:
-        """P on u grid indices [lo, hi) from real profiles G: the half
-        spectra H, read as two contiguous slices, reversed and conjugated
-        for u < 0, as they are for u >= 0."""
-        H = np.fft.rfft(G, axis=-1)
+    def slices(self, left, right, lo=0, hi=None) -> np.ndarray:
+        """P[..., i, a, m] = R((u_m + t, omegas[i]), (t, etas[a])) for any
+        t and u grid indices m in [lo, hi), from left = _atoms_hat(omegas)
+        of shape (..., i, n) and right = right_hat(etas) of shape (a, n).
+        The half spectra H of the profiles left[..., i, :] * right[a] are
+        read as two contiguous slices, reversed and conjugated for u < 0,
+        as they are for u >= 0."""
+        hi = self.n if hi is None else hi
+        H = np.fft.rfft(left[..., None, :] * right, axis=-1)
         H *= self._sign
         h = self.n // 2
         neg = H[..., max(h - lo, 0):h - min(hi, h):-1]
@@ -203,11 +198,6 @@ class _SliceEngine:
         np.conjugate(neg, out=out[..., :neg.shape[-1]])
         out[..., neg.shape[-1]:] = H[..., max(lo - h, 0):max(hi - h, 0)]
         return out
-
-    def slices(self, omegas, etas, left=None) -> np.ndarray:
-        """P[i, m] = R(((u_m + t), omegas[i]), (t, etas[i])) for any t."""
-        return self.u_window(self.spectral_profiles(omegas, etas, left),
-                             0, self.n)
 
     def u_index(self, u_values) -> np.ndarray:
         """Nearest grid index of u values (snapping error <= du/2); a
@@ -265,12 +255,13 @@ def _swept_probes(trunc: TruncationConfig, w: Window,
     return probes[len(probes) // 2:] if _reflections(w, cov)[0] else probes
 
 
-def _weighted_mass(values: np.ndarray, omegas: np.ndarray,
+def _weighted_mass(row_sums: np.ndarray, omegas: np.ndarray,
                    omega_star: float, weight: Weight, du: float) -> float:
-    """d_omega sum_i w_s(omegas[i], omega_star) du sum_u values[i, u]:
-    the weighted integral of nonnegative values on an (omega, u) grid."""
+    """d_omega sum_i w_s(omegas[i], omega_star) du row_sums[i]: the
+    weighted integral of nonnegative values on an (omega, u) grid, from
+    their sums over u."""
     d_omega = omegas[1] - omegas[0]
-    x_int = du * values.sum(axis=1)
+    x_int = du * row_sums
     return d_omega * float(np.sum(weight.mutual(omegas, omega_star) * x_int))
 
 
@@ -283,27 +274,27 @@ def _rho_once(w: Window, alpha: float, s: float, tab: SymbolTable,
               x_max: float, omega_max: float,
               probes: np.ndarray) -> float:
     """Max over the probes of the weighted mass of |P| on |u| <= x_max,
-    read at u >= 0 (|P(-u)| = |P(u)|, so u > 0 counts twice).  Omega
-    rows go in blocks of max(1, _BLOCK // (32 n)), 32 bytes a xi sample
-    covering atoms, profiles, half spectra and the u window with its
-    moduli; row sums are weighted once at the end, so blocks leave rho
+    read at u >= 0 (|P(-u)| = |P(u)|, so u > 0 counts twice).  Each
+    block of omega rows takes one slices call against every probe:
+    max(1, _BLOCK // (32 n len(probes))) rows, 32 bytes a (row, probe)
+    xi sample covering profiles, half spectra and the u window with its
+    moduli.  Row sums are weighted once at the end, so blocks leave rho
     as is."""
     engine = _SliceEngine(w, alpha, tab, 1, omega_max, x_max)
     omegas = _omega_grid(omega_max)
     h = engine.n // 2
     n_u = int(np.count_nonzero(engine.u[h:] <= x_max))
     fold = np.where(np.arange(n_u) > 0, 2.0, 1.0)
-    rights = engine._right_hat(probes)
-    sums = np.empty((len(probes), len(omegas), 1))
-    rows = max(1, _BLOCK // (32 * engine.n))
+    right = engine.right_hat(probes)
+    sums = np.empty((len(omegas), len(right)))
+    rows = max(1, _BLOCK // (32 * engine.n * max(len(right), 1)))
     for i in range(0, len(omegas), rows):
-        left = engine._atoms_hat(omegas[i:i + rows])
-        for row_sums, right in zip(sums, rights):
-            P = engine.u_window(left * right, h, h + n_u)
-            row_sums[i:i + rows, 0] = (np.abs(P) * fold).sum(axis=1)
+        P = engine.slices(engine._atoms_hat(omegas[i:i + rows]), right,
+                          h, h + n_u)
+        sums[i:i + rows] = (np.abs(P) * fold).sum(axis=-1)
     weight = Weight(s)
     return max((_weighted_mass(row_sums, omegas, eta, weight, engine.du)
-                for row_sums, eta in zip(sums, probes)), default=0.0)
+                for row_sums, eta in zip(sums.T, probes)), default=0.0)
 
 
 def estimate_rho(w: Window, alpha: float, s: float, tab: SymbolTable,
@@ -365,46 +356,40 @@ def _osc(engine: _SliceEngine, cov: AlphaCovering, density: int,
     """osc(x, y) = max over the sampled z in Q_y of
     |R(x, y) - Gamma(y, z) R(x, z)| with
     Gamma(y, z) = exp(-2 pi i y_w (y_t - z_t)), on the pairs
-    x = (x_t[b], x_w[..., a]), y = (y_t[b], y_w[a]).
+    x = (x_t[b], x_w[i]), y = (y_t[b], y_w[a]): every x frequency with
+    every y frequency, and times along b, where a side with one time
+    pairs it with every time of the other.
 
-    Frequencies run along a and times along b; a side with one frequency
-    or one time pairs it with every entry of the other.  Leading axes of
-    x_w are a batch (estimate_gamma's probes) sharing x_t and y, hence
-    the covering rows, z samples and z spectra.  The times lie on the
-    engine's u grid, and x_t - z_t is snapped onto it (u_index raises if
-    the engine does not reach it): z_t = x_t - u[at], so Gamma =
+    The times lie on the engine's u grid, and x_t - z_t is snapped onto
+    it (u_index raises if the engine does not reach it):
+    z_t = x_t - u[at], so Gamma =
     exp(-2 pi i y_w (y_t - x_t)) exp(-2 pi i y_w u[at]).  The first
     factor goes into R(x, y); the second into each z frequency's slices
-    R(x, z) = P[at], read from their half spectra on the u window
-    [lo, hi) a covering row gathers (_SliceEngine.u_window).  A row's
-    gather is laid out (z, b, batch * a), so the sup over z is a maximum
-    of contiguous planes, taken in chunks of z on squared moduli (the
-    sum of squares of the difference's float view), with one sqrt per
-    covering row.  A sample outside its time's box reuses an inside one
-    of the same time (same max); a time with none gets 0 from the row.
-    The chunk and its squared modulus (24 bytes an element) fill at
-    most max(_BLOCK, one z-plane) bytes.  A row's real z spectra and
-    their half transforms (16 bytes a spectrum sample) with the window
-    read from them (16 bytes a u sample) fill at most max(_BLOCK, one z
-    frequency).  Returns an array of shape x_w.shape[:-1] + (a, b).
+    R(x, z) = P[at], read on the u window [lo, hi) a covering row
+    gathers.  A row's gather is laid out (z, b, i * a) over the y_w in
+    its band, so the sup over z is a maximum of contiguous planes, taken
+    in chunks of z on squared moduli (the sum of squares of the
+    difference's float view), with one sqrt per covering row.  A sample
+    outside its time's box reuses an inside one of the same time (same
+    max); a time with none gets 0 from the row.  The chunk and its
+    squared modulus (24 bytes an element) fill at most max(_BLOCK, one
+    z-plane) bytes.  A row's real z spectra and their half transforms
+    (16 bytes a spectrum sample) with the window read from them (16
+    bytes a u sample) fill at most max(_BLOCK, one z frequency).
+    Returns an array of shape (len(x_w), len(y_w), b).
     """
     x_t, x_w, y_t, y_w = (np.atleast_1d(np.asarray(v, dtype=float))
                           for v in (x_t, x_w, y_t, y_w))
-    batch = x_w.shape[:-1]
-    x_w = x_w.reshape(-1, x_w.shape[-1])
-    x_hat = engine._atoms_hat(x_w.ravel()).reshape(*x_w.shape, -1)
+    x_hat = engine._atoms_hat(x_w)
     at = engine.u_index(x_t - y_t)
     lo = at.min()
-    base = engine.u_window(engine.spectral_profiles(None, y_w, x_hat),
-                           lo, at.max() + 1)[..., at - lo]
+    base = engine.slices(x_hat, engine.right_hat(y_w),
+                         lo, at.max() + 1)[..., at - lo]
     base *= np.exp(2j * np.pi * y_w[:, None] * (y_t - x_t))
     osc = np.zeros(base.shape)
     cap = max(_BLOCK // 24, osc.size)
     block, mod = np.empty(cap, complex), np.empty(cap)
     for band, z_t, inside, z_w in q_samples(cov, y_t, y_w, density):
-        rows = np.broadcast_to(band, osc.shape[1:2])
-        yw = y_w[rows] if len(y_w) > 1 else y_w
-        xw_hat = (x_hat[:, rows] if x_w.shape[1] > 1 else x_hat)[:, :, None]
         keep = inside.any(axis=0)
         if not keep.any():
             continue
@@ -414,17 +399,16 @@ def _osc(engine: _SliceEngine, cov: AlphaCovering, density: int,
                                      inside.argmax(axis=1)][:, None])
         lo, hi = at.min(), at.max() + 1
         at = (at - lo).T
-        post = np.exp(-2j * np.pi * engine.u[lo:hi, None] * yw)
-        R_y = base[:, rows].transpose(2, 0, 1).reshape(base.shape[2], -1)
+        post = np.exp(-2j * np.pi * engine.u[lo:hi, None] * y_w[band])
+        R_y = base[:, band].transpose(2, 0, 1).reshape(base.shape[2], -1)
         row, plane = np.zeros(R_y.shape), np.empty(R_y.shape)
         Q = np.empty((hi - lo, R_y.shape[1]), complex)
-        n_z = max(1, _BLOCK // (16 * (engine.n + hi - lo)
-                                * (xw_hat.size // engine.n)))
+        n_z = max(1, _BLOCK // (16 * (engine.n + hi - lo) * len(x_w)))
         for c in range(0, len(z_w), n_z):
-            F = engine.u_window(engine.spectral_profiles(
-                None, z_w[c:c + n_z], xw_hat), lo, hi)
-            for Fz in np.moveaxis(F, 2, 0):
-                np.multiply(Fz.transpose(2, 0, 1), post[:, None, :],
+            F = engine.slices(x_hat, engine.right_hat(z_w[c:c + n_z]),
+                              lo, hi)
+            for Fz in F.transpose(1, 2, 0):
+                np.multiply(Fz[:, :, None], post[:, None, :],
                             out=Q.reshape(hi - lo, len(x_w), -1))
                 for k in range(0, len(at), cap // R_y.size):
                     ks = at[k:k + cap // R_y.size]
@@ -437,10 +421,10 @@ def _osc(engine: _SliceEngine, cov: AlphaCovering, density: int,
                     np.maximum(row, np.maximum.reduce(m, out=plane), out=row)
         np.sqrt(row, out=row)
         row *= inside.any(axis=1)[:, None]
-        osc[:, rows] = np.maximum(osc[:, rows],
+        osc[:, band] = np.maximum(osc[:, band],
                                   row.reshape(len(row), len(x_w), -1)
                                   .transpose(1, 2, 0))
-    return osc.reshape(*batch, *osc.shape[1:])
+    return osc
 
 
 def estimate_gamma(w: Window, alpha: float, s: float, tab: SymbolTable,
@@ -453,8 +437,9 @@ def estimate_gamma(w: Window, alpha: float, s: float, tab: SymbolTable,
     sup over y and integrates over x.  Both use probe grids in
     frequency; the time coordinate of the probe is fixed at 0 (the
     kernel is covariant under joint time shifts and the box quantization
-    only perturbs this periodically at sub-probe scale).  gamma1 runs
-    all probes through one _osc call, gamma2 one call per probe.  For
+    only perturbs this periodically at sub-probe scale).  Each of
+    gamma1 and gamma2 is one _osc call over all probes: the probes are
+    the x frequencies of gamma1 and the y frequencies of gamma2.  For
     an even window on a covering mirrored by (t, w) -> (-t, -w), probes
     p and -p carry the same gamma1 and gamma2 masses, so only the upper
     half of the probes is swept; otherwise every probe.  If every row's
@@ -475,11 +460,12 @@ def estimate_gamma(w: Window, alpha: float, s: float, tab: SymbolTable,
     fold = np.where(u_in > 0, 1.0 + reflect, 1.0)  # u > 0 stands for -u
 
     def mass(osc, probe):
-        return _weighted_mass(osc * fold, omegas, probe, Weight(s), engine.du)
-    g1 = max(map(mass, _osc(engine, cov, d, 0.0, probes[:, None], u_in,
-                            omegas), probes), default=0.0)
-    g2 = max((mass(_osc(engine, cov, d, u_in, omegas, 0.0, p), p)
-              for p in probes), default=0.0)
+        return _weighted_mass((osc * fold).sum(axis=1), omegas, probe,
+                              Weight(s), engine.du)
+    g1 = max(map(mass, _osc(engine, cov, d, 0.0, probes, u_in, omegas),
+                 probes), default=0.0)
+    g2 = max(map(mass, _osc(engine, cov, d, u_in, omegas, 0.0, probes)
+                 .swapaxes(0, 1), probes), default=0.0)
     return g1, g2, max(g1, g2)
 
 

@@ -91,23 +91,24 @@ def test_slice_engine_matches_quadrature_kernel(gauss, gauss_tab):
                           u_max=6.0)
     eta = 0.5
     omegas = np.array([-1.0, 0.0, 2.0])
-    P = engine.slices(omegas, eta)
+    P = engine.slices(engine._atoms_hat(omegas), engine.right_hat(eta))
     for i, om in enumerate(omegas):
         for x in (-2.0, 0.0, 1.5):
             idx = engine.u_index(x)
             ref = kernel_K(gauss, 0.5, gauss_tab, 1,
                            (float(engine.u[idx]), float(om)), (0.0, eta))
-            assert P[i, idx] == pytest.approx(ref, abs=1e-8)
+            assert P[i, 0, idx] == pytest.approx(ref, abs=1e-8)
 
 
 @pytest.mark.parametrize("kappa", [0, 1])
 def test_half_spectrum_slices_match_the_full_fft(gauss, gauss_tab, kappa):
     """The half-length real transform, with u < 0 read by conjugation,
     against the full complex FFT between the DFT phases of the centered
-    xi grid and its dual, at every u of a small engine.  Those phases
-    are the signs (-1)^k and (-1)^(m - n/2); _dft_phases computes them
-    as exponentials of phases up to pi n / 2, 4e-13 off at n = 512, so
-    the oracle takes the signs themselves."""
+    xi grid and its dual, at every u of a small engine and every pair of
+    an omega and an eta.  Those phases are the signs (-1)^k and
+    (-1)^(m - n/2); _dft_phases computes them as exponentials of phases
+    up to pi n / 2, 4e-13 off at n = 512, so the oracle takes the signs
+    themselves."""
     engine = _SliceEngine(gauss, 0.5, gauss_tab, kappa, omega_max=2.0,
                           u_max=2.0)
     n = engine.n
@@ -118,14 +119,16 @@ def test_half_spectrum_slices_match_the_full_fft(gauss, gauss_tab, kappa):
     sign = np.where(k % 2, -1.0, 1.0)
     np.testing.assert_allclose(pre, sign, rtol=0, atol=1e-12)
     np.testing.assert_allclose(post, sign[k - n // 2], rtol=0, atol=1e-12)
-    omegas, etas = np.array([-1.5, 0.0, 2.0]), np.array([0.5, -1.0, 2.0])
-    G = engine.spectral_profiles(omegas, etas)
-    ref = engine.dxi * sign[k - n // 2] * np.fft.fft(G * sign, axis=1)
-    P = engine.slices(omegas, etas)
+    left = engine._atoms_hat([-1.5, 0.0, 2.0])
+    right = engine.right_hat([0.5, -1.0])
+    G = left[:, None, :] * right
+    ref = engine.dxi * sign[k - n // 2] * np.fft.fft(G * sign, axis=-1)
+    P = engine.slices(left, right)
+    assert P.shape == (3, 2, n)
     assert np.abs(P - ref).max() <= 1e-14 * np.abs(ref).max()
     for lo, hi in [(0, 7), (250, 262), (256, 300), (505, 512)]:
-        np.testing.assert_array_equal(engine.u_window(G, lo, hi),
-                                      P[:, lo:hi])
+        np.testing.assert_array_equal(engine.slices(left, right, lo, hi),
+                                      P[..., lo:hi])
 
 
 def test_complex_spectrum_is_refused(gauss, gauss_tab):
@@ -141,10 +144,10 @@ def test_complex_spectrum_is_refused(gauss, gauss_tab):
 def test_slice_engine_kappa_zero(gauss, gauss_tab):
     engine = _SliceEngine(gauss, 0.5, gauss_tab, 0, omega_max=4.0,
                           u_max=6.0)
-    P = engine.slices(np.array([1.0]), 1.0)
+    P = engine.slices(engine._atoms_hat(1.0), engine.right_hat(1.0))
     idx = engine.u_index(0.0)
     # K^0(p, p) = ||a_p||^2 = 1 for the unit-norm Gaussian
-    assert P[0, idx] == pytest.approx(1.0, abs=1e-8)
+    assert P[0, 0, idx] == pytest.approx(1.0, abs=1e-8)
 
 
 def test_oscillation_vanishes_at_base_point(gauss, gauss_tab):
@@ -173,32 +176,31 @@ def test_fft_oscillation_matches_quadrature_oracle(gauss, gauss_tab):
         ref = oscillation_kernel(gauss, 0.5, gauss_tab, cov, p1, p2,
                                  z_density=2)
         fast = _osc(engine, cov, 2, p1[0], p1[1], p2[0], p2[1])
-        assert fast.shape == (1, 1)
-        assert fast[0, 0] == pytest.approx(ref, rel=1e-2)
+        assert fast.shape == (1, 1, 1)
+        assert fast.item() == pytest.approx(ref, rel=1e-2)
 
 
 def _osc_dense(engine, cov, density, x_t, x_w, y_t, y_w):
     """The sampled sup as _osc first computed it, without its chunking:
-    one (a, b, z) phase array at the snapped z and a mask multiply for
-    the samples whose box does not contain y_t."""
+    one (i, a, b, z) phase array at the snapped z and a mask multiply
+    for the samples whose box does not contain y_t."""
     x_t, x_w, y_t, y_w = (np.atleast_1d(np.asarray(v, dtype=float))
                           for v in (x_t, x_w, y_t, y_w))
     x_hat = engine._atoms_hat(x_w)
-    base = engine.slices(x_w, y_w, x_hat)[:, engine.u_index(x_t - y_t)]
+    base = engine.slices(x_hat, engine.right_hat(y_w))[
+        ..., engine.u_index(x_t - y_t)]
     osc = np.zeros(base.shape)
     for band, z_t, inside, z_w in q_samples(cov, y_t, y_w, density):
-        rows = np.broadcast_to(band, osc.shape[:1])
-        xw, yw, xw_hat = (v[rows] if len(v) > 1 else v
-                          for v in (x_w, y_w, x_hat))
         at = engine.u_index(x_t[:, None] - z_t)
         z_t = x_t[:, None] - engine.u[at]
-        phase = np.exp(-2j * np.pi * yw[:, None, None]
+        phase = np.exp(-2j * np.pi * y_w[band][:, None, None]
                        * (y_t[:, None] - z_t))
-        R_y = base[rows][:, :, None]
+        R_y = base[:, band][..., None]
         for zw in z_w:
-            P = engine.slices(xw, zw, xw_hat)
-            diff = np.abs(R_y - phase * P[:, at])
-            osc[rows] = np.maximum(osc[rows], (diff * inside).max(axis=2))
+            P = engine.slices(x_hat, engine.right_hat(zw))[:, 0]
+            diff = np.abs(R_y - phase * P[:, None, at])
+            osc[:, band] = np.maximum(osc[:, band],
+                                      (diff * inside).max(axis=-1))
     return osc
 
 
@@ -212,26 +214,22 @@ def osc_engine(request):
 @pytest.mark.parametrize("time_range", [(-6.0, 6.0), (-1.5, 1.0)])
 def test_osc_matches_dense_oracle(osc_engine, time_range):
     """The factored, z-major _osc against the dense reference, in both
-    call shapes of estimate_gamma: gamma1's, with its probes as a batch
-    axis of x_w, checked probe by probe, and gamma2's; at an even and an
-    odd density.  The (-1.5, 1) covering stops inside the probed times,
-    so some times have no inside sample in a row."""
+    call shapes of estimate_gamma: gamma1's, with the probes as x
+    frequencies, and gamma2's, with them as y frequencies; at an even
+    and an odd density.  The (-1.5, 1) covering stops inside the probed
+    times, so some times have no inside sample in a row."""
     cov = build_covering(0.5, 0.5, 1.0, time_range, (-4, 4))
     u_in = osc_engine.u[np.abs(osc_engine.u) <= 2.0]
     omegas = np.linspace(-3.0, 3.0, 13)
     probes = np.array([-2.0, 0.5, 1.75])
     for density in (2, 3):
-        gamma1 = _osc(osc_engine, cov, density, 0.0, probes[:, None], u_in,
-                      omegas)
-        gamma2 = _osc(osc_engine, cov, density, u_in, omegas, 0.0, 0.5)
-        for fast, calls in [(gamma1, [(0.0, p, u_in, omegas)
-                                      for p in probes]),
-                            (gamma2[None], [(u_in, omegas, 0.0, 0.5)])]:
-            assert fast.shape == (len(calls), omegas.size, u_in.size)
-            for plane, args in zip(fast, calls):
-                ref = _osc_dense(osc_engine, cov, density, *args)
-                np.testing.assert_array_equal(plane == 0, ref == 0)
-                assert np.abs(plane - ref).max() <= 1e-13 * ref.max()
+        for args in [(0.0, probes, u_in, omegas),
+                     (u_in, omegas, 0.0, probes)]:
+            fast = _osc(osc_engine, cov, density, *args)
+            ref = _osc_dense(osc_engine, cov, density, *args)
+            assert fast.shape == (args[1].size, args[3].size, u_in.size)
+            np.testing.assert_array_equal(fast == 0, ref == 0)
+            assert np.abs(fast - ref).max() <= 1e-13 * ref.max()
 
 
 def test_osc_rejects_times_the_engine_does_not_reach(osc_engine):
@@ -310,11 +308,12 @@ def test_estimate_gamma_holds_at_twice_the_fft_length(gauss, gauss_tab):
     d = LIGHT.z_density
 
     def mass(osc, probe):
-        return _weighted_mass(osc, omegas, probe, Weight(0.0), engine.du)
+        return _weighted_mass(osc.sum(axis=1), omegas, probe, Weight(0.0),
+                              engine.du)
     probes = _probe_omegas(LIGHT)
-    r1 = max(mass(_osc(engine, cov, d, 0.0, p, u_in, omegas), p)
+    r1 = max(mass(_osc(engine, cov, d, 0.0, p, u_in, omegas)[0], p)
              for p in probes)
-    r2 = max(mass(_osc(engine, cov, d, u_in, omegas, 0.0, p), p)
+    r2 = max(mass(_osc(engine, cov, d, u_in, omegas, 0.0, p)[:, 0], p)
              for p in probes)
     assert g1 == pytest.approx(r1, rel=1e-7)
     assert g2 == pytest.approx(r2, rel=1e-7)
@@ -333,10 +332,11 @@ def _probe_masses(w, tab, cov, trunc, probes, s=0.0):
     d = trunc.z_density
 
     def mass(osc, probe):
-        return _weighted_mass(osc, omegas, probe, Weight(s), engine.du)
-    g1 = list(map(mass, _osc(engine, cov, d, 0.0, probes[:, None], u_in,
-                             omegas), probes))
-    g2 = [mass(_osc(engine, cov, d, u_in, omegas, 0.0, p), p)
+        return _weighted_mass(osc.sum(axis=1), omegas, probe, Weight(s),
+                              engine.du)
+    g1 = list(map(mass, _osc(engine, cov, d, 0.0, probes, u_in, omegas),
+                  probes))
+    g2 = [mass(_osc(engine, cov, d, u_in, omegas, 0.0, p)[:, 0], p)
           for p in probes]
     return np.array(rho), np.array(g1), np.array(g2)
 
