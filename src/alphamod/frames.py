@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covering import AlphaCovering, build_covering
-from .grids import (GridMismatchError, Signal, SampledGrid, _dft_phases,
-                    _sidecar, _write_csv, _write_sidecar)
+from .grids import (GridMismatchError, Signal, SampledGrid, _sidecar,
+                    _write_csv, _write_sidecar)
 from .transform import _atom_rows, _band_matrix
 from .windows import Window, parse_window_spec
 
@@ -256,16 +256,15 @@ def estimate_frame_bounds(fr: AlphaFrame, seed: int = 42):
     B_est = _lanczos_extreme(S, "LA", v0)
 
     from scipy.sparse.linalg import LinearOperator
-    pre, _ = _dft_phases(fr.signal_grid, dual)
     root_n = math.sqrt(n)
 
     def embed(z: np.ndarray) -> np.ndarray:
         Z = np.zeros(n, dtype=complex)
         Z[idx] = z
-        return np.conj(pre) * np.fft.ifft(Z) * root_n
+        return np.fft.ifft(np.fft.ifftshift(Z)) * root_n
 
     def compress(w: np.ndarray) -> np.ndarray:
-        return np.fft.fft(pre * w)[idx] / root_n
+        return np.fft.fftshift(np.fft.fft(w))[idx] / root_n
 
     # E^H S E: S compressed to the in-band signals
     E = LinearOperator((n, idx.size), dtype=complex, matvec=embed,

@@ -141,24 +141,18 @@ def _check_same_grid(f: Signal, g: Signal):
         raise GridMismatchError(f"grids differ: {f.grid} vs {g.grid}")
 
 
-def _dft_phases(grid: SampledGrid, dual: SampledGrid):
-    """Unit phases (pre, post) that absorb both grids' origins:
-    sum_k g(x_k) exp(-2*pi*i*xi_m*x_k) = post[m] * fft(pre * g)[m] for
-    x = grid.coords and xi = dual.coords, dual spacing 1/(n * dx)."""
-    pre = np.exp(-2j * np.pi * dual.origin * grid.spacing * np.arange(grid.n))
-    post = np.exp(-2j * np.pi * dual.coords * grid.origin)
-    return pre, post
-
-
 def forward_fourier(f: Signal) -> Signal:
     """Continuous Fourier transform by phase-corrected, scaled DFT.
 
     Output lives on ``f.grid.dual()``; values approximate
-    dt * sum f(x_k) exp(-2*pi*i*xi*x_k).
+    dt * sum f(x_k) exp(-2*pi*i*xi*x_k).  The dual grid starts at
+    -(n // 2) bins, so its origin's phase is the exact index shift
+    fftshift; the time grid's origin gives the phase post.
     """
     dual = f.grid.dual()
-    pre, post = _dft_phases(f.grid, dual)
-    return Signal(dual, f.grid.spacing * post * np.fft.fft(f.values * pre))
+    post = np.exp(-2j * np.pi * dual.coords * f.grid.origin)
+    return Signal(dual, f.grid.spacing * post
+                  * np.fft.fftshift(np.fft.fft(f.values)))
 
 
 def inverse_fourier(F: Signal, time_grid: SampledGrid | None = None) -> Signal:
@@ -176,9 +170,9 @@ def inverse_fourier(F: Signal, time_grid: SampledGrid | None = None) -> Signal:
         raise GridMismatchError(
             f"frequency grid {fgrid} is not the dual of time grid {time_grid}"
         )
-    pre, post = _dft_phases(time_grid, fgrid)
+    unpost = np.exp(2j * np.pi * fgrid.coords * time_grid.origin)
     return Signal(time_grid,
-                  np.conj(pre) * np.fft.ifft(F.values * np.conj(post)) / dt)
+                  np.fft.ifft(np.fft.ifftshift(F.values * unpost)) / dt)
 
 
 def inner_product(f: Signal, g: Signal) -> complex:

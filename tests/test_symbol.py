@@ -247,10 +247,10 @@ def test_apply_multiplier_acts_in_frequency(gauss_tab):
     f = Signal(grid, np.exp(-np.pi * t**2).astype(complex))
     g = apply_multiplier(f, gauss_tab, 1)
     F, G = forward_fourier(f), forward_fourier(g)
-    ratio = G.values / F.values
-    expected = gauss_tab(F.grid.coords)
     core = np.abs(F.values) > 1e-6
-    assert np.max(np.abs(ratio[core] - expected[core])) < 1e-9
+    ratio = G.values[core] / F.values[core]
+    expected = gauss_tab(F.grid.coords[core])
+    assert np.max(np.abs(ratio - expected)) < 1e-9
 
 
 def test_inverse_multiplier_needs_admissibility(gauss_tab):
