@@ -183,14 +183,13 @@ class _SliceEngine:
         return right if self._m_pow is None else right * self._m_pow
 
     def slices(self, left, right, lo=0, hi=None) -> np.ndarray:
-        """P[..., i, a, m] = R((u_m + t, omegas[i]), (t, etas[a])) for any
-        t and u grid indices m in [lo, hi), from left = _atoms_hat(omegas)
-        of shape (..., i, n) and right = right_hat(etas) of shape (a, n).
-        The half spectra H of the profiles left[..., i, :] * right[a] are
-        read as two contiguous slices, reversed and conjugated for u < 0,
-        as they are for u >= 0."""
+        """P[i, a, m] = R((u_m + t, omegas[i]), (t, etas[a])) for any t
+        and u grid indices m in [lo, hi), from left = _atoms_hat(omegas)
+        and right = right_hat(etas).  The half spectra H of the profiles
+        left[i] * right[a] are read as two contiguous slices, reversed
+        and conjugated for u < 0, as they are for u >= 0."""
         hi = self.n if hi is None else hi
-        H = np.fft.rfft(left[..., None, :] * right, axis=-1)
+        H = np.fft.rfft(left[:, None, :] * right, axis=-1)
         H *= self._sign
         h = self.n // 2
         neg = H[..., max(h - lo, 0):h - min(hi, h):-1]

@@ -125,6 +125,38 @@ def test_half_spectrum_slices_match_the_full_fft(gauss, gauss_tab, kappa):
                                       P[..., lo:hi])
 
 
+@pytest.fixture(scope="module")
+def gauss_tab_alpha0(gauss):
+    return admissibility_scan(gauss, 0.0, ScanConfig(xi_max=40, n_nodes=401))
+
+
+def test_slices_at_alpha_zero_match_the_closed_form(gauss, gauss_tab_alpha0):
+    """At alpha = 0 every beta is 1 and the Gaussian's symbol is 1, so
+    R is its short-time Fourier kernel: with a = u and b = omega - eta,
+    P(a) = exp(-pi (a^2 + b^2) / 2 - pi i a b - 2 pi i eta a), for every
+    pair of an omega and an eta.  The scan's symbol is within 6.3e-9 of
+    1, which sets the floor: 6.8e-10 measured on |u| <= 4."""
+    engine = _SliceEngine(gauss, 0.0, gauss_tab_alpha0, 1, omega_max=4.0,
+                          u_max=4.0)
+    omegas, etas = np.linspace(-4.0, 4.0, 9), np.array([-4.0, -0.5, 0.0, 3.0])
+    near = np.abs(engine.u) <= 4.0
+    P = engine.slices(engine._atoms_hat(omegas),
+                      engine.right_hat(etas))[..., near]
+    a = engine.u[near]
+    b = (omegas[:, None] - etas)[..., None]
+    R = np.exp(-np.pi * (a**2 + b**2) / 2 - 1j * np.pi * a * b
+               - 2j * np.pi * etas[:, None] * a)
+    assert np.abs(P - R).max() <= 2e-9
+
+
+def test_rho_at_alpha_zero_is_two(gauss, gauss_tab_alpha0):
+    """At alpha = 0 and s = 0, |R| = exp(-pi (a^2 + b^2) / 2) integrates
+    to 2 over the phase space; measured 2 + 1.4e-9, the floor the
+    scan's symbol sets."""
+    est = estimate_rho(gauss, 0.0, 0.0, gauss_tab_alpha0, LIGHT)
+    assert abs(est.value - 2.0) <= 5e-9
+
+
 def test_complex_spectrum_is_refused(gauss, gauss_tab):
     """Kernel slices assume a real profile; a hand-built window whose
     spectrum is complex (the Gaussian shifted by 0.1) is named."""
