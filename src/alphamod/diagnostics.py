@@ -370,11 +370,12 @@ def _osc(engine: _SliceEngine, cov: AlphaCovering, density: int,
     in chunks of z on squared moduli (the sum of squares of the
     difference's float view), with one sqrt per covering row.  A sample
     outside its time's box reuses an inside one of the same time (same
-    max); a time with none gets 0 from the row.  The chunk and its
-    squared modulus (24 bytes an element) fill at most max(_BLOCK, one
-    z-plane) bytes.  A row's real z spectra and their half transforms
-    (16 bytes a spectrum sample) with the window read from them (16
-    bytes a u sample) fill at most max(_BLOCK, one z frequency).
+    max); a time with none gets 0 from the row.  The chunk buffer and
+    its squared modulus (24 bytes an element) hold max(_BLOCK / 24,
+    osc.size) elements, which is at least one z-plane.  A row's real z
+    spectra and their half transforms (16 bytes a spectrum sample) with
+    the window read from them (16 bytes a u sample) fill at most
+    max(_BLOCK, one z frequency).
     Returns an array of shape (len(x_w), len(y_w), b).
     """
     x_t, x_w, y_t, y_w = (np.atleast_1d(np.asarray(v, dtype=float))
