@@ -20,8 +20,8 @@ tab = admissibility_scan(w, alpha, ScanConfig(xi_max=60, n_nodes=601))
 trunc = TruncationConfig(x_max=6.0, omega_max=16.0, n_probes=5,
                          probe_omega_max=4.0, z_density=5)
 t0 = time.time()
-report = diagnostics_report(w, "gaussian", alpha, s, tab,
-                            [0.5, 0.25, 0.125], trunc=trunc)
+report = diagnostics_report(w, alpha, s, tab, [0.5, 0.25, 0.125],
+                            trunc=trunc)
 print(f"sweep finished in {time.time() - t0:.0f}s, "
       f"rho = {report['rho']:.4f} "
       f"(converged: {report['truncation']['converged']})\n")

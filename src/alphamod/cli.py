@@ -83,7 +83,6 @@ _OPTIONS = {
                  lambda v: v and all(map(_positive, v))),
     "x_max": (float, "8", "positive and finite", _positive),
     "omega_max": (float, "32", "positive and finite", _positive),
-    "seed": (int, "42", "an integer >= 0", lambda v: v >= 0),
     "output_dir": (Path, ".", "a directory path", lambda v: True),
 }
 
@@ -138,7 +137,6 @@ class RunConfig:
                 setattr(self, name, parsed)
         if problems:
             raise ConfigError("; ".join(problems))
-        self.window_spec = str(merged["window"])
         if "grid_spacing" not in merged:
             self.grid_spacing = ((self.time_range[1] - self.time_range[0])
                                  / self.grid_n)
@@ -212,7 +210,7 @@ def cmd_admissible(cfg: RunConfig, args: argparse.Namespace) -> int:
         # surfacing a numerical error
         if verdict.passed:
             raise
-        report = {"alpha": cfg.alpha, "window": cfg.window_spec,
+        report = {"alpha": cfg.alpha, "window": cfg.window.label,
                   "A": 0.0, "B": None, "admissible": False,
                   "scan_error": str(exc)}
         tab = None
@@ -232,7 +230,7 @@ def cmd_admissible(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_frame_info(cfg: RunConfig, args: argparse.Namespace) -> int:
     fr = cfg.frame()
-    A_est, B_est = estimate_frame_bounds(fr, seed=cfg.seed)
+    A_est, B_est = estimate_frame_bounds(fr)
     diag = covering_diagnostics(fr.covering, s=cfg.s)
     report = {
         "n_atoms": fr.n_atoms, "A_est": A_est, "B_est": B_est,
@@ -250,7 +248,7 @@ def cmd_analyze(cfg: RunConfig, args: argparse.Namespace) -> int:
     f = _load_signal(args.input)
     fr = cfg.frame(f.grid)
     coeffs = analysis(f, fr)
-    coeffs.save(cfg.output_dir / "coefficients.bin", cfg.window_spec)
+    coeffs.save(cfg.output_dir / "coefficients.bin")
     coeffs.save_csv(cfg.output_dir / "coefficients.csv")
     print(f"wrote {fr.n_atoms} coefficients")
     return EXIT_OK
@@ -268,7 +266,7 @@ def cmd_roundtrip(cfg: RunConfig, args: argparse.Namespace) -> int:
     f = _load_signal(args.input)
     fr = cfg.frame(f.grid)
     coeffs = analysis(f, fr)
-    coeffs.save(cfg.output_dir / "coefficients.bin", cfg.window_spec)
+    coeffs.save(cfg.output_dir / "coefficients.bin")
     res = reconstruct(f, fr, tol=min(cfg.threshold / 10, 1e-8))
     _save_signal(res.f_rec, cfg.output_dir / "reconstructed.csv")
     report = {"error": res.error, "iters": res.iters,
@@ -281,8 +279,8 @@ def cmd_roundtrip(cfg: RunConfig, args: argparse.Namespace) -> int:
 def cmd_diagnostics(cfg: RunConfig, args: argparse.Namespace) -> int:
     tab = admissibility_scan(cfg.window, cfg.alpha, cfg.scan_config())
     trunc = TruncationConfig(x_max=cfg.x_max, omega_max=cfg.omega_max)
-    report = diagnostics_report(cfg.window, cfg.window_spec, cfg.alpha,
-                                cfg.s, tab, cfg.eps_list, cfg.c, trunc)
+    report = diagnostics_report(cfg.window, cfg.alpha, cfg.s, tab,
+                                cfg.eps_list, cfg.c, trunc)
     _write_json(report, cfg.output_dir / "diagnostics.json")
     _write_csv(cfg.output_dir / "diagnostics.csv",
                np.column_stack([report["eps_list"], report["gamma"],

@@ -107,7 +107,7 @@ def theta_fn(omega, omega_star, alpha: float):
 
 # ---------------------------------------------------------------------------
 # FFT kernel slices: R((x,w),(t,eta)) = P_{w,eta}(x - t) with
-# P = F(G), G(xi) = m^{-kappa}(xi) sqrt(b_w b_eta)
+# P = F(G), G(xi) = m^{-1}(xi) sqrt(b_w b_eta)
 #                   psi_hat(b_w (xi-w)) conj(psi_hat(b_eta (xi-eta))).
 
 
@@ -144,11 +144,9 @@ class _SliceEngine:
     """
 
     def __init__(self, w: Window, alpha: float, tab: SymbolTable,
-                 kappa: int, omega_max: float, u_max: float):
+                 omega_max: float, u_max: float):
         self.w = w
         self.alpha = alpha
-        self.tab = tab
-        self.kappa = kappa
         rad = _freq_radius(w)
         b_min = float(beta(omega_max, alpha))
         xi_max = omega_max + rad / b_min + 1.0
@@ -162,7 +160,7 @@ class _SliceEngine:
         self.xi = xi_grid.coords
         self.du = 1.0 / (n * self.dxi)
         self.u = (np.arange(n) - n // 2) * self.du
-        self._m_pow = self.tab(self.xi) ** (-kappa) if kappa else None
+        self._m_inv = tab(self.xi) ** -1
         self._sign = np.resize([self.dxi, -self.dxi], n // 2 + 1)
 
     def _atoms_hat(self, ws) -> np.ndarray:
@@ -178,9 +176,8 @@ class _SliceEngine:
         return F.reshape(ws.size, self.n) * np.sqrt(b)[:, None]
 
     def right_hat(self, etas) -> np.ndarray:
-        """G's right side, m^-kappa conj(_atoms_hat(etas)); atoms are real."""
-        right = self._atoms_hat(etas)
-        return right if self._m_pow is None else right * self._m_pow
+        """G's right side, m^-1 conj(_atoms_hat(etas)); atoms are real."""
+        return self._atoms_hat(etas) * self._m_inv
 
     def slices(self, left, right, lo=0, hi=None) -> np.ndarray:
         """P[i, a, m] = R((u_m + t, omegas[i]), (t, etas[a])) for any t
@@ -279,7 +276,7 @@ def _rho_once(w: Window, alpha: float, s: float, tab: SymbolTable,
     xi sample covering profiles, half spectra and the u window with its
     moduli.  Row sums are weighted once at the end, so blocks leave rho
     as is."""
-    engine = _SliceEngine(w, alpha, tab, 1, omega_max, x_max)
+    engine = _SliceEngine(w, alpha, tab, omega_max, x_max)
     omegas = _omega_grid(omega_max)
     h = engine.n // 2
     n_u = int(np.count_nonzero(engine.u[h:] <= x_max))
@@ -450,7 +447,7 @@ def estimate_gamma(w: Window, alpha: float, s: float, tab: SymbolTable,
     """
     if not tab.admissible:
         raise NotAdmissibleError("gamma needs an admissible window")
-    engine = _SliceEngine(w, alpha, tab, 1, trunc.omega_max,
+    engine = _SliceEngine(w, alpha, tab, trunc.omega_max,
                           trunc.x_max + 2.0 * cov.eps)
     omegas = _omega_grid(trunc.omega_max)
     u_in = engine.u[np.abs(engine.u) <= trunc.x_max]
@@ -469,7 +466,7 @@ def estimate_gamma(w: Window, alpha: float, s: float, tab: SymbolTable,
     return g1, g2, max(g1, g2)
 
 
-def diagnostics_report(w: Window, window_spec: str, alpha: float, s: float,
+def diagnostics_report(w: Window, alpha: float, s: float,
                        tab: SymbolTable, eps_list, c: float = 1.0,
                        trunc: TruncationConfig = TruncationConfig()
                        ) -> dict:
@@ -491,7 +488,7 @@ def diagnostics_report(w: Window, window_spec: str, alpha: float, s: float,
             "C_w": C_w, "lhs": verdict.lhs, "pass": verdict.passed,
         })
     return {
-        "alpha": alpha, "window": window_spec, "s": s,
+        "alpha": alpha, "window": w.label, "s": s,
         "eps_list": list(eps_list), "rho": rho_est.value,
         "gamma1": [e["gamma1"] for e in entries],
         "gamma2": [e["gamma2"] for e in entries],

@@ -85,7 +85,7 @@ class Coefficients:
         start = int(np.sum(cov.k_hi[:r] - cov.k_lo[:r] + 1))
         return complex(self.values[start + k - cov.k_lo[r]])
 
-    def save(self, path, window_spec: str = ""):
+    def save(self, path):
         """Binary node table + interleaved complex values, JSON header."""
         cov = self.frame.covering
         nodes = self.frame.nodes()
@@ -99,7 +99,7 @@ class Coefficients:
             "alpha": cov.alpha, "eps": cov.eps, "c": cov.c,
             "time_range": list(cov.time_range),
             "freq_range": list(cov.freq_range),
-            "window": window_spec or self.frame.window.label,
+            "window": self.frame.window.label,
             "grid": self.frame.signal_grid.to_json(),
             "n_atoms": self.frame.n_atoms,
         }
@@ -210,6 +210,8 @@ def _S_operator(fr: AlphaFrame) -> LinearOperator:
 
 _LANCZOS_TOL = 1e-8  # relative accuracy of the frame bounds
 _LANCZOS_MAX_ITER = 10_000  # restarts before IterationError
+_LANCZOS_SEED = 42  # start vector; bounds agree to 1e-14 across seeds
+_CG_MAX_ITER = 1000  # CG iterations before IterationError
 
 
 def _lanczos_extreme(op: LinearOperator, which: str,
@@ -230,7 +232,7 @@ def _lanczos_extreme(op: LinearOperator, which: str,
     return float(vals[0])
 
 
-def estimate_frame_bounds(fr: AlphaFrame, seed: int = 42):
+def estimate_frame_bounds(fr: AlphaFrame):
     """(A_est, B_est): extreme Rayleigh quotients of the frame operator.
 
     Both by Lanczos from one seeded start vector.  B is the top of the
@@ -250,7 +252,7 @@ def estimate_frame_bounds(fr: AlphaFrame, seed: int = 42):
         raise ValueError(
             f"frame bounds need at least 3 in-band DFT bins; the grid has "
             f"n={n} samples and {idx.size} in-band bins")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_LANCZOS_SEED)
     v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     S = _S_operator(fr)
     B_est = _lanczos_extreme(S, "LA", v0)
@@ -281,11 +283,11 @@ class ReconstructionResult:
     error: float      # ||f_rec - f|| / ||f||
 
 
-def reconstruct(f: Signal, fr: AlphaFrame, tol: float = 1e-8,
-                max_iter: int = 1000) -> ReconstructionResult:
+def reconstruct(f: Signal, fr: AlphaFrame,
+                tol: float = 1e-8) -> ReconstructionResult:
     """f_rec = S^{-1} S f by scipy's conjugate gradient on the frame
     operator, stopped at relative residual tol; IterationError when it
-    takes max_iter iterations without getting there, at the first
+    takes _CG_MAX_ITER iterations without getting there, at the first
     iterate that is not finite, or when the true residual of the result
     is above tol (both from a tol below the attainable accuracy)."""
     if not f.grid.isclose(fr.signal_grid):
@@ -300,13 +302,13 @@ def reconstruct(f: Signal, fr: AlphaFrame, tol: float = 1e-8,
         iters += 1
         if not np.all(np.isfinite(xk)):
             raise IterationError(
-                f"CG iterate {iters} is not finite (cap of {max_iter} "
+                f"CG iterate {iters} is not finite (cap of {_CG_MAX_ITER} "
                 f"iterations): relative residual nan, not <= {tol:g}")
 
     # a recursive residual that reaches 0 overflows cg's step ratios;
     # the iterate check above reports that step
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        x, info = cg(S, b, rtol=tol, atol=0.0, maxiter=max_iter,
+        x, info = cg(S, b, rtol=tol, atol=0.0, maxiter=_CG_MAX_ITER,
                      callback=count)
     b_norm = np.linalg.norm(b)
     residual = (float(np.linalg.norm(b - S @ x) / b_norm) if b_norm > 0
@@ -315,7 +317,7 @@ def reconstruct(f: Signal, fr: AlphaFrame, tol: float = 1e-8,
         # cg stops on its recursively updated residual, which can fall
         # below tol while the true one stays at rounding level
         raise IterationError(
-            f"CG stopped after {iters} iterations (cap of {max_iter} "
+            f"CG stopped after {iters} iterations (cap of {_CG_MAX_ITER} "
             f"iterations) with relative residual {residual:.3e}, not <= "
             f"{tol:g}")
     f_rec = Signal(fr.signal_grid, x)

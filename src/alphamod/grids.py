@@ -202,13 +202,13 @@ def _cyclic_reduction(a, b, c, r):
 
 
 def cubic_spline(x, y):
-    """The not-a-knot cubic spline through (x[i], y[i]), n >= 3 nodes,
-    that scipy's CubicSpline builds (de Boor 1978): spline(xi, col=0) is
-    column col of y (a 1-D y is one column) at points of [x[0], x[-1]].
-    Its slope system, less its two not-a-knot rows, is diagonally
-    dominant and solved for all columns at once; only y and the slopes
-    are kept.  xi's piece is found by floor on a uniform x, else by
-    bisection."""
+    """The not-a-knot cubic spline through (x[i], y[i]), n >= 3 uniformly
+    spaced nodes (a SampledGrid's coordinates), that scipy's CubicSpline
+    builds (de Boor 1978): spline(xi, col=0) is column col of y (a 1-D y
+    is one column) at points of [x[0], x[-1]].  Its slope system, less
+    its two not-a-knot rows, is diagonally dominant and solved for all
+    columns at once; only y and the slopes are kept.  xi's piece is
+    found by floor."""
     x = np.asarray(x, dtype=float)
     n, h = x.size, np.diff(x)
     y = np.ascontiguousarray(np.reshape(y, (n, -1)).T, dtype=float)
@@ -229,12 +229,10 @@ def cubic_spline(x, y):
     s = np.column_stack([(r0 - d0 * s[:, 0]) / h[1], s,
                          (r1 - d1 * s[:, -1]) / h[-2]])
     step = (x[-1] - x[0]) / (n - 1)
-    uniform = np.allclose(h, step, rtol=1e-9, atol=0.0)
 
     def spline(xi, col=0):
         xi = np.asarray(xi, dtype=float)
-        i = (np.clip((xi - x[0]) / step, 0, n - 2).astype(np.intp) if uniform
-             else np.clip(np.searchsorted(x, xi, "right") - 1, 0, n - 2))
+        i = np.clip((xi - x[0]) / step, 0, n - 2).astype(np.intp)
         # the cubic on piece i, by the arithmetic of scipy's PPoly
         d, dx, y0 = xi - x[i], h[i], y[col, i]
         s0, s1 = s[col, i], s[col, i + 1]

@@ -6,7 +6,7 @@ to and returns an array of the same shape (real or complex).  Panels get
 the 15-point Kronrod rule with its embedded 7-point Gauss rule (QUADPACK,
 Piessens et al. 1983).  In every integral the panels with the largest
 error estimates are bisected until its summed estimate drops below the
-tolerance or its panel budget is exhausted.
+tolerance or it holds _MAX_PANELS panels.
 """
 
 from __future__ import annotations
@@ -40,6 +40,8 @@ _KRONROD_WEIGHTS = np.concatenate([_WGK, _WGK[-2::-1]])
 _GAUSS_WEIGHTS = np.zeros(15)
 _GAUSS_WEIGHTS[1::2] = np.concatenate([_WG, _WG[-2::-1]])
 
+_MAX_PANELS = 4000  # panels of one integral before QuadratureError
+
 
 class QuadratureError(RuntimeError):
     """Adaptive quadrature did not reach the requested tolerance."""
@@ -53,10 +55,9 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances for the symbol / kernel integrals."""
+    """Tolerance of the symbol / kernel integrals."""
 
     tol: float = 1e-8
-    max_panels: int = 4000
 
 
 def _eval_panels(f, ends: np.ndarray, owner: np.ndarray):
@@ -79,7 +80,7 @@ def _sum_by(owner: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def integrate(f, edges, tol: float = 1e-10, max_panels: int = 4000):
+def integrate(f, edges, tol: float):
     """Integrals of ``f`` over the rows of ``edges``, as one batch.
 
     ``edges`` holds one row of nondecreasing break points per integral:
@@ -87,11 +88,11 @@ def integrate(f, edges, tol: float = 1e-10, max_panels: int = 4000):
     width are dropped.  ``f(x, i)`` gets flat arrays of abscissae and of
     their rows.  Each sweep bisects, in every integral whose summed
     error estimate is above ``tol``, its worst min(count // 2, 32,
-    max_panels - count) panels above tol / (4 count), and at least its
+    _MAX_PANELS - count) panels above tol / (4 count), and at least its
     worst one, so an integral gets the same panels in any batch.
     Returns arrays of values and error estimates; raises
     :class:`QuadratureError`, with ``index`` naming the row, when an
-    integral is above ``tol`` with ``max_panels`` panels.
+    integral is above ``tol`` with ``_MAX_PANELS`` panels.
     """
     edges = np.atleast_2d(np.asarray(edges, dtype=float))
     if np.any(np.diff(edges, axis=1) < 0):
@@ -108,7 +109,7 @@ def integrate(f, edges, tol: float = 1e-10, max_panels: int = 4000):
         busy = total > tol
         if not busy.any():
             return _sum_by(owner, vals, n), total
-        stuck = np.flatnonzero(busy & (count >= max_panels))
+        stuck = np.flatnonzero(busy & (count >= _MAX_PANELS))
         if stuck.size:
             i = stuck[0]
             raise QuadratureError(
@@ -122,7 +123,7 @@ def integrate(f, edges, tol: float = 1e-10, max_panels: int = 4000):
         own = owner[order]
         rank = np.arange(order.size) - np.searchsorted(own, own)
         n_split = np.maximum(1, np.minimum(np.minimum(count // 2, 32),
-                                           max_panels - count))
+                                           _MAX_PANELS - count))
         split = order[(rank == 0) | ((rank < n_split[own])
                                      & (errs[order] > tol / (4 * count[own])))]
         mids = 0.5 * (ends[split, 0] + ends[split, 1])

@@ -130,7 +130,7 @@ def _symbol(w: Window, alpha: float, xis, l: int,
         # row j of edges belongs to xis[rows[j]]
         try:
             return integrate(lambda y, j: g(y, xis[rows[j]]), edges,
-                             quad.tol, quad.max_panels)
+                             quad.tol)
         except QuadratureError as exc:
             raise QuadratureError(
                 f"symbol quadrature failed at xi={xis[rows[exc.index]]}: "

@@ -295,7 +295,7 @@ def _kernel_pairs(w: Window, alpha: float, tab: SymbolTable, kappa: int,
     lo, hi = np.minimum(w_1, w_2), np.maximum(w_1, w_2)
     half = 60.0 / np.minimum(b1, b2) + (hi - lo)
     edges = np.column_stack([lo - half, lo, hi, hi + half])
-    return integrate(integrand, edges, quad.tol, quad.max_panels)[0]
+    return integrate(integrand, edges, quad.tol)[0]
 
 
 def reproducing_kernel(w: Window, alpha: float, tab: SymbolTable,

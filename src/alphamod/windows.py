@@ -57,6 +57,7 @@ class Window:
     Parameters
     ----------
     label : str
+        Exact spec of the window, which parse_window_spec reads back.
     time_fn : callable
         Vectorized psi(t).
     fourier_fn : callable
@@ -293,7 +294,7 @@ def bump_window(radius: float) -> Window:
         out[inside] = spline(xi[inside], l)
         return out
 
-    return Window(f"bump:{radius:g}", time_fn, fourier_fn, 1.0,
+    return Window(f"bump:{R!r}", time_fn, fourier_fn, 1.0,
                   decay_certificate=math.inf, support=(-R, R))
 
 
@@ -345,7 +346,7 @@ def bandlimited_window(cutoff: float) -> Window:
                 + 0.125 * _pair(2 * a, b))
 
     l2 = math.sqrt(35.0 * c / 64.0)  # closed form of int |psi_hat|^2
-    return Window(f"bandlimited:{cutoff:g}", time_fn, fourier_fn, l2,
+    return Window(f"bandlimited:{c!r}", time_fn, fourier_fn, l2,
                   decay_certificate=math.inf, freq_support=(-c, c))
 
 

@@ -166,7 +166,7 @@ def test_criterion_07_roundtrip_and_gabor_reference():
     w = gaussian_window()
     cov = build_covering(0.5, 0.25, 1.0, (-8.0, 8.0), (-8.0, 8.0))
     fr = AlphaFrame(cov, w, grid)
-    res = reconstruct(f, fr, max_iter=300)
+    res = reconstruct(f, fr)
     elapsed = time.monotonic() - t0
     ok = res.error <= 1e-6 and res.iters <= 300 and elapsed < 120.0
 
@@ -209,7 +209,7 @@ def test_criterion_09_gamma_decay_and_rho_stability(gauss, gauss_tab):
     t0 = time.monotonic()
     trunc = TruncationConfig(x_max=6.0, omega_max=16.0, n_probes=5,
                              probe_omega_max=4.0, z_density=5)
-    report = diagnostics_report(gauss, "gaussian", 0.5, 0.0, gauss_tab,
+    report = diagnostics_report(gauss, 0.5, 0.0, gauss_tab,
                                 [0.5, 0.25, 0.125], trunc=trunc)
     elapsed = time.monotonic() - t0
     g = report["gamma"]

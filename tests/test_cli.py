@@ -464,14 +464,13 @@ def test_config_file_with_flag_override(tmp_path, chirp_csv):
 @pytest.mark.parametrize("content, key", [
     ({"eps": None}, "eps"),
     ({"grid_n": 64.7}, "grid_n"),
-    ({"seed": 1.9}, "seed"),
     ({"alpha": "abc"}, "alpha"),
     ({"time_range": [-4, 4]}, "time_range"),
     ({"output_dir": None}, "output_dir"),
     ({"window": True}, "window"),
     ([1, 2], "config file"),
-], ids=["eps-null", "grid_n-fraction", "seed-fraction", "alpha-text",
-        "time_range-list", "output_dir-null", "window-bool", "list"])
+], ids=["eps-null", "grid_n-fraction", "alpha-text", "time_range-list",
+        "output_dir-null", "window-bool", "list"])
 def test_bad_config_value_exits_2_naming_it(tmp_path, monkeypatch, capsys,
                                            content, key):
     # no --output-dir flag, which would override the file's output_dir
@@ -509,12 +508,12 @@ OPTION_VALUES = {
     "p": 3.0, "time_range": "-4,4", "freq_range": "-2,2", "grid_n": 64,
     "grid_spacing": 0.125, "xi_max": 40.0, "scan_nodes": 401, "tol": 1e-6,
     "threshold": 1e-3, "eps_list": "0.5,0.25", "x_max": 4.0,
-    "omega_max": 16.0, "seed": 7, "output_dir": "elsewhere",
+    "omega_max": 16.0, "output_dir": "elsewhere",
 }
 
 
 def _attribute(cfg, key):
-    return cfg.window_spec if key == "window" else getattr(cfg, key)
+    return cfg.window.label if key == "window" else getattr(cfg, key)
 
 
 @pytest.mark.parametrize("key", sorted(_OPTIONS))

@@ -87,7 +87,7 @@ def test_theta_bound_property(omega, omega_star, alpha):
 
 def test_slice_engine_matches_quadrature_kernel(gauss, gauss_tab):
     """The FFT x-slices must reproduce the adaptive-quadrature kernel."""
-    engine = _SliceEngine(gauss, 0.5, gauss_tab, 1, omega_max=4.0,
+    engine = _SliceEngine(gauss, 0.5, gauss_tab, omega_max=4.0,
                           u_max=6.0)
     eta = 0.5
     omegas = np.array([-1.0, 0.0, 2.0])
@@ -100,21 +100,22 @@ def test_slice_engine_matches_quadrature_kernel(gauss, gauss_tab):
             assert P[i, 0, idx] == pytest.approx(ref, abs=1e-8)
 
 
-@pytest.mark.parametrize("kappa", [0, 1])
+@pytest.mark.parametrize("kappa", [1])
 def test_half_spectrum_slices_match_the_full_fft(gauss, gauss_tab, kappa):
     """The half-length real transform, with u < 0 read by conjugation,
     against the full complex FFT between the DFT phases of the centered
     xi grid and its dual, at every u of a small engine and every pair of
     an omega and an eta.  Those phases are the signs (-1)^k and
-    (-1)^(m - n/2)."""
-    engine = _SliceEngine(gauss, 0.5, gauss_tab, kappa, omega_max=2.0,
-                          u_max=2.0)
+    (-1)^(m - n/2).  The right side carries m^-kappa, kappa = 1."""
+    engine = _SliceEngine(gauss, 0.5, gauss_tab, omega_max=2.0, u_max=2.0)
     n = engine.n
     assert n == 512
     k = np.arange(n)
     sign = np.where(k % 2, -1.0, 1.0)
     left = engine._atoms_hat([-1.5, 0.0, 2.0])
     right = engine.right_hat([0.5, -1.0])
+    np.testing.assert_array_equal(
+        right, engine._atoms_hat([0.5, -1.0]) * gauss_tab(engine.xi) ** -kappa)
     G = left[:, None, :] * right
     ref = engine.dxi * sign[k - n // 2] * np.fft.fft(G * sign, axis=-1)
     P = engine.slices(left, right)
@@ -136,7 +137,7 @@ def test_slices_at_alpha_zero_match_the_closed_form(gauss, gauss_tab_alpha0):
     P(a) = exp(-pi (a^2 + b^2) / 2 - pi i a b - 2 pi i eta a), for every
     pair of an omega and an eta.  The scan's symbol is within 6.3e-9 of
     1, which sets the floor: 6.8e-10 measured on |u| <= 4."""
-    engine = _SliceEngine(gauss, 0.0, gauss_tab_alpha0, 1, omega_max=4.0,
+    engine = _SliceEngine(gauss, 0.0, gauss_tab_alpha0, omega_max=4.0,
                           u_max=4.0)
     omegas, etas = np.linspace(-4.0, 4.0, 9), np.array([-4.0, -0.5, 0.0, 3.0])
     near = np.abs(engine.u) <= 4.0
@@ -167,15 +168,6 @@ def test_complex_spectrum_is_refused(gauss, gauss_tab):
         estimate_rho(shifted, 0.5, 0.0, gauss_tab, LIGHT)
 
 
-def test_slice_engine_kappa_zero(gauss, gauss_tab):
-    engine = _SliceEngine(gauss, 0.5, gauss_tab, 0, omega_max=4.0,
-                          u_max=6.0)
-    P = engine.slices(engine._atoms_hat(1.0), engine.right_hat(1.0))
-    idx = engine.u_index(0.0)
-    # K^0(p, p) = ||a_p||^2 = 1 for the unit-norm Gaussian
-    assert P[0, 0, idx] == pytest.approx(1.0, abs=1e-8)
-
-
 def test_oscillation_vanishes_at_base_point(gauss, gauss_tab):
     cov = build_covering(0.5, 0.5, 1.0, (-6, 6), (-4, 4))
     p1, p2 = (0.5, 1.0), (0.0, 0.0)
@@ -193,7 +185,7 @@ def test_fft_oscillation_matches_quadrature_oracle(gauss, gauss_tab):
     omega_max = 64 gives du = 0.0057, fine enough that this snapping
     error stays well inside 1e-2 wherever the sup falls."""
     cov = build_covering(0.5, 0.5, 1.0, (-6, 6), (-4, 4))
-    engine = _SliceEngine(gauss, 0.5, gauss_tab, 1, omega_max=64.0,
+    engine = _SliceEngine(gauss, 0.5, gauss_tab, omega_max=64.0,
                           u_max=6.0)
     on_grid = lambda t: float(engine.u[engine.u_index(t)])  # noqa: E731
     for p1, p2 in [((on_grid(0.5), 1.0), (0.0, 0.0)),
@@ -234,7 +226,7 @@ def _osc_dense(engine, cov, density, x_t, x_w, y_t, y_w):
 def osc_engine(request):
     w = parse_window_spec(request.param)
     tab = admissibility_scan(w, 0.5, ScanConfig(xi_max=80, n_nodes=801))
-    return _SliceEngine(w, 0.5, tab, 1, omega_max=4.0, u_max=6.0)
+    return _SliceEngine(w, 0.5, tab, omega_max=4.0, u_max=6.0)
 
 
 @pytest.mark.parametrize("time_range", [(-6.0, 6.0), (-1.5, 1.0)])
@@ -323,9 +315,9 @@ def test_estimate_gamma_holds_at_twice_the_fft_length(gauss, gauss_tab):
     gives the same gamma up to the snapping of exact grid ties."""
     cov = build_covering(0.5, 0.25, 1.0, (-8, 8), (-16, 16))
     g1, g2, _ = estimate_gamma(gauss, 0.5, 0.0, gauss_tab, cov, LIGHT)
-    sized = _SliceEngine(gauss, 0.5, gauss_tab, 1, LIGHT.omega_max,
+    sized = _SliceEngine(gauss, 0.5, gauss_tab, LIGHT.omega_max,
                          LIGHT.x_max + 2.0 * cov.eps)
-    engine = _SliceEngine(gauss, 0.5, gauss_tab, 1, LIGHT.omega_max,
+    engine = _SliceEngine(gauss, 0.5, gauss_tab, LIGHT.omega_max,
                           LIGHT.x_max + 4.0)
     assert engine.n == 2 * sized.n
     assert engine.du == pytest.approx(sized.du, rel=1e-15)
@@ -351,7 +343,7 @@ def _probe_masses(w, tab, cov, trunc, probes, s=0.0):
     their max over the probes."""
     rho = [_rho_once(w, 0.5, s, tab, trunc.x_max, trunc.omega_max, [p])
            for p in probes]
-    engine = _SliceEngine(w, 0.5, tab, 1, trunc.omega_max,
+    engine = _SliceEngine(w, 0.5, tab, trunc.omega_max,
                           trunc.x_max + 2.0 * cov.eps)
     omegas = _omega_grid(trunc.omega_max)
     u_in = engine.u[np.abs(engine.u) <= trunc.x_max]

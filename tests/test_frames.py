@@ -244,12 +244,13 @@ def test_reconstruction_chirp(chirp, gauss):
     assert res.iters <= 50
 
 
-def test_reconstruction_raises_at_iteration_cap(chirp, gauss):
+def test_reconstruction_raises_at_iteration_cap(monkeypatch, chirp, gauss):
     # the chirp needs 6 iterations on this frame
     cov = build_covering(0.5, 0.25, 1.0, (-8.0, 8.0), (-8.0, 8.0))
     fr = AlphaFrame(cov, gauss, chirp.grid)
+    monkeypatch.setattr(frames_module, "_CG_MAX_ITER", 1)
     with pytest.raises(IterationError, match="cap of 1 iterations"):
-        reconstruct(chirp, fr, max_iter=1)
+        reconstruct(chirp, fr)
 
 
 def _chirp(grid):
@@ -275,7 +276,7 @@ def test_reconstruction_stops_at_the_first_nonfinite_iterate(small_frame):
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(IterationError, match="not finite") as exc:
             reconstruct(_chirp(small_frame.signal_grid), small_frame,
-                        tol=1e-301, max_iter=1000)
+                        tol=1e-301)
     iters = int(re.search(r"CG iterate (\d+) ", str(exc.value)).group(1))
     assert iters < 500
 
@@ -299,7 +300,7 @@ def test_coefficients_file_roundtrip(tmp_path, small_frame):
     f = rand_signal(small_frame.signal_grid, 8)
     coeffs = analysis(f, small_frame)
     path = tmp_path / "coeffs.bin"
-    coeffs.save(path, "gaussian")
+    coeffs.save(path)
     back = load_coefficients(path)
     assert np.array_equal(back.values, coeffs.values)  # bit-exact
     # the frame is rebuilt from the header alone
@@ -307,6 +308,19 @@ def test_coefficients_file_roundtrip(tmp_path, small_frame):
     assert back.frame.signal_grid == small_frame.signal_grid
     assert np.array_equal(synthesis(back, back.frame).values,
                           synthesis(coeffs, small_frame).values)
+
+
+def test_coefficients_file_keeps_the_exact_window(tmp_path, small_frame):
+    """The header names the window by its label, which parse_window_spec
+    reads back to the same window: a bump of radius 1.2345678 reloads
+    with that radius, not 1.23457, and so with the same time samples."""
+    bump = parse_window_spec("bump:1.2345678")
+    fr = AlphaFrame(small_frame.covering, bump, small_frame.signal_grid)
+    path = tmp_path / "coeffs.bin"
+    analysis(rand_signal(fr.signal_grid, 8), fr).save(path)
+    back = load_coefficients(path).frame.window
+    t = np.linspace(-1.3, 1.3, 2601)
+    assert np.array_equal(back.time(t), bump.time(t))
 
 
 @pytest.mark.parametrize("key", ["n_atoms", "window", None])

@@ -149,17 +149,13 @@ def test_grid_json_roundtrip_and_rejects():
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 2001, 65536])
-@pytest.mark.parametrize("uniform", [True, False])
+@pytest.mark.parametrize("uniform", [True])
 @pytest.mark.parametrize("columns", [None, 4])
 def test_cubic_spline_matches_scipy(n, uniform, columns):
     """The not-a-knot spline against scipy's CubicSpline, at its nodes
-    and between them.  The nonuniform grid is a smooth warp, spacings
-    within a factor 3 of each other: on random nodes, whose spacings
-    differ by 1e4, the two solvers stray 1e-13 from the exact spline
-    alike, by the system's conditioning."""
+    and between them, on uniform nodes: the only ones it takes."""
     rng = np.random.default_rng(n)
-    u = np.linspace(-1.0, 1.0, n)
-    x = 3.0 * u if uniform else 3.0 * u + np.sin(2.0 * u)
+    x = 3.0 * np.linspace(-1.0, 1.0, n)
     y = rng.standard_normal(n if columns is None else (n, columns))
     xi = np.concatenate([x, rng.uniform(x[0], x[-1], 4000)])
     ref = CubicSpline(x, y)(xi).reshape(xi.size, -1)

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from alphamod import quadrature
 from alphamod.quadrature import QuadratureError, integrate
 
 
-def quad1(f, a, b, tol, points=(), max_panels=4000):
+def quad1(f, a, b, tol, points=()):
     """One integral of f(x) over [a, b] with interior break points."""
     edges = [a, *sorted(p for p in points if a < p < b), b]
-    vals, errs = integrate(lambda x, _: f(x), [edges], tol, max_panels)
+    vals, errs = integrate(lambda x, _: f(x), [edges], tol)
     return vals[0], errs[0]
 
 
@@ -53,10 +54,10 @@ def test_bump_mass_to_the_last_bits():
     assert abs(val - exact) <= 2 * np.spacing(exact)
 
 
-def test_panel_budget_exhaustion_raises():
+def test_panel_budget_exhaustion_raises(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 4)
     with pytest.raises(QuadratureError):
-        quad1(lambda x: np.sin(1.0 / (x**2 + 1e-12)), 0.0, 1.0,
-              tol=1e-14, max_panels=4)
+        quad1(lambda x: np.sin(1.0 / (x**2 + 1e-12)), 0.0, 1.0, tol=1e-14)
 
 
 def test_reversed_endpoints_rejected():
@@ -113,10 +114,11 @@ def test_mixed_batch_matches_each_integral_alone():
         assert vals[k] == pytest.approx(exact, abs=1e-12)
 
 
-def test_failing_row_is_named():
+def test_failing_row_is_named(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 4)
     with pytest.raises(QuadratureError) as info:
         integrate(lambda x, i: np.where(i == 1, np.sin(1.0 / (x**2 + 1e-12)),
                                         x),
-                  [[0.0, 1.0], [0.0, 1.0]], 1e-14, max_panels=4)
+                  [[0.0, 1.0], [0.0, 1.0]], 1e-14)
     assert info.value.index == 1
     assert math.isfinite(info.value.error)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
+from alphamod import quadrature
 from alphamod import symbol as symbol_module
 from alphamod.grids import SampledGrid, Signal, forward_fourier
 from alphamod.quadrature import QuadratureConfig, QuadratureError, integrate
@@ -182,9 +183,10 @@ def test_divergent_scan_stops_after_one_node():
     assert 0 < points[0] <= one_node
 
 
-def test_panel_budget_failure_names_xi(gauss):
+def test_panel_budget_failure_names_xi(monkeypatch, gauss):
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 4)
     with pytest.raises(QuadratureError, match=r"at xi=3\.0: no convergence"):
-        symbol_m(gauss, 0.5, 3.0, QuadratureConfig(tol=1e-14, max_panels=4))
+        symbol_m(gauss, 0.5, 3.0, QuadratureConfig(tol=1e-14))
 
 
 def test_scan_table_interpolates_and_tails(gauss, gauss_tab):
