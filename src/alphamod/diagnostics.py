@@ -17,6 +17,7 @@ from one FFT; all integrals below are organized around that.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -46,13 +47,27 @@ class TruncationConfig:
     even window (and, for gamma, a mirrored covering) p and -p carry the
     same mass, so only the upper half of them, the middle one included,
     is swept; otherwise all of them.  gamma likewise sweeps only times
-    u >= 0 on a covering with time-symmetric rows (_reflections)."""
+    u >= 0 on a covering with time-symmetric rows (_reflections).  A
+    ValueError names a field out of range: the counts n_probes and
+    z_density must be integers >= 1, the lengths finite and positive."""
 
     x_max: float = 8.0
     omega_max: float = 32.0
     n_probes: int = 9
     probe_omega_max: float = 8.0
     z_density: int = 7
+
+    def __post_init__(self):
+        for name in ("n_probes", "z_density"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= 1):
+                raise ValueError(f"{name} must be an integer >= 1, got "
+                                 f"{value!r}")
+        for name in ("x_max", "omega_max", "probe_omega_max"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got "
+                                 f"{value!r}")
 
 
 @dataclass(frozen=True)

@@ -182,7 +182,7 @@ def symbol_m_deriv(w: Window, alpha: float, xi: float, l: int,
 @dataclass(frozen=True)
 class ScanConfig:
     """xi grid and quadrature tolerance of a scan.  The bounds A and B
-    take in the tail limit ||psi||^2 with a fixed 5 % margin."""
+    are the table's extremes with the tail limit ||psi||^2 taken in."""
 
     xi_max: float = 200.0
     n_nodes: int = 2001
@@ -240,8 +240,9 @@ def admissibility_scan(w: Window, alpha: float,
     """Samples m_psi on [-xi_max, xi_max] and extracts frame-type bounds.
 
     Every window is real, so the symbol is even: only xi >= 0 is
-    computed and mirrored.  A and B fold in the tail limit ||psi||^2
-    (with a 5 % margin) since the symbol approaches it for large |xi|.
+    computed and mirrored.  A and B are the smallest and largest of the
+    table and of the tail limit ||psi||^2, which the symbol approaches
+    for large |xi|.
     """
     if scan.n_nodes % 2 == 0:
         raise ValueError("n_nodes must be odd so that xi = 0 is a node")
@@ -255,8 +256,8 @@ def admissibility_scan(w: Window, alpha: float,
                            _symbol(w, alpha, xis[1:], 0, quad)])
     values = np.concatenate([vals[:0:-1], vals])  # m(-xi) = m(xi)
     tail = w.l2_norm**2
-    A = min(float(values.min()), tail * 0.95)
-    B = max(float(values.max()), tail * 1.05)
+    A = min(float(values.min()), tail)
+    B = max(float(values.max()), tail)
     return SymbolTable(grid, values, tail, A, B, alpha,
                        window_label=w.label, tol=scan.tol)
 

@@ -53,6 +53,18 @@ def test_kernel_estimate_validation():
         KernelEstimate(s=0.0, value=-1.0, truncation={})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n_probes", 0), ("n_probes", 2.5), ("z_density", 0),
+    ("z_density", 3.0), ("x_max", 0.0), ("omega_max", -1.0),
+    ("omega_max", float("inf")), ("probe_omega_max", float("nan")),
+])
+def test_truncation_config_names_a_bad_field(field, value):
+    """n_probes = 0 made rho read 0.0 and gamma fail in a reshape; every
+    out-of-range field is now refused up front, by name."""
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        TruncationConfig(**{field: value})
+
+
 def test_lambda_at_zero_xi_is_one():
     for alpha in (0.25, 0.5, 0.75):
         assert lambda_fn(0.0, 3.7, alpha) == 1.0
@@ -291,6 +303,21 @@ def test_estimate_rho_needs_admissibility(gauss, gauss_tab):
     from dataclasses import replace
     with pytest.raises(NotAdmissibleError):
         estimate_rho(gauss, 0.5, 0.0, replace(gauss_tab, A=0.0), LIGHT)
+
+
+def test_estimate_gamma_needs_admissibility(gauss, gauss_tab):
+    from dataclasses import replace
+    cov = build_covering(0.5, 0.5, 1.0, (-6, 6), (-4, 4))
+    with pytest.raises(NotAdmissibleError, match="gamma"):
+        estimate_gamma(gauss, 0.5, 0.0, replace(gauss_tab, A=0.0), cov,
+                       LIGHT)
+
+
+def test_freq_radius_of_a_compact_spectrum_is_its_support():
+    """A bandlimited window's slices reach exactly its cutoff; other
+    windows get a radius searched on their spectrum."""
+    assert diagnostics._freq_radius(parse_window_spec("bandlimited:2.0")) \
+        == 2.0
 
 
 def test_estimate_gamma_structure(gauss, gauss_tab):

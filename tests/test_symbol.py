@@ -223,6 +223,16 @@ def test_scan_rejects_even_node_count(gauss):
         admissibility_scan(gauss, 0.5, ScanConfig(xi_max=10, n_nodes=10))
 
 
+def test_scan_bounds_are_the_measured_extremes(gauss_tab):
+    """A and B are the table's extremes with the tail limit ||psi||^2
+    taken in, and no margin: the Gaussian's symbol at alpha = 0.5 tends
+    to its tail limit 1 and stays above it to 1e-14, so A is 1 to 1e-12."""
+    tab = gauss_tab
+    assert abs(tab.A - 1.0) <= 1e-12
+    assert tab.A == min(tab.values.min(), tab.tail_value)
+    assert tab.B == max(tab.values.max(), tab.tail_value)
+
+
 def test_scan_report_and_csv(tmp_path, gauss_tab):
     rep = gauss_tab.report()
     assert rep["admissible"] and rep["A"] == gauss_tab.A
