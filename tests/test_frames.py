@@ -152,6 +152,16 @@ def test_grid_mismatch_rejected(small_frame):
     f = rand_signal(SampledGrid.centered(32, 0.25))
     with pytest.raises(GridMismatchError):
         analysis(f, small_frame)
+    with pytest.raises(GridMismatchError):
+        reconstruct(f, small_frame)
+
+
+def test_synthesis_refuses_coefficients_of_another_frame(small_frame,
+                                                         snug_frame):
+    c = analysis(rand_signal(snug_frame.signal_grid), snug_frame)
+    assert snug_frame.n_atoms != small_frame.n_atoms
+    with pytest.raises(ValueError, match="different frame"):
+        synthesis(c, small_frame)
 
 
 @pytest.mark.parametrize("name", ["small_frame", "demo_frame",
@@ -321,6 +331,26 @@ def test_coefficients_file_keeps_the_exact_window(tmp_path, small_frame):
     back = load_coefficients(path).frame.window
     t = np.linspace(-1.3, 1.3, 2601)
     assert np.array_equal(back.time(t), bump.time(t))
+
+
+def test_load_coefficients_checks_the_atom_count(tmp_path, small_frame):
+    """n_atoms must be the count of the covering the header describes,
+    and the file must hold 4 * n_atoms values: the node table and the
+    complex coefficients."""
+    path = tmp_path / "coeffs.bin"
+    analysis(rand_signal(small_frame.signal_grid, 8), small_frame).save(path)
+    side = tmp_path / "coeffs.bin.json"
+    header = json.loads(side.read_text())
+    n = header["n_atoms"]
+    side.write_text(json.dumps({**header, "n_atoms": n + 1}))
+    with pytest.raises(ValueError, match=f"n_atoms is {n + 1}, but the "
+                       f"covering it describes has {n} boxes"):
+        load_coefficients(path)
+    side.write_text(json.dumps(header))
+    np.fromfile(path, dtype="<f8")[:-2].tofile(path)
+    with pytest.raises(ValueError, match=f"file holds {4 * n - 2} values, "
+                       f"expected {4 * n}"):
+        load_coefficients(path)
 
 
 @pytest.mark.parametrize("key", ["n_atoms", "window", None])

@@ -119,6 +119,25 @@ def test_signal_file_roundtrips(tmp_path):
     assert np.max(np.abs(h.values - f.values)) < 1e-15
 
 
+def test_signal_files_of_another_shape(tmp_path):
+    """A one-column CSV is a real signal; a CSV of three columns, or a
+    raw file whose length is not twice the grid's, is refused."""
+    f = gaussian_signal(64)
+    csv, raw = tmp_path / "sig.csv", tmp_path / "sig.bin"
+    save_signal_csv(f, csv)
+    _write_csv(csv, f.values.real, "")
+    assert np.array_equal(load_signal_csv(csv).values, f.values)
+    _write_csv(csv, np.column_stack([f.values.real] * 3), "")
+    with pytest.raises(ValueError, match="expected 1 or 2 CSV columns, "
+                       "got 3"):
+        load_signal_csv(csv)
+    save_signal_raw(f, raw)
+    np.zeros(126).tofile(raw)
+    with pytest.raises(ValueError, match="raw file holds 126 floats, "
+                       "expected 128"):
+        load_signal_raw(raw)
+
+
 @pytest.mark.parametrize("header", ["j,k,x", ""])
 def test_csv_bytes_equal_savetxt(tmp_path, header):
     """One % over the whole array writes np.savetxt's bytes: signed zero,

@@ -266,6 +266,21 @@ def test_dual_transform_needs_admissibility(chirp, gauss, gauss_tab,
         check_reproducing(chirp, gauss, 0.5, bad, gx, gw)
 
 
+def test_kernel_and_coorbit_norm_need_admissibility(chirp, gauss, gauss_tab,
+                                                   voice_grids):
+    """m^-kappa with kappa > 0, and the coorbit norm, need A > 0; the
+    atom pairing, kappa = 0, does not."""
+    from dataclasses import replace
+    bad = replace(gauss_tab, A=0.0)
+    p1, p2 = (0.3, 1.0), (-0.4, 2.5)
+    with pytest.raises(NotAdmissibleError):
+        kernel_K(gauss, 0.5, bad, 1, p1, p2)
+    assert kernel_K(gauss, 0.5, bad, 0, p1, p2) \
+        == kernel_K(gauss, 0.5, gauss_tab, 0, p1, p2)
+    with pytest.raises(NotAdmissibleError, match="coorbit"):
+        coorbit_norm(chirp, gauss, 0.5, bad, 2.0, 0.0, *voice_grids)
+
+
 def test_kernel_hermitian_symmetry(gauss, gauss_tab):
     p1, p2 = (0.3, 1.0), (-0.4, 2.5)
     k12 = kernel_K(gauss, 0.5, gauss_tab, 1, p1, p2)
