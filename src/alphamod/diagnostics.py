@@ -17,7 +17,6 @@ from one FFT; all integrals below are organized around that.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass
 
@@ -47,9 +46,8 @@ class TruncationConfig:
     even window (and, for gamma, a mirrored covering) p and -p carry the
     same mass, so only the upper half of them, the middle one included,
     is swept; otherwise all of them.  gamma likewise sweeps only times
-    u >= 0 on a covering with time-symmetric rows (_reflections).  A
-    ValueError names a field out of range: the counts n_probes and
-    z_density must be integers >= 1, the lengths finite and positive."""
+    u >= 0 on a covering with time-symmetric rows (_reflections).  The
+    counts must be integers >= 1, the lengths finite and positive."""
 
     x_max: float = 8.0
     omega_max: float = 32.0
@@ -58,16 +56,12 @@ class TruncationConfig:
     z_density: int = 7
 
     def __post_init__(self):
-        for name in ("n_probes", "z_density"):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and value >= 1):
-                raise ValueError(f"{name} must be an integer >= 1, got "
-                                 f"{value!r}")
-        for name in ("x_max", "omega_max", "probe_omega_max"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and positive, got "
-                                 f"{value!r}")
+        for name, value in vars(self).items():
+            count = name in ("n_probes", "z_density")
+            if not (isinstance(value, (int, np.integer)) and value >= 1
+                    if count else 0 < value < math.inf):
+                rule = "an integer >= 1" if count else "finite and positive"
+                raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -194,13 +188,12 @@ class _SliceEngine:
         """G's right side, m^-1 conj(_atoms_hat(etas)); atoms are real."""
         return self._atoms_hat(etas) * self._m_inv
 
-    def slices(self, left, right, lo=0, hi=None) -> np.ndarray:
+    def slices(self, left, right, lo, hi) -> np.ndarray:
         """P[i, a, m] = R((u_m + t, omegas[i]), (t, etas[a])) for any t
         and u grid indices m in [lo, hi), from left = _atoms_hat(omegas)
         and right = right_hat(etas).  The half spectra H of the profiles
         left[i] * right[a] are read as two contiguous slices, reversed
         and conjugated for u < 0, as they are for u >= 0."""
-        hi = self.n if hi is None else hi
         H = np.fft.rfft(left[:, None, :] * right, axis=-1)
         H *= self._sign
         h = self.n // 2

@@ -202,13 +202,12 @@ def _cyclic_reduction(a, b, c, r):
 
 
 def cubic_spline(x, y):
-    """The not-a-knot cubic spline through (x[i], y[i]), n >= 3 uniformly
-    spaced nodes (a SampledGrid's coordinates), that scipy's CubicSpline
-    builds (de Boor 1978): spline(xi, col=0) is column col of y (a 1-D y
-    is one column) at points of [x[0], x[-1]].  Its slope system, less
+    """The not-a-knot cubic spline through (x[i], y[i]) on n >= 3 uniform
+    nodes, that scipy's CubicSpline builds (de Boor 1978): spline(xi,
+    col=0) is column col of y (a 1-D y is one column) at points of
+    [x[0], x[-1]], on the piece that floor finds.  Its slope system, less
     its two not-a-knot rows, is diagonally dominant and solved for all
-    columns at once; only y and the slopes are kept.  xi's piece is
-    found by floor."""
+    columns at once; only y and the slopes are kept."""
     x = np.asarray(x, dtype=float)
     n, h = x.size, np.diff(x)
     y = np.ascontiguousarray(np.reshape(y, (n, -1)).T, dtype=float)

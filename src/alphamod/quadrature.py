@@ -39,7 +39,6 @@ _KRONROD_NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])
 _KRONROD_WEIGHTS = np.concatenate([_WGK, _WGK[-2::-1]])
 _GAUSS_WEIGHTS = np.zeros(15)
 _GAUSS_WEIGHTS[1::2] = np.concatenate([_WG, _WG[-2::-1]])
-
 _MAX_PANELS = 4000  # panels of one integral before QuadratureError
 
 

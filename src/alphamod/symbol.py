@@ -181,8 +181,7 @@ def symbol_m_deriv(w: Window, alpha: float, xi: float, l: int,
 
 @dataclass(frozen=True)
 class ScanConfig:
-    """xi grid and quadrature tolerance of a scan.  The bounds A and B
-    are the table's extremes with the tail limit ||psi||^2 taken in."""
+    """xi grid and quadrature tolerance of a scan."""
 
     xi_max: float = 200.0
     n_nodes: int = 2001
@@ -240,9 +239,8 @@ def admissibility_scan(w: Window, alpha: float,
     """Samples m_psi on [-xi_max, xi_max] and extracts frame-type bounds.
 
     Every window is real, so the symbol is even: only xi >= 0 is
-    computed and mirrored.  A and B are the smallest and largest of the
-    table and of the tail limit ||psi||^2, which the symbol approaches
-    for large |xi|.
+    computed and mirrored.  A and B are the extremes of the table and
+    of its limit ||psi||^2 for large |xi|, with no margin.
     """
     if scan.n_nodes % 2 == 0:
         raise ValueError("n_nodes must be odd so that xi = 0 is a node")

@@ -267,16 +267,15 @@ def dual_transform(f: Signal, w: Window, alpha: float, tab: SymbolTable,
     return voice_transform(g, w, alpha, x_grid, omega_grid)
 
 
-def kernel_K(w: Window, alpha: float, tab: SymbolTable, kappa: int, p1, p2,
-             quad: QuadratureConfig = QuadratureConfig()) -> complex:
+def kernel_K(w: Window, alpha: float, tab: SymbolTable, kappa: int, p1,
+             p2) -> complex:
     """K(p1, p2) = <m^{-kappa} hat(a1), hat(a2)> for the window's atoms at
     p1 = (x, w), p2 = (x*, w*); frequency-domain quadrature."""
-    return complex(_kernel_pairs(w, alpha, tab, kappa, [(p1, p2)], quad)[0])
+    return complex(_kernel_pairs(w, alpha, tab, kappa, [(p1, p2)])[0])
 
 
 def _kernel_pairs(w: Window, alpha: float, tab: SymbolTable, kappa: int,
-                  pairs,
-                  quad: QuadratureConfig = QuadratureConfig()) -> np.ndarray:
+                  pairs) -> np.ndarray:
     """kernel_K at each (p1, p2) of pairs, as one integrate batch."""
     if kappa > 0 and not tab.admissible:
         raise NotAdmissibleError("m^{-kappa} needs a positive lower bound A")
@@ -295,14 +294,13 @@ def _kernel_pairs(w: Window, alpha: float, tab: SymbolTable, kappa: int,
     lo, hi = np.minimum(w_1, w_2), np.maximum(w_1, w_2)
     half = 60.0 / np.minimum(b1, b2) + (hi - lo)
     edges = np.column_stack([lo - half, lo, hi, hi + half])
-    return integrate(integrand, edges, quad.tol)[0]
+    return integrate(integrand, edges, QuadratureConfig().tol)[0]
 
 
 def reproducing_kernel(w: Window, alpha: float, tab: SymbolTable,
-                       p1, p2,
-                       quad: QuadratureConfig = QuadratureConfig()) -> complex:
+                       p1, p2) -> complex:
     """R(p1, p2) = <A^{-1} a_{p1}, a_{p2}>."""
-    return kernel_K(w, alpha, tab, 1, p1, p2, quad)
+    return kernel_K(w, alpha, tab, 1, p1, p2)
 
 
 def check_reproducing(f: Signal, w: Window, alpha: float, tab: SymbolTable,

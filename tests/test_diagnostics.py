@@ -103,7 +103,8 @@ def test_slice_engine_matches_quadrature_kernel(gauss, gauss_tab):
                           u_max=6.0)
     eta = 0.5
     omegas = np.array([-1.0, 0.0, 2.0])
-    P = engine.slices(engine._atoms_hat(omegas), engine.right_hat(eta))
+    P = engine.slices(engine._atoms_hat(omegas), engine.right_hat(eta),
+                      0, engine.n)
     for i, om in enumerate(omegas):
         for x in (-2.0, 0.0, 1.5):
             idx = engine.u_index(x)
@@ -130,7 +131,7 @@ def test_half_spectrum_slices_match_the_full_fft(gauss, gauss_tab, kappa):
         right, engine._atoms_hat([0.5, -1.0]) * gauss_tab(engine.xi) ** -kappa)
     G = left[:, None, :] * right
     ref = engine.dxi * sign[k - n // 2] * np.fft.fft(G * sign, axis=-1)
-    P = engine.slices(left, right)
+    P = engine.slices(left, right, 0, n)
     assert P.shape == (3, 2, n)
     assert np.abs(P - ref).max() <= 1e-14 * np.abs(ref).max()
     for lo, hi in [(0, 7), (250, 262), (256, 300), (505, 512)]:
@@ -153,8 +154,8 @@ def test_slices_at_alpha_zero_match_the_closed_form(gauss, gauss_tab_alpha0):
                           u_max=4.0)
     omegas, etas = np.linspace(-4.0, 4.0, 9), np.array([-4.0, -0.5, 0.0, 3.0])
     near = np.abs(engine.u) <= 4.0
-    P = engine.slices(engine._atoms_hat(omegas),
-                      engine.right_hat(etas))[..., near]
+    P = engine.slices(engine._atoms_hat(omegas), engine.right_hat(etas),
+                      0, engine.n)[..., near]
     a = engine.u[near]
     b = (omegas[:, None] - etas)[..., None]
     R = np.exp(-np.pi * (a**2 + b**2) / 2 - 1j * np.pi * a * b
@@ -217,7 +218,7 @@ def _osc_dense(engine, cov, density, x_t, x_w, y_t, y_w):
     x_t, x_w, y_t, y_w = (np.atleast_1d(np.asarray(v, dtype=float))
                           for v in (x_t, x_w, y_t, y_w))
     x_hat = engine._atoms_hat(x_w)
-    base = engine.slices(x_hat, engine.right_hat(y_w))[
+    base = engine.slices(x_hat, engine.right_hat(y_w), 0, engine.n)[
         ..., engine.u_index(x_t - y_t)]
     osc = np.zeros(base.shape)
     for band, z_t, inside, z_w in q_samples(cov, y_t, y_w, density):
@@ -227,7 +228,7 @@ def _osc_dense(engine, cov, density, x_t, x_w, y_t, y_w):
                        * (y_t[:, None] - z_t))
         R_y = base[:, band][..., None]
         for zw in z_w:
-            P = engine.slices(x_hat, engine.right_hat(zw))[:, 0]
+            P = engine.slices(x_hat, engine.right_hat(zw), 0, engine.n)[:, 0]
             diff = np.abs(R_y - phase * P[:, None, at])
             osc[:, band] = np.maximum(osc[:, band],
                                       (diff * inside).max(axis=-1))
