@@ -59,8 +59,8 @@ def test_kernel_estimate_validation():
     ("omega_max", float("inf")), ("probe_omega_max", float("nan")),
 ])
 def test_truncation_config_names_a_bad_field(field, value):
-    """n_probes = 0 made rho read 0.0 and gamma fail in a reshape; every
-    out-of-range field is now refused up front, by name."""
+    """n_probes = 0 would make rho read 0.0 and gamma fail in a reshape;
+    every out-of-range field is refused up front, by name."""
     with pytest.raises(ValueError, match=f"^{field} must be"):
         TruncationConfig(**{field: value})
 
