@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from alphamod import (Purpose, ScanConfig, admissibility_scan, bspline_window,
+from alphamod import (Purpose, admissibility_scan, bspline_window,
                       bump_window, check_hypotheses, gaussian_window,
                       symbol_m)
 
@@ -20,8 +20,6 @@ windows = [
     ("bspline(4)", bspline_window(4)),
     ("bump(1.0)", bump_window(1.0)),
 ]
-
-cfg = ScanConfig(xi_max=60.0, n_nodes=601)
 
 for name, w in windows:
     print(f"\n{name}  (||psi||^2 = {w.l2_norm**2:.6f})")
@@ -34,7 +32,7 @@ for name, w in windows:
                   f"{verdict.certified_r:.2f}), scan skipped")
             continue
         t0 = time.time()
-        tab = admissibility_scan(w, alpha, cfg)
+        tab = admissibility_scan(w, alpha, xi_max=60.0, n_nodes=601)
         print(f"  alpha={alpha:3.1f}  A={tab.A:.6f}  B={tab.B:.6f}  "
               f"ratio={tab.B / tab.A:6.3f}  admissible={tab.admissible}  "
               f"({time.time() - t0:.1f}s)")

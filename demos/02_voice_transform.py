@@ -8,8 +8,8 @@ that reads a matrix.
 
 import numpy as np
 
-from alphamod import (ScanConfig, admissibility_scan, check_reproducing,
-                      coorbit_norm, gaussian_window, voice_transform)
+from alphamod import (admissibility_scan, check_reproducing, coorbit_norm,
+                      gaussian_window, voice_transform)
 from alphamod.grids import SampledGrid, Signal
 
 grid = SampledGrid.centered(512, 1.0 / 32.0)
@@ -31,7 +31,7 @@ for alpha in (0.0, 0.5, 0.8):
           f"w={w_grid.coords[peak[0]]:+.2f})")
 
 # reproducing identity: V f is reproduced by its own kernel integral
-tab = admissibility_scan(w, 0.5, ScanConfig(xi_max=60, n_nodes=601))
+tab = admissibility_scan(w, 0.5, xi_max=60, n_nodes=601)
 res = check_reproducing(f, w, 0.5, tab, x_grid, w_grid)
 print(f"\nreproducing identity residual (alpha=0.5): {res:.2e}")
 

@@ -10,12 +10,12 @@ eventually satisfies the gate.
 import json
 import time
 
-from alphamod import (ScanConfig, TruncationConfig, admissibility_scan,
+from alphamod import (TruncationConfig, admissibility_scan,
                       diagnostics_report, gaussian_window)
 
 w = gaussian_window()
 alpha, s = 0.5, 0.0
-tab = admissibility_scan(w, alpha, ScanConfig(xi_max=60, n_nodes=601))
+tab = admissibility_scan(w, alpha, xi_max=60, n_nodes=601)
 
 trunc = TruncationConfig(x_max=6.0, omega_max=16.0, n_probes=5,
                          probe_omega_max=4.0, z_density=5)

@@ -13,15 +13,14 @@ from .grids import (GridMismatchError, SampledGrid, Signal, Weight,
                     forward_fourier, inner_product, inverse_fourier,
                     load_signal_csv, load_signal_raw, save_signal_csv,
                     save_signal_raw, weighted_lp_norm)
-from .quadrature import QuadratureConfig, QuadratureError, integrate
+from .quadrature import QuadratureError, integrate
 from .windows import (HypothesisVerdict, Purpose, Window, bandlimited_window,
                       bspline_window, bump_window, check_hypotheses,
                       gaussian_window, parse_window_spec, required_decay)
 from .symbol import (CriticalPointNotApplicable, NotAdmissibleError,
-                     RxiProfile, ScanConfig, SymbolTable,
-                     admissibility_scan, apply_multiplier, beta,
-                     p_alpha, p_alpha_inv, r_xi, rxi_profile, symbol_m,
-                     symbol_m_deriv)
+                     RxiProfile, SymbolTable, admissibility_scan,
+                     apply_multiplier, beta, p_alpha, p_alpha_inv, r_xi,
+                     rxi_profile, symbol_m)
 from .transform import (MassCaptureError, SupportSpillWarning, VoiceMap,
                         check_reproducing, coorbit_norm, dual_transform,
                         kernel_K, make_atom, reproducing_kernel,

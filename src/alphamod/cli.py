@@ -31,7 +31,7 @@ import numpy as np
 
 from . import (
     AlphaFrame, CoveringGapError, IterationError, NotAdmissibleError,
-    Purpose, QuadratureError, SampledGrid, ScanConfig, Signal,
+    Purpose, QuadratureError, SampledGrid, Signal, SymbolTable,
     TruncationConfig, admissibility_scan, analysis, build_covering,
     check_hypotheses, coorbit_norm, covering_diagnostics,
     estimate_frame_bounds, load_coefficients, load_signal_csv,
@@ -152,9 +152,10 @@ class RunConfig:
                               f"inside the time range [{t0:g}, {t1:g}]")
         return SampledGrid(self.grid_n, self.grid_spacing, t0)
 
-    def scan_config(self) -> ScanConfig:
-        return ScanConfig(xi_max=self.xi_max, n_nodes=self.scan_nodes,
-                          tol=self.tol)
+    def scan(self) -> SymbolTable:
+        """The window's symbol table on the configured xi grid."""
+        return admissibility_scan(self.window, self.alpha, self.xi_max,
+                                  self.scan_nodes, self.tol)
 
     def frame(self, grid: SampledGrid | None = None) -> AlphaFrame:
         """Frame on the given grid, by default the configured one."""
@@ -203,7 +204,7 @@ def cmd_admissible(cfg: RunConfig, args: argparse.Namespace) -> int:
                                Purpose.ADMISSIBILITY)
     out = cfg.output_dir
     try:
-        tab = admissibility_scan(cfg.window, cfg.alpha, cfg.scan_config())
+        tab = cfg.scan()
     except QuadratureError as exc:
         # a window that violates the decay hypothesis makes the symbol
         # integral non-integrable; record the failed verdict instead of
@@ -277,7 +278,7 @@ def cmd_roundtrip(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_diagnostics(cfg: RunConfig, args: argparse.Namespace) -> int:
-    tab = admissibility_scan(cfg.window, cfg.alpha, cfg.scan_config())
+    tab = cfg.scan()
     trunc = TruncationConfig(x_max=cfg.x_max, omega_max=cfg.omega_max)
     report = diagnostics_report(cfg.window, cfg.alpha, cfg.s, tab,
                                 cfg.eps_list, cfg.c, trunc)
@@ -292,7 +293,7 @@ def cmd_diagnostics(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_coorbit_norm(cfg: RunConfig, args: argparse.Namespace) -> int:
     f = _load_signal(args.input)
-    tab = admissibility_scan(cfg.window, cfg.alpha, cfg.scan_config())
+    tab = cfg.scan()
     t0, t1 = cfg.time_range
     f0, f1 = cfg.freq_range
     nx = max(32, cfg.grid_n // 4)

@@ -137,12 +137,15 @@ def build_covering(alpha: float, eps: float, c: float,
     whole.  Raises CoveringGapError, naming a point, when the boxes leave
     part of the rectangle uncovered."""
     _check_alpha(alpha)
-    if eps <= 0 or c <= 0:
-        raise ValueError(f"eps and c must be positive, got eps={eps}, c={c}")
+    if not (0 < eps < math.inf and 0 < c < math.inf):
+        raise ValueError(f"eps and c must be positive and finite, got "
+                         f"eps={eps}, c={c}")
     t0, t1 = map(float, time_range)
     f0, f1 = map(float, freq_range)
-    if not (t1 > t0 and f1 > f0):
-        raise ValueError("time_range and freq_range must be increasing pairs")
+    if not (-math.inf < t0 < t1 < math.inf and -math.inf < f0 < f1 < math.inf):
+        raise ValueError(f"time_range and freq_range must be increasing "
+                         f"pairs of finite numbers, got time_range="
+                         f"{(t0, t1)}, freq_range={(f0, f1)}")
 
     # node w's band reaches slack*v^alpha from w, v = 1 + |w|.  Once
     # v^(1-alpha) >= 2*slack, i.e. |p_alpha_inv(w)| >= (2*slack - 1) /

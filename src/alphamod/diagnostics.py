@@ -17,6 +17,7 @@ from one FFT; all integrals below are organized around that.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -47,7 +48,8 @@ class TruncationConfig:
     same mass, so only the upper half of them, the middle one included,
     is swept; otherwise all of them.  gamma likewise sweeps only times
     u >= 0 on a covering with time-symmetric rows (_reflections).  The
-    counts must be integers >= 1, the lengths finite and positive."""
+    counts must be integers >= 1, the lengths finite positive numbers;
+    a bool is neither."""
 
     x_max: float = 8.0
     omega_max: float = 32.0
@@ -58,9 +60,11 @@ class TruncationConfig:
     def __post_init__(self):
         for name, value in vars(self).items():
             count = name in ("n_probes", "z_density")
-            if not (isinstance(value, (int, np.integer)) and value >= 1
-                    if count else 0 < value < math.inf):
-                rule = "an integer >= 1" if count else "finite and positive"
+            kind = numbers.Integral if count else numbers.Real
+            if (isinstance(value, bool) or not isinstance(value, kind)
+                    or not (value >= 1 if count else 0 < value < math.inf)):
+                rule = ("an integer >= 1" if count
+                        else "a finite positive number")
                 raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 

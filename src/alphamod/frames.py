@@ -86,7 +86,18 @@ class Coefficients:
         return complex(self.values[start + k - cov.k_lo[r]])
 
     def save(self, path):
-        """Binary node table + interleaved complex values, JSON header."""
+        """Binary node table + interleaved complex values, JSON header.
+        The window's label must be the spec that load_coefficients
+        rebuilds it from; otherwise nothing is written."""
+        label = self.frame.window.label
+        try:
+            spec = parse_window_spec(label).label == label
+        except ValueError:
+            spec = False
+        if not spec:
+            raise ValueError(f"window label {label!r} is not a window spec "
+                             f"that rebuilds the window, so "
+                             f"load_coefficients could not read the file")
         cov = self.frame.covering
         nodes = self.frame.nodes()
         blob = np.concatenate([
@@ -99,7 +110,7 @@ class Coefficients:
             "alpha": cov.alpha, "eps": cov.eps, "c": cov.c,
             "time_range": list(cov.time_range),
             "freq_range": list(cov.freq_range),
-            "window": self.frame.window.label,
+            "window": label,
             "grid": self.frame.signal_grid.to_json(),
             "n_atoms": self.frame.n_atoms,
         }

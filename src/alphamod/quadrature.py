@@ -11,8 +11,6 @@ tolerance or it holds _MAX_PANELS panels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # 15-point Kronrod rule with its embedded 7-point Gauss rule, to
@@ -50,13 +48,6 @@ class QuadratureError(RuntimeError):
         self.value = value
         self.error = error
         self.index = index  # row of the batch that failed
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Tolerance of the symbol / kernel integrals."""
-
-    tol: float = 1e-8
 
 
 def _eval_panels(f, ends: np.ndarray, owner: np.ndarray):

@@ -22,7 +22,7 @@ import numpy as np
 
 from .grids import (Signal, SampledGrid, _write_csv, cubic_spline,
                     forward_fourier, inverse_fourier)
-from .quadrature import QuadratureConfig, QuadratureError, integrate
+from .quadrature import QuadratureError, integrate
 from .windows import Window
 
 
@@ -95,10 +95,11 @@ def rxi_profile(xi: float, alpha: float) -> RxiProfile:
     return RxiProfile(xi, omega_star, min_value, float(xi))
 
 
-def _symbol(w: Window, alpha: float, xis, l: int,
-            quad: QuadratureConfig) -> np.ndarray:
-    """The l-th derivative of m_psi (l = 0, 1, 2) at every xi of ``xis``,
-    differentiated under the integral.
+def symbol_m(w: Window, alpha: float, xi, deriv: int = 0,
+             tol: float = 1e-8):
+    """The deriv-th derivative of m_psi (deriv = 0, 1, 2) at xi, a
+    number (returns a float) or an array (returns an array), to absolute
+    tolerance tol; derivatives are taken under the integral.
 
     Integrates in the warped variable y with omega = p_alpha(y), whose
     Jacobian 1/beta(omega) cancels the weight: m_psi(xi) = int
@@ -111,17 +112,21 @@ def _symbol(w: Window, alpha: float, xis, l: int,
     below tol / 10.
     """
     _check_alpha(alpha)
-    xis = np.asarray(xis, dtype=float)
+    if deriv not in (0, 1, 2):
+        raise ValueError(f"derivative order must be 0, 1 or 2, got {deriv}")
+    xis = np.asarray(xi, dtype=float)
+    shape = xis.shape
+    xis = xis.ravel()
 
     def g(y, xi):
         omega = p_alpha(y, alpha)
         b = beta(omega, alpha)
         r = b * (xi - omega)
         f0 = w.fourier(r)
-        if l == 0:
+        if deriv == 0:
             return np.abs(f0) ** 2
         f1 = w.fourier(r, 1)
-        if l == 1:
+        if deriv == 1:
             return 2.0 * np.real(f1 * np.conj(f0)) * b
         f2 = w.fourier(r, 2)
         return (2.0 * np.real(f2 * np.conj(f0)) + 2.0 * np.abs(f1) ** 2) * b**2
@@ -129,8 +134,7 @@ def _symbol(w: Window, alpha: float, xis, l: int,
     def integrals(rows, edges):
         # row j of edges belongs to xis[rows[j]]
         try:
-            return integrate(lambda y, j: g(y, xis[rows[j]]), edges,
-                             quad.tol)
+            return integrate(lambda y, j: g(y, xis[rows[j]]), edges, tol)
         except QuadratureError as exc:
             raise QuadratureError(
                 f"symbol quadrature failed at xi={xis[rows[exc.index]]}: "
@@ -154,38 +158,14 @@ def _symbol(w: Window, alpha: float, xis, l: int,
         value[active] += left + right
         err[active] += np.add(*np.split(tail_errs, 2))
         radius[active] *= 2.0
-        active = active[~(np.abs(left) + np.abs(right) < quad.tol / 10.0)]
+        active = active[~(np.abs(left) + np.abs(right) < tol / 10.0)]
         if not active.size:
-            return value
+            return value.reshape(shape) if shape else float(value[0])
     i = active[0]
     raise QuadratureError(
         f"tails of the symbol integral at xi={xis[i]} did not decay within "
         f"warped radius {radius[i]}", value=value[i], error=err[i],
     )
-
-
-def symbol_m(w: Window, alpha: float, xi: float,
-             quad: QuadratureConfig = QuadratureConfig()) -> float:
-    """m_psi(xi) by adaptive quadrature (absolute tolerance quad.tol)."""
-    return float(_symbol(w, alpha, [xi], 0, quad)[0])
-
-
-def symbol_m_deriv(w: Window, alpha: float, xi: float, l: int,
-                   quad: QuadratureConfig = QuadratureConfig()) -> float:
-    """l-th derivative of the symbol (l = 1, 2), differentiated under
-    the integral: m' integrates 2 Re(psi_hat' conj(psi_hat)) beta^2."""
-    if l not in (1, 2):
-        raise ValueError(f"derivative order must be 1 or 2, got {l}")
-    return float(_symbol(w, alpha, [xi], l, quad)[0])
-
-
-@dataclass(frozen=True)
-class ScanConfig:
-    """xi grid and quadrature tolerance of a scan."""
-
-    xi_max: float = 200.0
-    n_nodes: int = 2001
-    tol: float = 1e-8
 
 
 @dataclass
@@ -234,30 +214,29 @@ class SymbolTable:
                    "xi,m")
 
 
-def admissibility_scan(w: Window, alpha: float,
-                       scan: ScanConfig = ScanConfig()) -> SymbolTable:
-    """Samples m_psi on [-xi_max, xi_max] and extracts frame-type bounds.
+def admissibility_scan(w: Window, alpha: float, xi_max: float = 200.0,
+                       n_nodes: int = 2001, tol: float = 1e-8) -> SymbolTable:
+    """Samples m_psi on n_nodes points of [-xi_max, xi_max], each to
+    absolute tolerance tol, and extracts frame-type bounds.
 
     Every window is real, so the symbol is even: only xi >= 0 is
     computed and mirrored.  A and B are the extremes of the table and
     of its limit ||psi||^2 for large |xi|, with no margin.
     """
-    if scan.n_nodes % 2 == 0:
+    if n_nodes % 2 == 0:
         raise ValueError("n_nodes must be odd so that xi = 0 is a node")
-    grid = SampledGrid(scan.n_nodes, 2.0 * scan.xi_max / (scan.n_nodes - 1),
-                       -scan.xi_max)
-    quad = QuadratureConfig(tol=scan.tol)
-    xis = grid.coords[scan.n_nodes // 2:]
+    grid = SampledGrid(n_nodes, 2.0 * xi_max / (n_nodes - 1), -xi_max)
+    xis = grid.coords[n_nodes // 2:]
     # xi = 0 on its own first: a window that fails fails there, after
     # one node's work
-    vals = np.concatenate([_symbol(w, alpha, xis[:1], 0, quad),
-                           _symbol(w, alpha, xis[1:], 0, quad)])
+    vals = np.concatenate([symbol_m(w, alpha, xis[:1], tol=tol),
+                           symbol_m(w, alpha, xis[1:], tol=tol)])
     values = np.concatenate([vals[:0:-1], vals])  # m(-xi) = m(xi)
     tail = w.l2_norm**2
     A = min(float(values.min()), tail)
     B = max(float(values.max()), tail)
     return SymbolTable(grid, values, tail, A, B, alpha,
-                       window_label=w.label, tol=scan.tol)
+                       window_label=w.label, tol=tol)
 
 
 def apply_multiplier(f: Signal, tab: SymbolTable, kappa: int) -> Signal:

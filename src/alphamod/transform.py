@@ -40,7 +40,7 @@ import numpy as np
 
 from .grids import (Signal, SampledGrid, Weight, _sidecar, _write_csv,
                     _write_sidecar, weighted_lp_norm)
-from .quadrature import QuadratureConfig, integrate
+from .quadrature import integrate
 from .symbol import NotAdmissibleError, SymbolTable, apply_multiplier, beta
 from .windows import Window
 
@@ -95,8 +95,11 @@ class VoiceMap:
         meta = json.loads(side.read_text())
         gx, gw = (SampledGrid.from_json(meta.get(key), f"{side} {key}")
                   for key in ("x_grid", "omega_grid"))
-        values = np.fromfile(path, dtype="<c16").reshape(gw.n, gx.n)
-        return VoiceMap(gx, gw, values)
+        raw = np.fromfile(path, dtype="<f8")
+        if raw.size != 2 * gw.n * gx.n:
+            raise ValueError(f"{path} holds {raw.size} floats, expected "
+                             f"{2 * gw.n * gx.n} ({gw.n} x {gx.n} complex)")
+        return VoiceMap(gx, gw, raw.view("<c16").reshape(gw.n, gx.n))
 
     def save_magnitude_csv(self, path):
         _write_csv(path, np.abs(self.values), "")
@@ -270,7 +273,8 @@ def dual_transform(f: Signal, w: Window, alpha: float, tab: SymbolTable,
 def kernel_K(w: Window, alpha: float, tab: SymbolTable, kappa: int, p1,
              p2) -> complex:
     """K(p1, p2) = <m^{-kappa} hat(a1), hat(a2)> for the window's atoms at
-    p1 = (x, w), p2 = (x*, w*); frequency-domain quadrature."""
+    p1 = (x, w), p2 = (x*, w*); frequency-domain quadrature to absolute
+    tolerance 1e-8."""
     return complex(_kernel_pairs(w, alpha, tab, kappa, [(p1, p2)])[0])
 
 
@@ -294,7 +298,7 @@ def _kernel_pairs(w: Window, alpha: float, tab: SymbolTable, kappa: int,
     lo, hi = np.minimum(w_1, w_2), np.maximum(w_1, w_2)
     half = 60.0 / np.minimum(b1, b2) + (hi - lo)
     edges = np.column_stack([lo - half, lo, hi, hi + half])
-    return integrate(integrand, edges, QuadratureConfig().tol)[0]
+    return integrate(integrand, edges, 1e-8)[0]
 
 
 def reproducing_kernel(w: Window, alpha: float, tab: SymbolTable,

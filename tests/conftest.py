@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from alphamod import (ScanConfig, admissibility_scan, gaussian_window)
+from alphamod import admissibility_scan, gaussian_window
 from alphamod.grids import SampledGrid, Signal
 from alphamod.symbol import beta
 
@@ -29,7 +29,7 @@ def gauss_tab(gauss):
     well before that, and the table extends past xi_max by the constant
     tail anyway.
     """
-    return admissibility_scan(gauss, 0.5, ScanConfig(xi_max=80, n_nodes=801))
+    return admissibility_scan(gauss, 0.5, xi_max=80, n_nodes=801)
 
 
 @pytest.fixture()

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq, minimize_scalar
 
-from alphamod import (Purpose, ScanConfig, Signal, TruncationConfig,
+from alphamod import (Purpose, Signal, TruncationConfig,
                       admissibility_scan, beta, bspline_window, build_covering,
                       bump_window, check_hypotheses, covering_diagnostics,
                       diagnostics_report, discretization_condition,
@@ -19,7 +19,6 @@ from alphamod import (Purpose, ScanConfig, Signal, TruncationConfig,
 from alphamod.frames import (AlphaFrame, analysis, estimate_frame_bounds,
                              frame_operator_apply, reconstruct)
 from alphamod.grids import SampledGrid
-from alphamod.quadrature import QuadratureConfig
 
 
 _capman = None
@@ -62,10 +61,9 @@ def test_criterion_02_symbol_high_frequency_limit():
     t0 = time.monotonic()
     w = bspline_window(4)
     target = w.l2_norm**2
-    quad = QuadratureConfig(tol=1e-13)
 
     def gap(xi):
-        return abs(symbol_m(w, 0.5, xi, quad) - target)
+        return abs(symbol_m(w, 0.5, xi, tol=1e-13) - target)
 
     resolvable = [gap(xi) for xi in (3.0, 8.0, 20.0)]
     stated = [gap(xi) for xi in (50.0, 100.0, 200.0)]

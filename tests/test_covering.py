@@ -328,3 +328,23 @@ def test_domain_validation():
         build_covering(0.5, -0.25, 1.0, (-4, 4), (-4, 4))
     with pytest.raises(ValueError):
         build_covering(0.5, 0.25, 1.0, (4, -4), (-4, 4))
+
+
+@pytest.mark.parametrize("eps, c, time_range, freq_range, name", [
+    (math.nan, 1.0, (-4, 4), (-4, 4), "eps"),
+    (math.inf, 1.0, (-4, 4), (-4, 4), "eps"),
+    (0.25, math.nan, (-4, 4), (-4, 4), "c"),
+    (0.25, math.inf, (-4, 4), (-4, 4), "c"),
+    (0.25, 1.0, (-4, math.inf), (-4, 4), "time_range"),
+    (0.25, 1.0, (math.nan, 4), (-4, 4), "time_range"),
+    (0.25, 1.0, (-4, 4), (-math.inf, 4), "freq_range"),
+], ids=["eps-nan", "eps-inf", "c-nan", "c-inf", "t1-inf", "t0-nan", "f0-inf"])
+def test_non_finite_inputs_are_refused_by_name(eps, c, time_range,
+                                               freq_range, name):
+    """A nan or inf eps used to fail converting the row reach to an
+    integer, and an infinite range end to raise a CoveringGapError at an
+    infinite point."""
+    with pytest.raises(ValueError, match=rf"must be .*finite.*\b{name}=") \
+            as info:
+        build_covering(0.5, eps, c, time_range, freq_range)
+    assert not isinstance(info.value, CoveringGapError)

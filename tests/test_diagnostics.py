@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alphamod import ScanConfig, admissibility_scan, parse_window_spec
+from alphamod import admissibility_scan, parse_window_spec
 from alphamod.covering import build_covering, q_samples
 from alphamod.diagnostics import (KernelEstimate, TruncationConfig,
                                   _omega_grid, _osc, _probe_omegas,
@@ -57,10 +57,12 @@ def test_kernel_estimate_validation():
     ("n_probes", 0), ("n_probes", 2.5), ("z_density", 0),
     ("z_density", 3.0), ("x_max", 0.0), ("omega_max", -1.0),
     ("omega_max", float("inf")), ("probe_omega_max", float("nan")),
-])
+] + [(field, bad) for field in vars(TruncationConfig())
+     for bad in ("4", True)])
 def test_truncation_config_names_a_bad_field(field, value):
     """n_probes = 0 would make rho read 0.0 and gamma fail in a reshape;
-    every out-of-range field is refused up front, by name."""
+    every out-of-range field, non-number and bool is refused up front,
+    by name, before it is compared."""
     with pytest.raises(ValueError, match=f"^{field} must be"):
         TruncationConfig(**{field: value})
 
@@ -141,7 +143,7 @@ def test_half_spectrum_slices_match_the_full_fft(gauss, gauss_tab, kappa):
 
 @pytest.fixture(scope="module")
 def gauss_tab_alpha0(gauss):
-    return admissibility_scan(gauss, 0.0, ScanConfig(xi_max=40, n_nodes=401))
+    return admissibility_scan(gauss, 0.0, xi_max=40, n_nodes=401)
 
 
 def test_slices_at_alpha_zero_match_the_closed_form(gauss, gauss_tab_alpha0):
@@ -238,7 +240,7 @@ def _osc_dense(engine, cov, density, x_t, x_w, y_t, y_w):
 @pytest.fixture(scope="module", params=["gaussian", "bspline:2"])
 def osc_engine(request):
     w = parse_window_spec(request.param)
-    tab = admissibility_scan(w, 0.5, ScanConfig(xi_max=80, n_nodes=801))
+    tab = admissibility_scan(w, 0.5, xi_max=80, n_nodes=801)
     return _SliceEngine(w, 0.5, tab, omega_max=4.0, u_max=6.0)
 
 
@@ -395,7 +397,7 @@ def test_mirror_probes_carry_the_same_mass(spec):
     probes loses nothing.  LIGHT's outer probes, -2 and 2, are compared
     (its middle one is 0); s = 1 makes the weight part of the check."""
     w = parse_window_spec(spec)
-    tab = admissibility_scan(w, 0.5, ScanConfig(xi_max=80, n_nodes=801))
+    tab = admissibility_scan(w, 0.5, xi_max=80, n_nodes=801)
     cov = build_covering(0.5, 0.25, 1.0, (-8, 8), (-16, 16))
     np.testing.assert_array_equal(_swept_probes(LIGHT, w, cov), [0.0, 2.0])
     for lo, hi in _probe_masses(w, tab, cov, LIGHT, np.array([-2.0, 2.0]),
@@ -462,7 +464,7 @@ def test_time_reflection_matches_the_full_sweep_on_grid_ties():
     points, so gamma sweeping u >= 0 still equals the full u sweep; when
     it rounded from the grid's first point the two differed by 1.7e-5."""
     w = parse_window_spec("bump:1.0")
-    tab = admissibility_scan(w, 0.5, ScanConfig(xi_max=80, n_nodes=801))
+    tab = admissibility_scan(w, 0.5, xi_max=80, n_nodes=801)
     cov = build_covering(0.5, 0.25, 1.0, (-8, 8), (-16, 16))
     assert _reflections(w, cov) == (True, True)
     _, m1, m2 = _probe_masses(w, tab, cov, LIGHT,

@@ -8,7 +8,7 @@ from conftest import dense_atom_rows
 
 from alphamod import frames as frames_module
 from alphamod.covering import build_covering
-from alphamod.symbol import ScanConfig, admissibility_scan
+from alphamod.symbol import admissibility_scan
 from alphamod.frames import (AlphaFrame, Coefficients, IterationError,
                              _S_block, analysis, estimate_frame_bounds,
                              frame_operator_apply, load_coefficients,
@@ -333,6 +333,19 @@ def test_coefficients_file_keeps_the_exact_window(tmp_path, small_frame):
     assert np.array_equal(back.time(t), bump.time(t))
 
 
+def test_coefficients_refuse_a_label_that_is_no_spec(tmp_path, small_frame,
+                                                    gauss):
+    """A hand-built window's label would be written and then refused
+    by load_coefficients: save refuses it first and writes no file."""
+    mine = Window("my-gauss", gauss.time, gauss.fourier, gauss.l2_norm,
+                  support=gauss.support)
+    fr = AlphaFrame(small_frame.covering, mine, small_frame.signal_grid)
+    coeffs = analysis(rand_signal(fr.signal_grid, 8), fr)
+    with pytest.raises(ValueError, match="'my-gauss' is not a window spec"):
+        coeffs.save(tmp_path / "coeffs.bin")
+    assert not any(tmp_path.iterdir())
+
+
 def test_load_coefficients_checks_the_atom_count(tmp_path, small_frame):
     """n_atoms must be the count of the covering the header describes,
     and the file must hold 4 * n_atoms values: the node table and the
@@ -390,7 +403,7 @@ def test_fourier_diagonal_is_a_riemann_sum_of_the_symbol(spec, eps, tol):
     xis = grid.dual().coords
     xis = xis[np.abs(xis) < 6.0]
     # the scan's nodes are the DFT bins, spacing 1/16
-    tab = admissibility_scan(w, 0.5, ScanConfig(xi_max=8.0, n_nodes=257))
+    tab = admissibility_scan(w, 0.5, xi_max=8.0, n_nodes=257)
     t = grid.coords
     diag = np.array([
         inner_product(frame_operator_apply(e, fr), e).real

@@ -7,11 +7,10 @@ from scipy.interpolate import CubicSpline
 from alphamod import quadrature
 from alphamod import symbol as symbol_module
 from alphamod.grids import SampledGrid, Signal, forward_fourier
-from alphamod.quadrature import QuadratureConfig, QuadratureError, integrate
+from alphamod.quadrature import QuadratureError, integrate
 from alphamod.symbol import (CriticalPointNotApplicable, NotAdmissibleError,
-                             ScanConfig, admissibility_scan, apply_multiplier,
-                             beta, r_xi, rxi_profile, symbol_m,
-                             symbol_m_deriv)
+                             admissibility_scan, apply_multiplier, beta, r_xi,
+                             rxi_profile, symbol_m)
 from alphamod.windows import (Window, bspline_window, gaussian_window,
                               parse_window_spec)
 
@@ -70,24 +69,23 @@ def test_symbol_even_for_real_window():
 
 def test_symbol_derivatives_match_finite_differences():
     w = gaussian_window()
-    alpha, h = 0.5, 1e-4
-    quad = QuadratureConfig(tol=1e-11)
+    alpha, h, tol = 0.5, 1e-4, 1e-11
     for xi in (0.7, 2.3):
-        fd1 = (symbol_m(w, alpha, xi + h, quad)
-               - symbol_m(w, alpha, xi - h, quad)) / (2 * h)
-        assert symbol_m_deriv(w, alpha, xi, 1, quad) \
+        fd1 = (symbol_m(w, alpha, xi + h, tol=tol)
+               - symbol_m(w, alpha, xi - h, tol=tol)) / (2 * h)
+        assert symbol_m(w, alpha, xi, deriv=1, tol=tol) \
             == pytest.approx(fd1, abs=1e-6)
-        fd2 = (symbol_m(w, alpha, xi + h, quad)
-               - 2 * symbol_m(w, alpha, xi, quad)
-               + symbol_m(w, alpha, xi - h, quad)) / h**2
-        assert symbol_m_deriv(w, alpha, xi, 2, quad) \
+        fd2 = (symbol_m(w, alpha, xi + h, tol=tol)
+               - 2 * symbol_m(w, alpha, xi, tol=tol)
+               + symbol_m(w, alpha, xi - h, tol=tol)) / h**2
+        assert symbol_m(w, alpha, xi, deriv=2, tol=tol) \
             == pytest.approx(fd2, abs=1e-4)
 
 
 # m_psi at alpha = 0.5 on xi = 0, 2, ..., 40, as scanned before the
 # batched quadrature engine; each node has its own panels in the engine,
 # so the values may move only by rounding
-PIN_SCAN = ScanConfig(xi_max=40, n_nodes=41)
+PIN_SCAN = {"xi_max": 40, "n_nodes": 41}
 PINNED = {
     "gaussian": [
         1.1104225468998206, 1.0000000000074079, 0.9999999999999971,
@@ -122,14 +120,14 @@ PINNED = {
 @pytest.fixture(scope="module")
 def pinned_scans():
     windows = {spec: parse_window_spec(spec) for spec in PINNED}
-    return {spec: (w, admissibility_scan(w, 0.5, PIN_SCAN))
+    return {spec: (w, admissibility_scan(w, 0.5, **PIN_SCAN))
             for spec, w in windows.items()}
 
 
 @pytest.mark.parametrize("spec", list(PINNED))
 def test_scan_values_pinned(pinned_scans, spec):
     _, tab = pinned_scans[spec]
-    half = PIN_SCAN.n_nodes // 2
+    half = PIN_SCAN["n_nodes"] // 2
     np.testing.assert_allclose(tab.values[half:], PINNED[spec], rtol=1e-13,
                                atol=0)
 
@@ -137,11 +135,17 @@ def test_scan_values_pinned(pinned_scans, spec):
 @pytest.mark.parametrize("spec", list(PINNED))
 def test_scan_batch_matches_single_nodes(pinned_scans, spec):
     w, tab = pinned_scans[spec]
-    half = PIN_SCAN.n_nodes // 2
-    single = [symbol_m(w, 0.5, xi, QuadratureConfig(tol=PIN_SCAN.tol))
-              for xi in tab.xi_grid.coords[half:]]
+    half = PIN_SCAN["n_nodes"] // 2
+    xis = tab.xi_grid.coords[half:]
+    single = [symbol_m(w, 0.5, xi) for xi in xis]
     np.testing.assert_allclose(tab.values[half:], single, rtol=1e-14,
                                atol=0)
+    # the scan is symbol_m on arrays, xi = 0 first and then the rest
+    batch = np.concatenate([symbol_m(w, 0.5, xis[:1]),
+                            symbol_m(w, 0.5, xis[1:])])
+    assert np.array_equal(batch, tab.values[half:])
+    with pytest.raises(ValueError, match="derivative order"):
+        symbol_m(w, 0.5, xis, deriv=3)
 
 
 @pytest.mark.parametrize("n_nodes", [41, 201])
@@ -156,7 +160,7 @@ def test_scan_engine_calls_do_not_grow_with_nodes(monkeypatch, n_nodes):
 
     monkeypatch.setattr(symbol_module, "integrate", counted)
     admissibility_scan(bspline_window(2), 0.5,
-                       ScanConfig(xi_max=40, n_nodes=n_nodes))
+                       xi_max=40, n_nodes=n_nodes)
     assert 4 <= len(calls) <= 2 * 13
 
 
@@ -179,14 +183,14 @@ def test_divergent_scan_stops_after_one_node():
         symbol_m(w, 0.9, 0.0)
     one_node, points[0] = points[0], 0
     with pytest.raises(QuadratureError, match=r"tails .* at xi=0\.0 "):
-        admissibility_scan(w, 0.9, ScanConfig(xi_max=20, n_nodes=201))
+        admissibility_scan(w, 0.9, xi_max=20, n_nodes=201)
     assert 0 < points[0] <= one_node
 
 
 def test_panel_budget_failure_names_xi(monkeypatch, gauss):
     monkeypatch.setattr(quadrature, "_MAX_PANELS", 4)
     with pytest.raises(QuadratureError, match=r"at xi=3\.0: no convergence"):
-        symbol_m(gauss, 0.5, 3.0, QuadratureConfig(tol=1e-14))
+        symbol_m(gauss, 0.5, 3.0, tol=1e-14)
 
 
 def test_scan_table_interpolates_and_tails(gauss, gauss_tab):
@@ -220,7 +224,7 @@ def test_scan_symmetric_grid_for_real_window(gauss_tab):
 
 def test_scan_rejects_even_node_count(gauss):
     with pytest.raises(ValueError):
-        admissibility_scan(gauss, 0.5, ScanConfig(xi_max=10, n_nodes=10))
+        admissibility_scan(gauss, 0.5, xi_max=10, n_nodes=10)
 
 
 def test_scan_bounds_are_the_measured_extremes(gauss_tab):
