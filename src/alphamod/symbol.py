@@ -114,9 +114,8 @@ def symbol_m(w: Window, alpha: float, xi, deriv: int = 0,
     _check_alpha(alpha)
     if deriv not in (0, 1, 2):
         raise ValueError(f"derivative order must be 0, 1 or 2, got {deriv}")
-    xis = np.asarray(xi, dtype=float)
-    shape = xis.shape
-    xis = xis.ravel()
+    shape = np.shape(xi)
+    xis = np.asarray(xi, dtype=float).ravel()
 
     def g(y, xi):
         omega = p_alpha(y, alpha)
