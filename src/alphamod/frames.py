@@ -13,15 +13,14 @@ entries, with no memory budget.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .covering import AlphaCovering, build_covering
-from .grids import (GridMismatchError, Signal, SampledGrid, _sidecar,
-                    _write_csv, _write_sidecar)
+from .grids import (GridMismatchError, Signal, SampledGrid, _read_floats,
+                    _read_meta, _write_csv, _write_data)
 from .transform import _atom_rows, _band_matrix
 from .windows import Window, parse_window_spec
 
@@ -99,13 +98,6 @@ class Coefficients:
                              f"that rebuilds the window, so "
                              f"load_coefficients could not read the file")
         cov = self.frame.covering
-        nodes = self.frame.nodes()
-        blob = np.concatenate([
-            nodes[:, :2].astype("<f8").ravel(),
-            np.column_stack([self.values.real, self.values.imag])
-            .astype("<f8").ravel(),
-        ])
-        blob.tofile(path)
         header = {
             "alpha": cov.alpha, "eps": cov.eps, "c": cov.c,
             "time_range": list(cov.time_range),
@@ -114,7 +106,9 @@ class Coefficients:
             "grid": self.frame.signal_grid.to_json(),
             "n_atoms": self.frame.n_atoms,
         }
-        _write_sidecar(path, header)
+        _write_data(path, np.concatenate([
+            self.frame.nodes()[:, :2],
+            np.column_stack([self.values.real, self.values.imag])]), header)
 
     def save_csv(self, path):
         _write_csv(path, np.column_stack([self.frame.nodes(), self.values.real,
@@ -146,8 +140,7 @@ def load_coefficients(path) -> Coefficients:
     describes.  Raises ValueError naming the header file and the key for
     a header value that is missing or malformed, and ValueError unless
     the file's (j, k) node table is that frame's."""
-    side = _sidecar(path)
-    header = json.loads(side.read_text())
+    side, header = _read_meta(path)
     missing = [k for k in (*_HEADER, "window", "grid")
                if not isinstance(header, dict) or k not in header]
     if missing:
@@ -172,9 +165,7 @@ def load_coefficients(path) -> Coefficients:
     if n != frame.n_atoms:
         raise ValueError(f"{side}: n_atoms is {n}, but the covering it "
                          f"describes has {frame.n_atoms} boxes")
-    blob = np.fromfile(path, dtype="<f8")
-    if blob.size != 4 * n:
-        raise ValueError(f"file holds {blob.size} values, expected {4 * n}")
+    blob = _read_floats(path, 4 * n)
     if not np.array_equal(blob[:2 * n].reshape(n, 2), frame.nodes()[:, :2]):
         raise ValueError("coefficient node table differs from the frame's "
                          "covering")

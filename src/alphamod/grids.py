@@ -273,7 +273,8 @@ def weighted_lp_norm(
 
 
 # ---------------------------------------------------------------------------
-# Signal file I/O: CSV or raw binary, with a JSON grid sidecar.
+# Data files: little-endian float64 (complex values as (re, im) pairs)
+# with a JSON sidecar; signals also as CSV with the same sidecar.
 
 
 def _sidecar(path) -> Path:
@@ -285,9 +286,36 @@ def _write_sidecar(path, meta: dict):
     _sidecar(path).write_text(json.dumps(meta, allow_nan=False))
 
 
-def _read_grid(path) -> SampledGrid:
+def _write_data(path, floats, meta: dict):
+    """The package's binary data file: the array floats, in C order, as
+    little-endian float64, and meta in its JSON sidecar."""
+    np.asarray(floats, dtype="<f8").tofile(path)
+    _write_sidecar(path, meta)
+
+
+def _read_meta(path):
+    """(sidecar path, its JSON); ValueError naming the sidecar when it
+    is not JSON."""
     side = _sidecar(path)
-    return SampledGrid.from_json(json.loads(side.read_text()), side)
+    try:
+        return side, json.loads(side.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{side} is not JSON: {exc}") from None
+
+
+def _read_floats(path, count: int) -> np.ndarray:
+    """The count float64 of a data file; ValueError naming the file
+    unless it holds exactly 8 * count bytes."""
+    size = Path(path).stat().st_size
+    if size != 8 * count:
+        raise ValueError(f"{path} holds {size} bytes, expected "
+                         f"{8 * count} ({count} floats)")
+    return np.fromfile(path, dtype="<f8")
+
+
+def _read_grid(path) -> SampledGrid:
+    side, meta = _read_meta(path)
+    return SampledGrid.from_json(meta, side)
 
 
 def _write_csv(path, rows, header: str):
@@ -324,19 +352,12 @@ def load_signal_csv(path) -> Signal:
 
 
 def save_signal_raw(f: Signal, path):
-    """Interleaved little-endian float64 (re, im) pairs, JSON sidecar."""
-    interleaved = np.empty(2 * f.grid.n, dtype="<f8")
-    interleaved[0::2] = f.values.real
-    interleaved[1::2] = f.values.imag
-    interleaved.tofile(path)
-    _write_sidecar(path, f.grid.to_json())
+    """Interleaved (re, im) pairs, JSON grid sidecar."""
+    _write_data(path, np.column_stack([f.values.real, f.values.imag]),
+                f.grid.to_json())
 
 
 def load_signal_raw(path) -> Signal:
     grid = _read_grid(path)
-    interleaved = np.fromfile(path, dtype="<f8")
-    if interleaved.size != 2 * grid.n:
-        raise ValueError(
-            f"raw file holds {interleaved.size} floats, expected {2 * grid.n}"
-        )
-    return Signal(grid, interleaved[0::2] + 1j * interleaved[1::2])
+    pairs = _read_floats(path, 2 * grid.n)
+    return Signal(grid, pairs[0::2] + 1j * pairs[1::2])

@@ -32,14 +32,12 @@ so the voice transform is bit-identical to its one-matrix product.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import (Signal, SampledGrid, Weight, _sidecar, _write_csv,
-                    _write_sidecar, weighted_lp_norm)
+from .grids import Signal, SampledGrid, Weight, _write_csv, weighted_lp_norm
 from .quadrature import integrate
 from .symbol import NotAdmissibleError, SymbolTable, apply_multiplier, beta
 from .windows import Window
@@ -82,24 +80,6 @@ class VoiceMap:
     def norm(self, p: float = 2.0, s: float = 0.0) -> float:
         return weighted_lp_norm(self.values, self.x_grid, self.omega_grid,
                                 p, Weight(s))
-
-    def save(self, path):
-        """Raw complex128 matrix plus a JSON sidecar with both grids."""
-        np.asarray(self.values, dtype="<c16").tofile(path)
-        _write_sidecar(path, {"x_grid": self.x_grid.to_json(),
-                              "omega_grid": self.omega_grid.to_json()})
-
-    @staticmethod
-    def load(path) -> "VoiceMap":
-        side = _sidecar(path)
-        meta = json.loads(side.read_text())
-        gx, gw = (SampledGrid.from_json(meta.get(key), f"{side} {key}")
-                  for key in ("x_grid", "omega_grid"))
-        raw = np.fromfile(path, dtype="<f8")
-        if raw.size != 2 * gw.n * gx.n:
-            raise ValueError(f"{path} holds {raw.size} floats, expected "
-                             f"{2 * gw.n * gx.n} ({gw.n} x {gx.n} complex)")
-        return VoiceMap(gx, gw, raw.view("<c16").reshape(gw.n, gx.n))
 
     def save_magnitude_csv(self, path):
         _write_csv(path, np.abs(self.values), "")

@@ -359,6 +359,36 @@ def test_synthesize_rejects_tampered_node_table(tmp_path, chirp_csv):
     assert not (out / "synthesized.csv").exists()
 
 
+def test_synthesize_rejects_a_padded_coefficient_file(tmp_path, chirp_csv,
+                                                      capsys):
+    """3 stray bytes after the last float make the file no whole
+    coefficient file: exit 2, naming it."""
+    out = tmp_path / "an"
+    assert run("analyze", chirp_csv, "--output-dir", str(out)) == 0
+    path = out / "coefficients.bin"
+    path.write_bytes(path.read_bytes() + b"abc")
+    capsys.readouterr()
+    assert run("synthesize", str(path), "--output-dir", str(out)) == 2
+    assert f"{path} holds" in capsys.readouterr().err
+    assert not (out / "synthesized.csv").exists()
+
+
+@pytest.mark.parametrize("target", ["signal", "header"])
+def test_sidecar_that_is_not_json_exits_2_naming_it(tmp_path, chirp_csv,
+                                                    capsys, target):
+    out = tmp_path / "an"
+    assert run("analyze", chirp_csv, "--output-dir", str(out)) == 0
+    if target == "signal":
+        path, argv = Path(chirp_csv + ".json"), ("analyze", chirp_csv)
+    else:
+        path = out / "coefficients.bin.json"
+        argv = ("synthesize", str(out / "coefficients.bin"))
+    path.write_text(path.read_text()[:-1] + ",\n")
+    capsys.readouterr()
+    assert run(*argv, "--output-dir", str(tmp_path / "again")) == 2
+    assert f"{path} is not JSON" in capsys.readouterr().err
+
+
 def test_readme_cli_examples_parse():
     readme = Path(__file__).resolve().parents[1] / "README.md"
     lines = [ln for block in re.findall(r"```sh\n(.*?)```",

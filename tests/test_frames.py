@@ -348,8 +348,9 @@ def test_coefficients_refuse_a_label_that_is_no_spec(tmp_path, small_frame,
 
 def test_load_coefficients_checks_the_atom_count(tmp_path, small_frame):
     """n_atoms must be the count of the covering the header describes,
-    and the file must hold 4 * n_atoms values: the node table and the
-    complex coefficients."""
+    and the file must hold exactly 4 * n_atoms floats, the node table
+    and the complex coefficients: not one short, one long, or with 3
+    stray bytes."""
     path = tmp_path / "coeffs.bin"
     analysis(rand_signal(small_frame.signal_grid, 8), small_frame).save(path)
     side = tmp_path / "coeffs.bin.json"
@@ -360,10 +361,13 @@ def test_load_coefficients_checks_the_atom_count(tmp_path, small_frame):
                        f"covering it describes has {n} boxes"):
         load_coefficients(path)
     side.write_text(json.dumps(header))
-    np.fromfile(path, dtype="<f8")[:-2].tofile(path)
-    with pytest.raises(ValueError, match=f"file holds {4 * n - 2} values, "
-                       f"expected {4 * n}"):
-        load_coefficients(path)
+    whole = path.read_bytes()
+    for blob in (whole[:-8], whole + whole[:8], whole + b"abc"):
+        path.write_bytes(blob)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path} holds {len(blob)} bytes, expected {32 * n} "
+                f"({4 * n} floats)")):
+            load_coefficients(path)
 
 
 @pytest.mark.parametrize("key", ["n_atoms", "window", None])

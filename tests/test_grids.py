@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -121,7 +123,8 @@ def test_signal_file_roundtrips(tmp_path):
 
 def test_signal_files_of_another_shape(tmp_path):
     """A one-column CSV is a real signal; a CSV of three columns, or a
-    raw file whose length is not twice the grid's, is refused."""
+    raw file that is not exactly 2 * n floats (one short, one long, or
+    with 3 stray bytes), is refused with the file and both sizes named."""
     f = gaussian_signal(64)
     csv, raw = tmp_path / "sig.csv", tmp_path / "sig.bin"
     save_signal_csv(f, csv)
@@ -132,10 +135,13 @@ def test_signal_files_of_another_shape(tmp_path):
                        "got 3"):
         load_signal_csv(csv)
     save_signal_raw(f, raw)
-    np.zeros(126).tofile(raw)
-    with pytest.raises(ValueError, match="raw file holds 126 floats, "
-                       "expected 128"):
-        load_signal_raw(raw)
+    whole = raw.read_bytes()
+    for blob in (whole[:-8], whole + whole[:8], whole + b"abc"):
+        raw.write_bytes(blob)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{raw} holds {len(blob)} bytes, expected 1024 "
+                f"(128 floats)")):
+            load_signal_raw(raw)
 
 
 @pytest.mark.parametrize("header", ["j,k,x", ""])
@@ -182,3 +188,13 @@ def test_cubic_spline_matches_scipy(n, uniform, columns):
     for col in range(ref.shape[1]):
         assert np.max(np.abs(spline(xi, col) - ref[:, col])) \
             <= 1e-14 * np.max(np.abs(y))
+
+
+def test_only_grids_reads_or_writes_binary():
+    """The binary data format (little-endian float64 with a JSON
+    sidecar) has one owner: no other module of the package calls numpy's
+    fromfile or tofile."""
+    src = Path(__file__).resolve().parents[1] / "src" / "alphamod"
+    users = sorted(p.name for p in src.glob("*.py")
+                   if re.search(r"fromfile|tofile", p.read_text()))
+    assert users == ["grids.py"]

@@ -223,30 +223,6 @@ def test_voice_values_are_inner_products(chirp, gauss):
                 inner_product(chirp, atom), abs=1e-12)
 
 
-def test_voicemap_save_load_bit_exact(tmp_path, chirp, gauss, voice_grids):
-    gx, gw = voice_grids
-    vm = voice_transform(chirp, gauss, 0.5, gx, gw)
-    path = tmp_path / "voice.bin"
-    vm.save(path)
-    back = VoiceMap.load(path)
-    assert np.array_equal(back.values, vm.values)
-    assert back.x_grid.isclose(gx) and back.omega_grid.isclose(gw)
-
-
-@pytest.mark.parametrize("extra", [-1, 1])
-def test_voicemap_load_names_a_short_or_long_file(tmp_path, extra):
-    """A raw file one complex value short or long of its sidecar's
-    grids is refused with the file and both counts named."""
-    gx, gw = SampledGrid(8, 1.0, -4.0), SampledGrid(4, 2.0, -4.0)
-    path = tmp_path / "voice.bin"
-    VoiceMap(gx, gw, np.ones((4, 8))).save(path)
-    np.ones(32 + extra, dtype="<c16").tofile(path)
-    floats = 2 * (32 + extra)
-    with pytest.raises(ValueError, match=rf"voice\.bin holds {floats} floats, "
-                                         r"expected 64 \(4 x 8 complex\)"):
-        VoiceMap.load(path)
-
-
 def test_voicemap_magnitude_csv_reads_back_bit_exact(tmp_path, chirp, gauss,
                                                      voice_grids):
     gx, gw = voice_grids
