@@ -70,11 +70,9 @@ _OPTIONS = {
     "time_range": _RANGE,
     "freq_range": _RANGE,
     "grid_n": (int, "256", "an integer >= 2", lambda v: v >= 2),
-    "grid_spacing": (float, None,
-                     "positive and finite (default: time range / grid_n)",
-                     _positive),
     "xi_max": (float, "200", "positive and finite", _positive),
-    "scan_nodes": (int, "2001", "an integer >= 3", lambda v: v >= 3),
+    "scan_nodes": (int, "2001", "an odd integer >= 3",
+                   lambda v: v >= 3 and v % 2 == 1),
     "tol": (float, "1e-8", "positive and finite", _positive),
     "threshold": (float, "1e-6", "positive and finite", _positive),
     "eps_list": (lambda t: [float(e) for e in t.split(",") if e.strip()],
@@ -95,9 +93,7 @@ class RunConfig:
     """Merged defaults / config file / flags, validated up front."""
 
     def __init__(self, args: argparse.Namespace):
-        # grid_spacing has no default text: unset, it follows the grid
-        merged = {name: entry[1] for name, entry in _OPTIONS.items()
-                  if entry[1] is not None}
+        merged = {name: entry[1] for name, entry in _OPTIONS.items()}
         if getattr(args, "config", None):
             try:
                 data = json.loads(Path(args.config).read_text())
@@ -117,8 +113,6 @@ class RunConfig:
                 merged[key] = flag
         problems = []
         for name, (parse, _, rule, test) in _OPTIONS.items():
-            if name not in merged:
-                continue
             value = merged[name]
             try:
                 # only text and numbers read the way a flag's text does
@@ -137,20 +131,6 @@ class RunConfig:
                 setattr(self, name, parsed)
         if problems:
             raise ConfigError("; ".join(problems))
-        if "grid_spacing" not in merged:
-            self.grid_spacing = ((self.time_range[1] - self.time_range[0])
-                                 / self.grid_n)
-
-    def grid(self) -> SampledGrid:
-        """grid_n samples of grid_spacing from the time range's start,
-        ending inside it: samples past its end hold signals that no
-        atom reaches, and frame-info's eigensolve for A stalls on them."""
-        t0, t1 = self.time_range
-        last = t0 + (self.grid_n - 1) * self.grid_spacing
-        if last > t1:
-            raise ConfigError(f"signal grid [{t0:g}, {last:g}] is not "
-                              f"inside the time range [{t0:g}, {t1:g}]")
-        return SampledGrid(self.grid_n, self.grid_spacing, t0)
 
     def scan(self) -> SymbolTable:
         """The window's symbol table on the configured xi grid."""
@@ -158,10 +138,13 @@ class RunConfig:
                                   self.scan_nodes, self.tol)
 
     def frame(self, grid: SampledGrid | None = None) -> AlphaFrame:
-        """Frame on the given grid, by default the configured one."""
+        """Frame on the given grid, by default grid_n samples that span
+        the time range from its start, as the covering does."""
+        t0, t1 = self.time_range
         cov = build_covering(self.alpha, self.eps, self.c,
                              self.time_range, self.freq_range)
-        return AlphaFrame(cov, self.window, grid or self.grid())
+        return AlphaFrame(cov, self.window, grid or SampledGrid(
+            self.grid_n, (t1 - t0) / self.grid_n, t0))
 
 
 def _load_signal(path: str) -> Signal:

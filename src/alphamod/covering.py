@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import Weight, _write_csv
-from .symbol import beta, p_alpha, p_alpha_inv, _check_alpha
+from .symbol import beta, p_alpha, p_alpha_inv
+from .windows import _check_alpha
 
 
 class CoveringGapError(ValueError):

@@ -23,7 +23,7 @@ import numpy as np
 from .grids import (Signal, SampledGrid, _write_csv, cubic_spline,
                     forward_fourier, inverse_fourier)
 from .quadrature import QuadratureError, integrate
-from .windows import Window
+from .windows import Window, _check_alpha
 
 
 class CriticalPointNotApplicable(ValueError):
@@ -43,11 +43,6 @@ def beta(omega, alpha: float):
 def r_xi(xi, omega, alpha: float):
     """r_xi(w) = beta(w) (xi - w)."""
     return beta(omega, alpha) * (xi - omega)
-
-
-def _check_alpha(alpha: float):
-    if not 0 <= alpha < 1:
-        raise ValueError(f"alpha must be in [0, 1), got {alpha}")
 
 
 def p_alpha(omega, alpha: float):
@@ -218,18 +213,29 @@ def admissibility_scan(w: Window, alpha: float, xi_max: float = 200.0,
     """Samples m_psi on n_nodes points of [-xi_max, xi_max], each to
     absolute tolerance tol, and extracts frame-type bounds.
 
-    Every window is real, so the symbol is even: only xi >= 0 is
-    computed and mirrored.  A and B are the extremes of the table and
-    of its limit ||psi||^2 for large |xi|, with no margin.
+    The symbol is even when |psi_hat| is, as for every real window:
+    only xi >= 0 is computed and mirrored.  A window whose |psi_hat(r)|
+    and |psi_hat(-r)|, r = 2^-4, ..., 2^4, differ by more than 1e-12 of
+    their largest value is refused with a ValueError.  A and B are the
+    extremes of the table and of its limit ||psi||^2 for large |xi|,
+    with no margin.
     """
     if n_nodes % 2 == 0:
         raise ValueError("n_nodes must be odd so that xi = 0 is a node")
     grid = SampledGrid(n_nodes, 2.0 * xi_max / (n_nodes - 1), -xi_max)
     xis = grid.coords[n_nodes // 2:]
     # xi = 0 on its own first: a window that fails fails there, after
-    # one node's work
-    vals = np.concatenate([symbol_m(w, alpha, xis[:1], tol=tol),
-                           symbol_m(w, alpha, xis[1:], tol=tol)])
+    # one node's work and before the mirror's 18-point premise check
+    first = symbol_m(w, alpha, xis[:1], tol=tol)
+    radii = 2.0 ** np.arange(-4, 5)
+    pos, neg = np.split(np.abs(w.fourier(np.concatenate([radii, -radii]))), 2)
+    gap = float(np.max(np.abs(pos - neg)))
+    if gap > 1e-12 * max(pos.max(), neg.max()):
+        raise ValueError(
+            f"window {w.label}: |psi_hat(r)| and |psi_hat(-r)| differ by "
+            f"{gap:.3g} at r in 2^-4, ..., 2^4, more than 1e-12 of their "
+            f"largest value, so the scan's mirror m(-xi) = m(xi) fails")
+    vals = np.concatenate([first, symbol_m(w, alpha, xis[1:], tol=tol)])
     values = np.concatenate([vals[:0:-1], vals])  # m(-xi) = m(xi)
     tail = w.l2_norm**2
     A = min(float(values.min()), tail)

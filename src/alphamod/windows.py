@@ -354,10 +354,14 @@ def bandlimited_window(cutoff: float) -> Window:
 # theorem thresholds and hypothesis checks
 
 
-def required_decay(purpose: Purpose, alpha: float, s: float = 0.0) -> float:
-    """Decay exponent threshold of the corresponding theorem."""
+def _check_alpha(alpha: float):
     if not 0 <= alpha < 1:
         raise ValueError(f"alpha must be in [0, 1), got {alpha}")
+
+
+def required_decay(purpose: Purpose, alpha: float, s: float = 0.0) -> float:
+    """Decay exponent threshold of the corresponding theorem."""
+    _check_alpha(alpha)
     if purpose is Purpose.ADMISSIBILITY:
         return max(1.0, alpha / (2.0 * (1.0 - alpha)))
     base = (2.0 + 2.0 * s + 7.0 * alpha - 4.0 * alpha**2) / (

@@ -105,7 +105,7 @@ def test_admissible_hypothesis_failure_exit(tmp_path):
 def test_frame_info(tmp_path):
     out = tmp_path / "fi"
     code = run("frame-info", "--alpha", "0.5", "--eps", "0.25",
-               "--grid-n", "64", "--grid-spacing", "0.25",
+               "--grid-n", "64",
                "--time-range=-8,8", "--freq-range=-2,2",
                "--output-dir", str(out))
     assert code == 0
@@ -132,8 +132,8 @@ assert main(["diagnostics", "--eps-list", "0.5", "--x-max", "1",
 assert main(["covering-dump", "--output-dir", out]) == 0
 assert not loaded(), loaded()
 assert main(["frame-info", "--alpha", "0.5", "--eps", "0.25", "--grid-n",
-             "64", "--grid-spacing", "0.25", "--time-range=-8,8",
-             "--freq-range=-2,2", "--output-dir", out]) == 0
+             "64", "--time-range=-8,8", "--freq-range=-2,2",
+             "--output-dir", out]) == 0
 assert "scipy.sparse.linalg" in loaded()
 assert not {"scipy.interpolate", "scipy.integrate"} & set(loaded()), loaded()
 """
@@ -218,6 +218,7 @@ def test_roundtrip_below_attainable_accuracy_exits_3(tmp_path, chirp_csv,
     (("diagnostics", "--eps-list", "0.5,nan"), "eps_list"),
     (("frame-info", "--grid-n", "0"), "grid_n"),
     (("frame-info", "--time-range=-inf,4"), "time_range"),
+    (("admissible", "--scan-nodes", "400"), "scan_nodes"),
 ])
 def test_bad_numeric_option_exits_2_naming_it(tmp_path, capsys, argv, key):
     assert run(*argv, "--output-dir", str(tmp_path)) == 2
@@ -444,18 +445,6 @@ def test_frame_info_tiny_dimension_exit(tmp_path, capsys, argv):
     assert "in-band" in capsys.readouterr().err
 
 
-def test_frame_info_grid_past_the_time_range_exits_2(tmp_path, capsys):
-    # 64 samples of 0.25 from -4 end at 11.75: signals there are out of
-    # every atom's reach, and the eigensolve for A ran to its cap
-    assert run("frame-info", "--alpha", "0.5", "--eps", "0.5",
-               "--grid-n", "64", "--grid-spacing", "0.25",
-               "--time-range=-4,4", "--freq-range=-1,1",
-               "--output-dir", str(tmp_path)) == 2
-    err = capsys.readouterr().err
-    assert "signal grid [-4, 11.75]" in err and "time range [-4, 4]" in err
-    assert not (tmp_path / "frame_info.json").exists()
-
-
 def test_frame_info_on_touching_bands_exits_2(tmp_path, capsys):
     # bands (0.5 j -+ 0.25) only touch: no box contains omega = 0.75
     assert run("frame-info", "--alpha", "0", "--eps", "0.5", "--c", "0.25",
@@ -525,7 +514,7 @@ def test_deterministic_reports(tmp_path):
     for name in ("a", "b"):
         out = tmp_path / name
         assert run("frame-info", "--alpha", "0.5", "--eps", "0.25",
-                   "--grid-n", "64", "--grid-spacing", "0.25",
+                   "--grid-n", "64",
                    "--time-range=-8,8", "--freq-range=-2,2",
                    "--output-dir", str(out)) == 0
         outs.append((out / "frame_info.json").read_text())
@@ -536,9 +525,9 @@ def test_deterministic_reports(tmp_path):
 OPTION_VALUES = {
     "window": "bspline:4", "alpha": 0.25, "eps": 0.5, "c": 2.0, "s": 1.0,
     "p": 3.0, "time_range": "-4,4", "freq_range": "-2,2", "grid_n": 64,
-    "grid_spacing": 0.125, "xi_max": 40.0, "scan_nodes": 401, "tol": 1e-6,
-    "threshold": 1e-3, "eps_list": "0.5,0.25", "x_max": 4.0,
-    "omega_max": 16.0, "output_dir": "elsewhere",
+    "xi_max": 40.0, "scan_nodes": 401, "tol": 1e-6, "threshold": 1e-3,
+    "eps_list": "0.5,0.25", "x_max": 4.0, "omega_max": 16.0,
+    "output_dir": "elsewhere",
 }
 
 

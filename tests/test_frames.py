@@ -7,6 +7,7 @@ import pytest
 from conftest import dense_atom_rows
 
 from alphamod import frames as frames_module
+from alphamod.cli import RunConfig, build_parser
 from alphamod.covering import build_covering
 from alphamod.symbol import admissibility_scan
 from alphamod.frames import (AlphaFrame, Coefficients, IterationError,
@@ -230,6 +231,49 @@ def test_critical_density_is_not_snug(gauss):
     cov = build_covering(0.0, 1.0, 1.0, (-12.0, 12.0), (-1.0, 1.0))
     A, B = estimate_frame_bounds(AlphaFrame(cov, gauss, grid))
     assert B / A > 5.0
+
+
+def _gabor_bounds(eps):
+    """L2(R) frame bounds (A, B) of the Gaussian's Gabor system on the
+    lattice eps Z x eps Z.  Walnut's representation writes its frame
+    operator as S f(t) = b^-1 sum_n G_n(t) f(t - n/b) with G_n(t) =
+    sum_k g(t - n/b - ka) g(t - ka), here a = b = eps.  On functions of
+    period 8, sampled 8 times per eps, S is a dense matrix whose extreme
+    eigenvalues are the bounds (period 16, or 16 samples per eps, moves
+    eps^2 A and eps^2 B by under 2e-15)."""
+    dt = eps / 8
+    n = 64 * round(1 / eps)
+    t = dt * np.arange(n)[:, None]
+    ka = eps * np.arange(-round(24 / eps), round(24 / eps) + 1)
+    g = gaussian_window().time
+    rows = np.arange(n)
+    S = np.zeros((n, n))
+    for m in range(-round(12 * eps), round(12 * eps) + 1):
+        G = np.sum(g(t - m / eps - ka) * g(t - ka), axis=1)
+        S[rows, (rows - round(m / eps / dt)) % n] += G / eps
+    eigs = np.linalg.eigvalsh(S)
+    return eigs[0], eigs[-1]
+
+
+def test_frame_upper_bound_approaches_the_gabor_bound_from_below():
+    # alpha 0 is the Gabor lattice eps Z x eps Z; frame-info's grid spans
+    # the covering's time range +-R at dt 1/32.  The finite frame keeps
+    # the atoms of one rectangle, so its B lies below B_inf, and the edge
+    # effects that keep it there shrink as R doubles: eps^2 times the
+    # shortfall is 9.4e-4 at R = 4 and 4.5e-4 at R = 8
+    A_inf, B_inf = _gabor_bounds(0.5)
+    assert 0.25 * A_inf == pytest.approx(0.992544178491, abs=1e-12)
+    assert 0.25 * B_inf == pytest.approx(1.007483720345, abs=1e-12)
+    shortfalls = []
+    for R in (4, 8):
+        args = build_parser().parse_args([
+            "frame-info", "--alpha", "0", "--eps", "0.5", "--c", "1",
+            f"--time-range=-{R},{R}", "--freq-range=-8,8",
+            "--grid-n", str(64 * R)])
+        fr = RunConfig(args).frame()
+        assert fr.signal_grid == SampledGrid(64 * R, 1 / 32, -R)
+        shortfalls.append(B_inf - estimate_frame_bounds(fr)[1])
+    assert 0 < shortfalls[1] < shortfalls[0] / 1.5
 
 
 def test_reconstruction_of_band_limited_signal(small_frame):

@@ -186,6 +186,18 @@ def test_divergent_scan_stops_after_one_node():
     assert 0 < points[0] <= one_node
 
 
+def test_scan_refuses_a_spectrum_that_is_not_even(gauss):
+    # a Gaussian modulated to frequency 1: psi_hat(xi) = g(xi - 1) is real
+    # but not even, so m(-3) != m(3) and a mirrored table would be wrong
+    w = Window("gaussian at 1",
+               lambda t: gauss.time(t) * np.exp(2j * np.pi * t),
+               lambda xi, l: gauss.fourier(xi - 1.0, l), 1.0)
+    assert symbol_m(w, 0.5, -3.0) == pytest.approx(1.241, abs=1e-3)
+    assert symbol_m(w, 0.5, 3.0) == pytest.approx(0.759, abs=1e-3)
+    with pytest.raises(ValueError, match=r"window gaussian at 1: \|psi_hat"):
+        admissibility_scan(w, 0.5, xi_max=20, n_nodes=41)
+
+
 def test_panel_budget_failure_names_xi(monkeypatch, gauss):
     monkeypatch.setattr(quadrature, "_MAX_PANELS", 4)
     with pytest.raises(QuadratureError, match=r"at xi=3\.0: no convergence"):
