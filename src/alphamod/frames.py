@@ -4,11 +4,12 @@ and conjugate-gradient reconstruction.
 The frame atoms sit at the covering nodes (x_{j,k}, w_j).  They are held
 as one sparse matrix with a band of samples per atom (see transform):
 analysis, synthesis and the frame operator are products with it and
-its adjoint.  The frame operator S is one scipy LinearOperator: both
+its adjoint.  The frame operator S is a scipy LinearOperator: both
 frame bounds are Lanczos eigenvalues of it, and reconstruction is
-scipy's CG on it, each imported where it is called.  A window of
-infinite time radius (the bandlimited one) gives dense rows, n_atoms * n
-entries, with no memory budget.
+scipy's CG on it, each imported where it is called.  The bounds take S
+assembled as a sparse matrix when the atom bands are narrow (_S_bounds).
+A window of infinite time radius (the bandlimited one) gives dense rows,
+n_atoms * n entries, with no memory budget.
 """
 
 from __future__ import annotations
@@ -212,18 +213,34 @@ def _S_operator(fr: AlphaFrame) -> LinearOperator:
 
 _LANCZOS_TOL = 1e-8  # relative accuracy of the frame bounds
 _LANCZOS_MAX_ITER = 10_000  # restarts before IterationError
+_LANCZOS_NCV = 20  # Lanczos vectors per basis, scipy's default
 _LANCZOS_SEED = 42  # start vector; bounds agree to 1e-14 across seeds
 _CG_MAX_ITER = 1000  # CG iterations before IterationError
+
+
+def _S_bounds(fr: AlphaFrame):
+    """S for the Lanczos bounds: the sparse n x n matrix dt A^T conj(A)
+    of the atom matrix A when that product, the sum of the squared band
+    widths of A's rows in multiply-adds, costs no more than the two
+    Lanczos bases that the bounds always build in the product form
+    (2 * _LANCZOS_NCV applies of 2 nnz(A) each); else _S_operator."""
+    A = fr._matrix
+    w = np.diff(A.indptr)
+    if w @ w > 2 * _LANCZOS_NCV * 2 * A.nnz:
+        return _S_operator(fr)
+    return fr.signal_grid.spacing * (A.T @ A.conj()).tocsr()
 
 
 def _lanczos_extreme(op: LinearOperator, which: str,
                      v0: np.ndarray) -> float:
     """Largest (which="LA") or smallest (which="SA") eigenvalue of the
-    Hermitian operator op, by ARPACK's restarted Lanczos with scipy's
-    default of 20 Lanczos vectors, to _LANCZOS_TOL."""
+    Hermitian operator op, by ARPACK's restarted Lanczos with
+    _LANCZOS_NCV Lanczos vectors (all of them when op is smaller), to
+    _LANCZOS_TOL."""
     from scipy.sparse.linalg import ArpackNoConvergence, eigsh
     try:
         vals = eigsh(op, k=1, which=which, tol=_LANCZOS_TOL, v0=v0,
+                     ncv=min(_LANCZOS_NCV, op.shape[0]),
                      maxiter=_LANCZOS_MAX_ITER, return_eigenvectors=False)
     except ArpackNoConvergence as exc:
         partial = exc.eigenvalues
@@ -237,12 +254,15 @@ def _lanczos_extreme(op: LinearOperator, which: str,
 def estimate_frame_bounds(fr: AlphaFrame):
     """(A_est, B_est): extreme Rayleigh quotients of the frame operator.
 
-    Both by Lanczos from one seeded start vector.  B is the top of the
-    frame operator's spectrum.  A is the bottom of the frame operator
-    compressed to signals whose spectrum lies inside the covering's
-    frequency range: out-of-band content is invisible to a truncated
-    frame and would drive the raw minimum to zero.  Raises ValueError
-    when fewer than 3 DFT bins lie in that range.
+    Both by Lanczos from one seeded start vector, on the S of
+    _S_bounds: assembled when the atom bands are narrow, else the
+    product form.  B is the top of the frame operator's spectrum.  A is
+    the bottom of the frame operator compressed to signals whose
+    spectrum lies inside the covering's frequency range: out-of-band
+    content is invisible to a truncated frame and would drive the raw
+    minimum to zero.  So A is the in-band bound of the truncated system,
+    which signals at the edges of the covering's rectangle set.  Raises
+    ValueError when fewer than 3 DFT bins lie in that range.
     """
     n = fr.signal_grid.n
     # orthonormal basis of the in-band signals: the DFT bins inside the
@@ -256,10 +276,10 @@ def estimate_frame_bounds(fr: AlphaFrame):
             f"n={n} samples and {idx.size} in-band bins")
     rng = np.random.default_rng(_LANCZOS_SEED)
     v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    S = _S_operator(fr)
+    from scipy.sparse.linalg import LinearOperator, aslinearoperator
+    S = aslinearoperator(_S_bounds(fr))
     B_est = _lanczos_extreme(S, "LA", v0)
 
-    from scipy.sparse.linalg import LinearOperator
     root_n = math.sqrt(n)
 
     def embed(z: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -21,7 +22,35 @@ def _run(seed, pass_s, throughput=1.0, correct=True, failed=0):
     return {"seed": seed, "correct": correct, "attempted": 12,
             "failed": failed,
             "metrics": {"pass_at_ref_speed_s": pass_s,
-                        "throughput": throughput, "ops": 12.0}}
+                        "throughput": throughput, "ops": 12.0},
+            "op_s": {"analyze": 0.6 * pass_s, "frame-info": 0.4 * pass_s}}
+
+
+def test_run_once_keeps_the_per_op_times(tmp_path, monkeypatch):
+    # run.py's stdout ends with the record line, then the result line
+    record = {"record": {"ops": {
+        "analyze": {"median_s": 0.2, "median_at_ref_speed_s": 0.1},
+        "frame-info": {"median_s": 0.4, "median_at_ref_speed_s": 0.3}}}}
+    result = {"correct": True, "attempted": 4, "failed": 0,
+              "metrics": {"pass_at_ref_speed_s": {"value": 0.4,
+                                                  "unit": "s"}}}
+    stdout = "\n".join(json.dumps(x) for x in ({"setup_s": 1.0}, record,
+                                               result)) + "\n"
+    calls = []
+
+    def fake_run(argv, cwd, **kwargs):
+        calls.append((argv, cwd))
+        return subprocess.CompletedProcess(argv, 0, stdout, "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    run = bench_pairs.run_once(tmp_path, "frames", 7, 45)
+    assert run == {"seed": 7, "correct": True, "attempted": 4, "failed": 0,
+                   "metrics": {"pass_at_ref_speed_s": 0.4},
+                   "op_s": {"analyze": 0.1, "frame-info": 0.3}}
+    (argv, cwd), = calls
+    assert cwd == tmp_path and argv[1:] == [
+        "perfbench/run.py", "--workload", "frames", "--seed", "7",
+        "--seconds", "45", "--trace", "0"]
 
 
 def test_worse_by_reads_the_direction():
@@ -46,6 +75,11 @@ def test_summary_counts_wrong_runs_and_judges_each_metric():
     assert speed["change_better_in_pairs"] == 10
     assert speed["median_change_rel"] == pytest.approx(1.545 / 2.045 - 1)
     assert not speed["regressed"] and not speed["unresolved"]
+    # per-op medians of each side show which op moved
+    assert out["op_s"]["parent"] == {
+        "analyze": pytest.approx(0.6 * 2.045),
+        "frame-info": pytest.approx(0.4 * 2.045)}
+    assert out["op_s"]["change"]["frame-info"] == pytest.approx(0.4 * 1.545)
     # higher is better here, so 20 % less is a regression past the bound
     tput = out["metrics"]["throughput"]
     assert tput["change_better_in_pairs"] == 0 and tput["regressed"]

@@ -5,15 +5,16 @@ import warnings
 import numpy as np
 import pytest
 from conftest import dense_atom_rows
+from scipy import sparse
 
 from alphamod import frames as frames_module
 from alphamod.cli import RunConfig, build_parser
 from alphamod.covering import build_covering
 from alphamod.symbol import admissibility_scan
 from alphamod.frames import (AlphaFrame, Coefficients, IterationError,
-                             _S_block, analysis, estimate_frame_bounds,
-                             frame_operator_apply, load_coefficients,
-                             reconstruct, synthesis)
+                             _S_block, _S_bounds, analysis,
+                             estimate_frame_bounds, frame_operator_apply,
+                             load_coefficients, reconstruct, synthesis)
 from alphamod.grids import (GridMismatchError, SampledGrid, Signal,
                             inner_product)
 from alphamod.windows import Window, gaussian_window, parse_window_spec
@@ -41,6 +42,20 @@ def snug_frame(gauss):
     grid = SampledGrid.centered(64, 0.25)
     cov = build_covering(0.0, 0.5, 1.0, (-12.0, 12.0), (-1.0, 1.0))
     return AlphaFrame(cov, gauss, grid)
+
+
+@pytest.fixture()
+def band_frame():
+    # every atom of the bandlimited window fills the 128-sample grid, so
+    # the bounds keep S in its product form
+    grid = SampledGrid.centered(128, 0.125)
+    cov = build_covering(0.5, 0.25, 1.0, (-8.0, 8.0), (-3.0, 3.0))
+    return AlphaFrame(cov, parse_window_spec("bandlimited:1.0"), grid)
+
+
+# whether the frame bounds assemble each fixture's S as a sparse matrix
+_ASSEMBLED = {"small_frame": True, "demo_frame": True, "snug_frame": True,
+              "band_frame": False}
 
 
 def rand_signal(grid, seed=0):
@@ -165,10 +180,20 @@ def test_synthesis_refuses_coefficients_of_another_frame(small_frame,
         synthesis(c, small_frame)
 
 
+def test_assembled_frame_operator_matches_S_block(small_frame):
+    S = _S_bounds(small_frame)
+    assert sparse.issparse(S)
+    dense = S.toarray()
+    oracle = _S_block(np.eye(small_frame.signal_grid.n), small_frame)
+    for k in range(oracle.shape[1]):
+        assert _rel(dense[:, k], oracle[:, k]) <= 1e-14
+
+
 @pytest.mark.parametrize("name", ["small_frame", "demo_frame",
-                                  "snug_frame"])
+                                  "snug_frame", "band_frame"])
 def test_bounds_against_dense_operator(name, request):
     fr = request.getfixturevalue(name)
+    assert sparse.issparse(_S_bounds(fr)) == _ASSEMBLED[name]
     A_est, B_est = estimate_frame_bounds(fr)
     grid = fr.signal_grid
     n = grid.n
@@ -284,10 +309,15 @@ def test_reconstruction_of_band_limited_signal(small_frame):
     assert res.iters < 200
 
 
-def test_lanczos_that_cannot_converge_raises(monkeypatch, snug_frame):
+def test_lanczos_that_cannot_converge_raises(monkeypatch, snug_frame,
+                                            band_frame):
+    # on either side of the assembly rule
+    assert sparse.issparse(_S_bounds(snug_frame))
+    assert not sparse.issparse(_S_bounds(band_frame))
     monkeypatch.setattr(frames_module, "_LANCZOS_MAX_ITER", 1)
-    with pytest.raises(IterationError, match="Lanczos"):
-        estimate_frame_bounds(snug_frame)
+    for fr in (snug_frame, band_frame):
+        with pytest.raises(IterationError, match="Lanczos"):
+            estimate_frame_bounds(fr)
 
 
 def test_reconstruction_chirp(chirp, gauss):

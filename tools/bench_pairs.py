@@ -11,10 +11,13 @@ parent's ``BENCHMARK.json``; the checkout that goes first alternates
 from pair to pair, so a slow drift of the host does not favour either
 side.  Each run is a fresh process started in its checkout's root.  The
 file gets each checkout's commit and whether its tree differs from it,
-every run's result line, the per-metric medians and quartiles of both
-sides, the number of pairs in which the change is better, and the
-machine (CPU count and model, Python, numpy and scipy versions).  At
-least ten seeds are required.  Nothing under ``perfbench/`` is imported.
+every run's result line and per-op times (each op's
+``median_at_ref_speed_s`` from the record line that run.py prints before
+the result), the per-metric medians and quartiles of both sides, each
+side's per-op medians, the number of pairs in which the change is
+better, and the machine (CPU count and model, Python, numpy and scipy
+versions).  At least ten seeds are required.  Nothing under
+``perfbench/`` is imported.
 
 Each end-to-end metric of the parent's ``BENCHMARK.json`` also gets a
 no-regression verdict, read against its ``better`` direction and its
@@ -50,7 +53,8 @@ MIN_SEEDS = 10
 
 def run_once(checkout: Path, workload: str, seed: int,
              seconds: float) -> dict:
-    """One benchmark run; its last stdout line is the result."""
+    """One benchmark run; its last stdout line is the result, and the
+    line before it the record with the per-op times."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", f"{seconds:g}", "--trace", "0"],
@@ -60,9 +64,12 @@ def run_once(checkout: Path, workload: str, seed: int,
         raise RuntimeError(f"{checkout}: run.py exited {proc.returncode}\n"
                            f"{proc.stderr[-2000:]}")
     result = json.loads(lines[-1])
+    record = json.loads(lines[-2])["record"]
     return {"seed": seed, "correct": result["correct"],
             "attempted": result["attempted"], "failed": result["failed"],
-            "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+            "metrics": {k: v["value"] for k, v in result["metrics"].items()},
+            "op_s": {op: v["median_at_ref_speed_s"]
+                     for op, v in record["ops"].items()}}
 
 
 def worse_by(a: float, b: float, better: str) -> float:
@@ -72,15 +79,19 @@ def worse_by(a: float, b: float, better: str) -> float:
 
 
 def summary(runs: dict, end_to_end: dict) -> dict:
-    """The incorrect runs and failed ops of each side; and under
-    "metrics", medians and quartiles per metric and side, the pairs in
-    which the change is better, and the no-regression verdict of each
-    metric in end_to_end (name -> its BENCHMARK.json entry)."""
+    """The incorrect runs and failed ops of each side; under "op_s",
+    each side's median over its runs of each op's time at reference
+    speed; and under "metrics", medians and quartiles per metric and
+    side, the pairs in which the change is better, and the no-regression
+    verdict of each metric in end_to_end (name -> its BENCHMARK.json
+    entry)."""
     metrics = {}
     out = {"incorrect_runs": {s: sum(not r["correct"] for r in runs[s])
                               for s in SIDES},
            "failed_ops": {s: sum(r["failed"] for r in runs[s])
                           for s in SIDES},
+           "op_s": {s: {op: median(r["op_s"][op] for r in runs[s])
+                        for op in runs[s][0]["op_s"]} for s in SIDES},
            "metrics": metrics}
     for name in runs["parent"][0]["metrics"]:
         vals = {s: [r["metrics"][name] for r in runs[s]] for s in SIDES}
