@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covering import AlphaCovering, build_covering
-from .grids import (GridMismatchError, Signal, SampledGrid, _read_floats,
-                    _read_meta, _write_csv, _write_data)
+from .grids import (GridMismatchError, Signal, SampledGrid, Weight,
+                    _read_floats, _read_meta, _write_csv, _write_data)
 from .transform import _atom_rows, _band_matrix
 from .windows import Window, parse_window_spec
 
@@ -84,6 +84,18 @@ class Coefficients:
             raise KeyError((j, k))
         start = int(np.sum(cov.k_hi[:r] - cov.k_lo[:r] + 1))
         return complex(self.values[start + k - cov.k_lo[r]])
+
+    def norm(self, p: float, s: float) -> float:
+        """Discrete coorbit norm, for finite p >= 1,
+        (eps^2 * sum |c_{j,k}|^p (1 + |w_j|)^{sp})^{1/p}.  The nodes step
+        by eps*beta in time and about eps/beta in frequency, cells of
+        area eps^2, so for analysis coefficients this is a Riemann sum
+        of transform.coorbit_norm's integral."""
+        if not 1 <= p < math.inf:
+            raise ValueError(f"p must be finite and >= 1, got {p}")
+        weighted = np.abs(self.values) * Weight(s)(self.frame.nodes()[:, 3])
+        eps = self.frame.covering.eps
+        return float((eps**2 * np.sum(weighted**p)) ** (1.0 / p))
 
     def save(self, path):
         """Binary node table + interleaved complex values, JSON header.

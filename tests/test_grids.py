@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
-from alphamod.grids import (GridMismatchError, SampledGrid, Signal, Weight,
-                            _write_csv, cubic_spline, forward_fourier, inner_product, inverse_fourier,
-                            load_signal_csv, load_signal_raw, save_signal_csv,
-                            save_signal_raw, weighted_lp_norm)
+from alphamod.grids import (_CSV_CHUNK_VALUES, GridMismatchError,
+                            SampledGrid, Signal, Weight, _write_csv,
+                            cubic_spline, forward_fourier, inner_product,
+                            inverse_fourier, load_signal_csv, load_signal_raw,
+                            save_signal_csv, save_signal_raw,
+                            weighted_lp_norm)
 
 
 def gaussian_signal(n=256, dt=1.0 / 16.0):
@@ -146,19 +149,43 @@ def test_signal_files_of_another_shape(tmp_path):
 
 @pytest.mark.parametrize("header", ["j,k,x", ""])
 def test_csv_bytes_equal_savetxt(tmp_path, header):
-    """One % over the whole array writes np.savetxt's bytes: signed zero,
-    nan, infinities, subnormals, 17 digits, 1-D and empty input."""
+    """The chunked writer writes np.savetxt's bytes: signed zero, nan,
+    infinities, subnormals, 17 digits, 1-D and empty input, row counts
+    at the chunk edges (c rows of six columns fill one chunk), 1-D
+    arrays (one column, so _CSV_CHUNK_VALUES rows a chunk) and
+    300-column rows, which the chunks cut by values into 20 rows each."""
     special = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -2.2e-308,
                1.0 / 3.0, -1e300, 12345678901234567.0, 1.0, -7.0]
     rng = np.random.default_rng(3)
+    c = _CSV_CHUNK_VALUES // 6
     arrays = [np.array(special).reshape(4, 3), np.array(special),
-              rng.standard_normal((50, 6)), np.empty((0, 4))]
+              rng.standard_normal((50, 6)), np.empty((0, 4)),
+              *(rng.standard_normal((m, 6))
+                for m in (0, 1, c - 1, c, c + 1, 2 * c + 1)),
+              rng.standard_normal(c + 1),
+              rng.standard_normal(_CSV_CHUNK_VALUES + 1),
+              rng.standard_normal((100, 300))]
     for i, rows in enumerate(arrays):
         ours, ref = tmp_path / f"ours{i}.csv", tmp_path / f"ref{i}.csv"
         _write_csv(ours, rows, header)
         np.savetxt(ref, rows, delimiter=",", fmt="%.17g", header=header,
                    comments="")
         assert ours.read_bytes() == ref.read_bytes(), rows.shape
+
+
+@pytest.mark.parametrize("shape", [(50_000, 6), (200, 1_500)])
+def test_csv_writer_memory_is_bounded_by_a_chunk(tmp_path, shape):
+    """300 000 values, in narrow rows or wide ones, make a 5.8 MiB file;
+    formatting it in one % would trace 17 MiB.  The chunked writer holds
+    one chunk's floats and text, 0.4 MiB measured, under a 2 MiB bound."""
+    rows = np.random.default_rng(4).standard_normal(shape)
+    tracemalloc.start()
+    try:
+        _write_csv(tmp_path / "big.csv", rows, "header")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_grid_json_roundtrip_and_rejects():
@@ -193,8 +220,11 @@ def test_cubic_spline_matches_scipy(n, uniform, columns):
 def test_only_grids_reads_or_writes_binary():
     """The binary data format (little-endian float64 with a JSON
     sidecar) has one owner: no other module of the package calls numpy's
-    fromfile or tofile."""
+    fromfile or tofile.  So has the CSV dialect: no other module calls
+    savetxt or spells its %.17g format, so every CSV goes through the
+    chunked _write_csv."""
     src = Path(__file__).resolve().parents[1] / "src" / "alphamod"
-    users = sorted(p.name for p in src.glob("*.py")
-                   if re.search(r"fromfile|tofile", p.read_text()))
-    assert users == ["grids.py"]
+    for pattern in (r"fromfile|tofile", r"savetxt|%\.17g"):
+        users = sorted(p.name for p in src.glob("*.py")
+                       if re.search(pattern, p.read_text()))
+        assert users == ["grids.py"], pattern
