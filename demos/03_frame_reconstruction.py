@@ -10,22 +10,29 @@ import time
 
 import numpy as np
 
-from alphamod import build_covering, covering_diagnostics, gaussian_window
+from alphamod import (admissibility_scan, build_covering,
+                      covering_diagnostics, gaussian_window)
 from alphamod.frames import (AlphaFrame, analysis, estimate_frame_bounds,
                              reconstruct)
 from alphamod.grids import SampledGrid, Signal
 
-# grid matches the covered region (-8, 8) x (-8, 8): anything the
-# covering cannot see would otherwise show up as a zero lower bound
-grid = SampledGrid.centered(256, 1.0 / 16.0)
+# grid spans the covered times (-8, 8): anything the covering cannot see
+# would otherwise show up as a zero lower bound.  Its Nyquist frequency,
+# 32, lies past every row's band |w_j| + 2 eps c / beta_j (23 at eps 1),
+# so no row aliases onto another, and eps^2 B nears max m_psi as eps
+# shrinks.
+grid = SampledGrid.centered(1024, 1.0 / 64.0)
 t = grid.coords
 f = Signal(grid, np.exp(-np.pi * (t / 2.5) ** 2)
            * np.exp(2j * np.pi * (0.5 * t + 0.35 * t**2)))
 w = gaussian_window()
 alpha = 0.5
+m_max = admissibility_scan(w, alpha).B
+print(f"max m_psi = {m_max:.4f}")
 
 for eps in (1.0, 0.5, 0.25):
     cov = build_covering(alpha, eps, 1.0, (-8.0, 8.0), (-8.0, 8.0))
+    assert np.max(np.abs(cov.omegas) + cov.halves) < 0.5 / grid.spacing
     fr = AlphaFrame(cov, w, grid)
     t0 = time.time()
     A, B = estimate_frame_bounds(fr)
@@ -39,7 +46,8 @@ for eps in (1.0, 0.5, 0.25):
         continue
     res = reconstruct(f, fr)
     print(f"eps={eps:5.2f}  atoms={fr.n_atoms:6d}  "
-          f"A={A:8.4f}  B={B:8.4f}  B/A={B / A:6.3f}  "
+          f"A={A:8.4f}  B={B:8.4f}  eps^2 B={eps**2 * B:6.4f}  "
+          f"B/A={B / A:6.3f}  "
           f"CG iters={res.iters:3d}  rel err={res.error:.2e}  "
           f"overlap={diag.max_overlap}  ({time.time() - t0:.1f}s)")
 

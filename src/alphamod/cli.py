@@ -314,12 +314,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="alphamod",
         description="adaptive time-frequency analysis toolbox",
     )
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="JSON config file; flags override")
+    for option, (_, _, rule, _) in _OPTIONS.items():
+        common.add_argument("--" + option.replace("_", "-"), help=rule)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
-        sp = sub.add_parser(name)
-        sp.add_argument("--config", help="JSON config file; flags override")
-        for option, (_, _, rule, _) in _OPTIONS.items():
-            sp.add_argument("--" + option.replace("_", "-"), help=rule)
+        sp = sub.add_parser(name, parents=[common])
         if name in ("analyze", "roundtrip", "coorbit-norm"):
             sp.add_argument("input", help="signal file (.csv or raw)")
         if name == "synthesize":

@@ -152,8 +152,9 @@ class _SliceEngine:
     Both grids are centered and du * dxi * n = 1, so the DFT twiddles are
     signs: P(j du) = dxi (-1)^j fft(G)[j mod n].  G is real (_atoms_hat),
     so slices reads H[j] = dxi (-1)^j rfft(G)[j], j = 0..n/2, and
-    P(-j du) = conj(H[j]).  slices pairs every omega of its left side
-    with every eta of its right side; callers build each side once.
+    P(-j du) = conj(H[j]), signing only the u window it returns.  slices
+    pairs every omega of its left side with every eta of its right side;
+    callers build each side once.
     """
 
     def __init__(self, w: Window, alpha: float, tab: SymbolTable,
@@ -195,16 +196,15 @@ class _SliceEngine:
     def slices(self, left, right, lo, hi) -> np.ndarray:
         """P[i, a, m] = R((u_m + t, omegas[i]), (t, etas[a])) for any t
         and u grid indices m in [lo, hi), from left = _atoms_hat(omegas)
-        and right = right_hat(etas).  The half spectra H of the profiles
-        left[i] * right[a] are read as two contiguous slices, reversed
-        and conjugated for u < 0, as they are for u >= 0."""
-        H = np.fft.rfft(left[:, None, :] * right, axis=-1)
-        H *= self._sign
+        and right = right_hat(etas).  Only the window's values of the
+        half spectra of left[i] * right[a], read at |j| for m = n/2 + j,
+        take their sign dxi (-1)^j, and for u < 0 (j < 0) the conjugate."""
         h = self.n // 2
-        neg = H[..., max(h - lo, 0):h - min(hi, h):-1]
-        out = np.empty(H.shape[:-1] + (hi - lo,), complex)
-        np.conjugate(neg, out=out[..., :neg.shape[-1]])
-        out[..., neg.shape[-1]:] = H[..., max(lo - h, 0):max(hi - h, 0)]
+        j = np.abs(np.arange(lo, hi) - h)
+        out = np.fft.rfft(left[:, None, :] * right, axis=-1).take(j, -1)
+        out *= self._sign[j]
+        neg = out[..., :max(min(h, hi) - lo, 0)]
+        np.conjugate(neg, out=neg)
         return out
 
     def u_index(self, u_values) -> np.ndarray:
@@ -378,13 +378,18 @@ def _osc(engine: _SliceEngine, cov: AlphaCovering, density: int,
     its band, so the sup over z is a maximum of contiguous planes, taken
     in chunks of z on squared moduli (the sum of squares of the
     difference's float view), with one sqrt per covering row.  A sample
-    outside its time's box reuses an inside one of the same time (same
-    max); a time with none gets 0 from the row.  The chunk buffer and
-    its squared modulus (24 bytes an element) hold max(_BLOCK / 24,
-    osc.size) elements, which is at least one z-plane.  A row's real z
-    spectra and their half transforms (16 bytes a spectrum sample) with
-    the window read from them (16 bytes a u sample) fill at most
-    max(_BLOCK, one z frequency).
+    outside its time's box reuses an inside one of the same time; a time
+    with none gets 0 from the row.  Samples that snap to one u index
+    read the same R(x, z), so a time gathers its distinct indices once
+    (a row gathers its widest count, a time with fewer repeats its own):
+    the max is over the same set, so osc is the same bit for bit.  At an
+    odd density a time's two boxes share (density - 1) / 2 sample times,
+    and narrow boxes snap several samples to one index.  The chunk
+    buffer and its squared modulus (24 bytes an element) hold
+    max(_BLOCK / 24, osc.size) elements, at least one z-plane.  A row's
+    real z spectra and their half transforms (16 bytes a spectrum
+    sample) with the window read from them (16 bytes a u sample) fill at
+    most max(_BLOCK, one z frequency).
     Returns an array of shape (len(x_w), len(y_w), b).
     """
     x_t, x_w, y_t, y_w = (np.atleast_1d(np.asarray(v, dtype=float))
@@ -406,6 +411,10 @@ def _osc(engine: _SliceEngine, cov: AlphaCovering, density: int,
         at = engine.u_index(x_t[:, None] - z_t[:, keep])
         at = np.where(inside, at, at[np.arange(len(at)),
                                      inside.argmax(axis=1)][:, None])
+        at.sort(axis=1)
+        new = np.diff(at, axis=1, prepend=-1) != 0
+        at = np.take_along_axis(at, np.argsort(~new, axis=1, kind="stable"),
+                                axis=1)[:, :new.sum(axis=1).max()]
         lo, hi = at.min(), at.max() + 1
         at = (at - lo).T
         post = np.exp(-2j * np.pi * engine.u[lo:hi, None] * y_w[band])

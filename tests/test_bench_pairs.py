@@ -80,6 +80,9 @@ def test_summary_counts_wrong_runs_and_judges_each_metric():
         "analyze": pytest.approx(0.6 * 2.045),
         "frame-info": pytest.approx(0.4 * 2.045)}
     assert out["op_s"]["change"]["frame-info"] == pytest.approx(0.4 * 1.545)
+    assert out["op_change_rel"] == {
+        "analyze": pytest.approx(1.545 / 2.045 - 1),
+        "frame-info": pytest.approx(1.545 / 2.045 - 1)}
     # higher is better here, so 20 % less is a regression past the bound
     tput = out["metrics"]["throughput"]
     assert tput["change_better_in_pairs"] == 0 and tput["regressed"]

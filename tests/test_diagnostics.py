@@ -137,8 +137,13 @@ def test_half_spectrum_slices_match_the_full_fft(gauss, gauss_tab, kappa):
     assert P.shape == (3, 2, n)
     assert np.abs(P - ref).max() <= 1e-14 * np.abs(ref).max()
     for lo, hi in [(0, 7), (250, 262), (256, 300), (505, 512)]:
-        np.testing.assert_array_equal(engine.slices(left, right, lo, hi),
-                                      P[..., lo:hi])
+        window = engine.slices(left, right, lo, hi)
+        np.testing.assert_array_equal(window, P[..., lo:hi])
+        # C order: rho's sums over u depend on the layout, by an ulp
+        assert window.flags.c_contiguous
+        # each window is signed on its own, so it meets the oracle too
+        assert (np.abs(window - ref[..., lo:hi]).max()
+                <= 1e-14 * np.abs(ref).max())
 
 
 @pytest.fixture(scope="module")
@@ -244,25 +249,59 @@ def osc_engine(request):
     return _SliceEngine(w, 0.5, tab, omega_max=4.0, u_max=6.0)
 
 
+def _snap_repeats(engine, cov, density, u_in, omegas):
+    """How many inside samples of a time snap to a u index that another
+    inside sample of that time took, over the rows gamma1's call reads
+    (x_t = 0, y_t = u_in)."""
+    return sum(int(ins.sum()) - np.unique(row[ins]).size
+               for _, z_t, inside, _ in q_samples(cov, u_in, omegas, density)
+               for row, ins in zip(engine.u_index(-z_t), inside))
+
+
+def _check_osc(engine, cov, densities, u_in, omegas, probes):
+    """_osc against _osc_dense in both call shapes of estimate_gamma:
+    gamma1's, with the probes as x frequencies, and gamma2's, with them
+    as y frequencies."""
+    for density in densities:
+        for args in [(0.0, probes, u_in, omegas),
+                     (u_in, omegas, 0.0, probes)]:
+            fast = _osc(engine, cov, density, *args)
+            ref = _osc_dense(engine, cov, density, *args)
+            assert fast.shape == (args[1].size, args[3].size, u_in.size)
+            np.testing.assert_array_equal(fast == 0, ref == 0)
+            assert np.abs(fast - ref).max() <= 1e-13 * ref.max()
+
+
 @pytest.mark.parametrize("time_range", [(-6.0, 6.0), (-1.5, 1.0)])
 def test_osc_matches_dense_oracle(osc_engine, time_range):
-    """The factored, z-major _osc against the dense reference, in both
-    call shapes of estimate_gamma: gamma1's, with the probes as x
-    frequencies, and gamma2's, with them as y frequencies; at an even
+    """The factored, z-major _osc against the dense reference at an even
     and an odd density.  The (-1.5, 1) covering stops inside the probed
     times, so some times have no inside sample in a row."""
     cov = build_covering(0.5, 0.5, 1.0, time_range, (-4, 4))
     u_in = osc_engine.u[np.abs(osc_engine.u) <= 2.0]
-    omegas = np.linspace(-3.0, 3.0, 13)
-    probes = np.array([-2.0, 0.5, 1.75])
-    for density in (2, 3):
-        for args in [(0.0, probes, u_in, omegas),
-                     (u_in, omegas, 0.0, probes)]:
-            fast = _osc(osc_engine, cov, density, *args)
-            ref = _osc_dense(osc_engine, cov, density, *args)
-            assert fast.shape == (args[1].size, args[3].size, u_in.size)
-            np.testing.assert_array_equal(fast == 0, ref == 0)
-            assert np.abs(fast - ref).max() <= 1e-13 * ref.max()
+    _check_osc(osc_engine, cov, (2, 3), u_in, np.linspace(-3.0, 3.0, 13),
+               np.array([-2.0, 0.5, 1.75]))
+
+
+@pytest.mark.parametrize("omega_max, eps, time_range, density", [
+    (4.0, 0.5, (-6.0, 6.0), 7), (1.0, 0.125, (-3.0, 3.0), 2)],
+    ids=["density7", "coarse_du"])
+def test_osc_matches_dense_oracle_where_indices_repeat(
+        gauss, gauss_tab, omega_max, eps, time_range, density):
+    """_osc gathers each time's distinct snapped indices once; the cases
+    where they repeat.  At density 7 a time's two boxes share 3 sample
+    times.  The second engine's du (0.084) is coarser than the sample
+    spacing 2 eps beta(w) / (density + 1) of its rows at |w| >= 1
+    (0.059 at |w| = 1), so samples snap together; at an even density
+    the two boxes share no sample time, so every repeat is a snap."""
+    engine = _SliceEngine(gauss, 0.5, gauss_tab, omega_max=omega_max,
+                          u_max=6.0)
+    cov = build_covering(0.5, eps, 1.0, time_range, (-omega_max, omega_max))
+    u_in = engine.u[np.abs(engine.u) <= 2.0]
+    omegas = np.linspace(-omega_max, omega_max, 13)
+    assert _snap_repeats(engine, cov, density, u_in, omegas) > 0
+    _check_osc(engine, cov, (density,), u_in, omegas,
+               np.array([-0.5, 0.25, 0.75]) * omega_max)
 
 
 def test_osc_rejects_times_the_engine_does_not_reach(osc_engine):

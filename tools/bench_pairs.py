@@ -14,10 +14,11 @@ file gets each checkout's commit and whether its tree differs from it,
 every run's result line and per-op times (each op's
 ``median_at_ref_speed_s`` from the record line that run.py prints before
 the result), the per-metric medians and quartiles of both sides, each
-side's per-op medians, the number of pairs in which the change is
-better, and the machine (CPU count and model, Python, numpy and scipy
-versions).  At least ten seeds are required.  Nothing under
-``perfbench/`` is imported.
+side's per-op medians and each op's median change relative to the
+parent, the number of pairs in which the change is better, and the
+machine (CPU count and model, Python, numpy and scipy versions).  At
+least ten seeds are required.  Nothing under ``perfbench/`` is
+imported.
 
 Each end-to-end metric of the parent's ``BENCHMARK.json`` also gets a
 no-regression verdict, read against its ``better`` direction and its
@@ -81,17 +82,21 @@ def worse_by(a: float, b: float, better: str) -> float:
 def summary(runs: dict, end_to_end: dict) -> dict:
     """The incorrect runs and failed ops of each side; under "op_s",
     each side's median over its runs of each op's time at reference
-    speed; and under "metrics", medians and quartiles per metric and
-    side, the pairs in which the change is better, and the no-regression
-    verdict of each metric in end_to_end (name -> its BENCHMARK.json
-    entry)."""
+    speed; under "op_change_rel", each op's change of that median
+    relative to the parent's; and under "metrics", medians and quartiles
+    per metric and side, the pairs in which the change is better, and
+    the no-regression verdict of each metric in end_to_end (name -> its
+    BENCHMARK.json entry)."""
     metrics = {}
+    op_s = {s: {op: median(r["op_s"][op] for r in runs[s])
+                for op in runs[s][0]["op_s"]} for s in SIDES}
     out = {"incorrect_runs": {s: sum(not r["correct"] for r in runs[s])
                               for s in SIDES},
            "failed_ops": {s: sum(r["failed"] for r in runs[s])
                           for s in SIDES},
-           "op_s": {s: {op: median(r["op_s"][op] for r in runs[s])
-                        for op in runs[s][0]["op_s"]} for s in SIDES},
+           "op_s": op_s,
+           "op_change_rel": {op: op_s["change"][op] / t - 1.0
+                             for op, t in op_s["parent"].items()},
            "metrics": metrics}
     for name in runs["parent"][0]["metrics"]:
         vals = {s: [r["metrics"][name] for r in runs[s]] for s in SIDES}
