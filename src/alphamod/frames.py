@@ -323,7 +323,12 @@ def reconstruct(f: Signal, fr: AlphaFrame,
     operator, stopped at relative residual tol; IterationError when it
     takes _CG_MAX_ITER iterations without getting there, at the first
     iterate that is not finite, or when the true residual of the result
-    is above tol (both from a tol below the attainable accuracy)."""
+    is above tol (both from a tol below the attainable accuracy).
+
+    The residual checks S f_rec = S f only.  f_rec lies in the atoms'
+    span, and a part of f outside it, which every atom misses, passes
+    that check and is missing from f_rec: the result's error, not its
+    residual, tells whether f_rec is f."""
     if not f.grid.isclose(fr.signal_grid):
         raise GridMismatchError("signal grid differs from the frame grid")
     from scipy.sparse.linalg import cg

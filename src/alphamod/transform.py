@@ -17,11 +17,15 @@ alike, are held as one sparse matrix with a band per atom: the samples
 within beta(w) * Window.time_radius of x, where psi is not zero to
 double precision.  The window states that radius: half its support
 when compact, 3.53 for the Gaussian, and infinite otherwise, so the
-bandlimited window's rows fill the whole grid.  A band's entries are a
-per-atom phase times a table of phases per (frequency, sample offset)
-times the window's real time factor (see _band_matrix); they agree with
-the atom formula evaluated sample by sample to about 6e-16 of the
-largest entry on a 2048-sample grid with |t| <= 64 and |w| <= 8.
+bandlimited window's rows fill the whole grid.  A band's entries
+depend only on w, on the offset t_c - x of the band's sample t_c
+nearest x, and on the sample offset from t_c.  Atoms that share
+(w, t_c - x), such as every x of the signal lattice at one frequency,
+share their band, and _band_matrix computes each distinct band once,
+in a table keyed by (w, t_c - x), and copies it to its atoms.  The
+entries agree with the atom formula evaluated sample by sample to
+about 7e-16 of the largest entry on a 2048-sample grid with
+|t| <= 64 and |w| <= 8.
 
 The voice transform and its synthesis build that matrix for blocks of
 consecutive atoms of about 2^18 entries each (_VOICE_BLOCK), one at a
@@ -109,9 +113,9 @@ def _atom_rows(w: Window, alpha: float, omega: float, xs: np.ndarray,
                         grid).toarray()
 
 
-# matrix entries filled per pass of _band_matrix's loop: passes of 2^14
-# to 2^18 entries ran the benchmark's frames pass equally fast, and the
-# fill of a 256 x 256 voice grid 1.6x slower at 2^20
+# table and matrix entries filled per pass of _band_matrix's loops:
+# passes of 2^14 to 2^17 entries built the benchmark's frame and voice
+# matrices equally fast, 2^13 1.2x and 2^20 1.3x slower in total
 _FILL = 1 << 16
 
 
@@ -123,20 +127,29 @@ def _band_matrix(w: Window, alpha: float, omegas: np.ndarray,
     Each matrix row holds the atom a_{x,omega}(t_k) of the module
     docstring on the samples t_k within beta(omega) * w.time_radius of
     x, with one sample of slack per side so that rounding never drops a
-    nonzero sample.  With t_c the band's sample nearest x and
-    t_k = t_c + j*dt, the phase factors as exp(2 pi i omega (t_c - x)),
-    once per atom with beta^(-1/2) folded in, times
-    exp(2 pi i omega j dt), once per distinct omega and offset j: a
-    table of twice the widest band per distinct omega.  An entry
-    is a gather from that table times its atom's factor and the window's
-    real time factor psi((t_k - x) / beta).  Both phases are small where
-    the atom is large, so they round no worse than the phase of each
-    sample; a phase taken from the band's first sample instead is off by
-    7e-13 on full-width bandlimited rows with |t - x| up to 64, omega 8.
+    nonzero sample.  With t_c the band's sample nearest x,
+    delta = t_c - x and t_k = t_c + j*dt, the entry at offset j is
+
+        exp(2 pi i omega delta) beta^(-1/2)     (the band's head)
+        * exp(2 pi i omega j dt)                (a phase table entry)
+        * psi((delta + j*dt) / beta),
+
+    a function of (omega, delta, j) alone.  So the atoms are grouped by
+    exact (omega, delta), with no tolerance, and each group gets one row
+    of a table: the offsets its atoms store, at most as many entries as
+    they store together, filled once from the formula.  The matrix is
+    then gathered from the table, so a row is, bit for bit, the row its
+    atom gets alone.  Where t_k and delta are exact, as on dyadic grids,
+    delta + j*dt rounds to t_k - x to the last bit.  The phase table
+    holds twice the widest band per distinct omega.  Both phases are
+    small where the atom is large, so they round no worse than the phase
+    of each sample; a phase taken from the band's first sample instead
+    is off by 7e-13 on full-width bandlimited rows with |t - x| up to
+    64, omega 8.
     """
     from scipy import sparse
     b = beta(omegas, alpha)
-    n, t, dt = grid.n, grid.coords, grid.spacing
+    n, dt = grid.n, grid.spacing
     reach = w.time_radius * b
     lo = np.floor((xs - reach - grid.origin) / dt)
     hi = np.ceil((xs + reach - grid.origin) / dt) + 1
@@ -148,33 +161,74 @@ def _band_matrix(w: Window, alpha: float, omegas: np.ndarray,
     indices = np.empty(nnz, dtype=np.int32)
     data = np.empty(nnz, dtype=complex)
     mid = np.clip(np.rint((xs - grid.origin) / dt), lo, hi - 1)
-    head = (np.exp(2j * np.pi * omegas * (grid.origin + dt * mid - xs))
-            / np.sqrt(b))
+    delta = grid.origin + dt * mid - xs
     mid = mid.astype(np.int64)
-    # row f of the table holds the offsets -J <= j <= J of freqs[f]
-    freqs, row = np.unique(omegas, return_inverse=True)
-    J = int(np.max(np.maximum(mid - lo, hi - 1 - mid), initial=0))
-    table = np.exp(2j * np.pi * np.outer(freqs, dt * np.arange(-J, J + 1)))
-    # entry s of atom m sits at table.flat[s + to_table[m]] and in grid
+    # group the atoms by exact (omega, delta), in order of (omega, delta)
+    key = np.empty(xs.size, dtype=complex)
+    key.real, key.imag = omegas, delta
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    new = np.ones(xs.size, dtype=bool)
+    new[1:] = key[1:] != key[:-1]
+    starts = np.flatnonzero(new)
+    group = np.empty(xs.size, dtype=np.int64)
+    group[order] = np.cumsum(new) - 1
+    first = order[starts]
+    # row g of the table holds group g's offsets j0[g] <= j <= j1[g] from
+    # row_at[g] on; an atom that stores nothing spans 1 <= j <= 0
+    j0 = np.minimum.reduceat((lo - mid)[order], starts)
+    j1 = np.maximum.reduceat((hi - 1 - mid)[order], starts)
+    widths = j1 - j0 + 1
+    row_at = np.concatenate([[0], np.cumsum(widths)])
+    table = np.empty(int(row_at[-1]), dtype=complex)
+    om, dl, bg = omegas[first], delta[first], b[first]
+    head = np.exp(2j * np.pi * om * dl) / np.sqrt(bg)
+    # row f of the phase table holds the offsets -J <= j <= J of freqs[f]
+    fnew = np.ones(om.size, dtype=bool)
+    fnew[1:] = om[1:] != om[:-1]
+    freqs, frow = om[fnew], np.cumsum(fnew) - 1
+    J = int(max(np.max(-j0, initial=0), np.max(j1, initial=0)))
+    phase = np.exp(2j * np.pi * np.outer(freqs, dt * np.arange(-J, J + 1)))
+    # positions in int32 where they fit (all below nnz, phase.size and
+    # 2n in size): the loops move half the bytes
+    itype = np.int32 if max(nnz, phase.size) + 2 * n < 2**31 else np.int64
+    # table entry p of group g is offset p + to_j[g]
+    to_j = (j0 - row_at[:-1]).astype(itype)
+    to_phase = (frow * (2 * J + 1) + J + to_j).astype(itype)
+    # whole groups per pass, about _FILL entries each
+    cuts = np.searchsorted(row_at, np.arange(_FILL, row_at[-1], _FILL))
+    for g0, g1 in zip([0, *cuts], [*cuts, first.size]):
+        p0, p1 = row_at[g0], row_at[g1]
+        c = widths[g0:g1]
+        p = np.arange(p0, p1, dtype=itype)
+        out = table[p0:p1]
+        q = np.repeat(to_phase[g0:g1], c)
+        q += p
+        # positions are in range; "clip" spares take a buffered copy
+        np.take(phase, q, out=out, mode="clip")
+        out *= np.repeat(head[g0:g1], c)
+        q = np.repeat(to_j[g0:g1], c)
+        q += p
+        u = dt * q
+        u += np.repeat(dl[g0:g1], c)
+        u /= np.repeat(bg[g0:g1], c)
+        out *= w.time(u)
+    # entry s of atom m sits at table[s + to_table[m]] and in grid
     # column s + to_col[m]
     to_col = lo - indptr[:-1]
-    to_table = row * (2 * J + 1) + J + to_col - mid
+    to_table = (to_col - mid - to_j[group]).astype(itype)
+    to_col = to_col.astype(itype)
     # whole atoms per pass, about _FILL entries each
     cuts = np.searchsorted(indptr, np.arange(_FILL, nnz, _FILL))
     for a0, a1 in zip([0, *cuts], [*cuts, xs.size]):
         s0, s1 = indptr[a0], indptr[a1]
         c = counts[a0:a1]
-        s = np.arange(s0, s1)
-        cols = s + np.repeat(to_col[a0:a1], c)
-        out = data[s0:s1]
-        # positions are in range; "clip" spares take a buffered copy
-        np.take(table, s + np.repeat(to_table[a0:a1], c), out=out,
-                mode="clip")
-        out *= np.repeat(head[a0:a1], c)
-        u = t[cols] - np.repeat(xs[a0:a1], c)
-        u /= np.repeat(b[a0:a1], c)
-        out *= w.time(u)
-        indices[s0:s1] = cols
+        s = np.arange(s0, s1, dtype=itype)
+        q = np.repeat(to_table[a0:a1], c)
+        q += s
+        np.take(table, q, out=data[s0:s1], mode="clip")
+        np.add(s, np.repeat(to_col[a0:a1], c), out=indices[s0:s1],
+               casting="unsafe")
     # scipy stores the indices in indptr's dtype: int32 halves them, and
     # int64 stays past 2^31 entries, where int32 would wrap
     indptr = indptr.astype(np.int32) if nnz < 2**31 else indptr

@@ -65,6 +65,10 @@ def test_summary_counts_wrong_runs_and_judges_each_metric():
     change = [_run(s, 1.5 + 0.01 * s, throughput=0.8,
                    correct=s != 3, failed=2 if s in (3, 7) else 0)
               for s in range(10)]
+    # frame-info runs slower than the parent's (0.80-0.84 s) in the last
+    # three pairs, which leaves its median as it was
+    for r in change[7:]:
+        r["op_s"]["frame-info"] = 0.9
     out = bench_pairs.summary({"parent": parent, "change": change},
                               END_TO_END)
     assert out["incorrect_runs"] == {"parent": 0, "change": 1}
@@ -83,6 +87,7 @@ def test_summary_counts_wrong_runs_and_judges_each_metric():
     assert out["op_change_rel"] == {
         "analyze": pytest.approx(1.545 / 2.045 - 1),
         "frame-info": pytest.approx(1.545 / 2.045 - 1)}
+    assert out["op_better_in_pairs"] == {"analyze": 10, "frame-info": 7}
     # higher is better here, so 20 % less is a regression past the bound
     tput = out["metrics"]["throughput"]
     assert tput["change_better_in_pairs"] == 0 and tput["regressed"]

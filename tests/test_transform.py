@@ -5,6 +5,7 @@ import pytest
 from conftest import dense_atom_rows
 
 import alphamod.transform as transform
+from alphamod.covering import build_covering
 from alphamod.grids import SampledGrid, Signal, inner_product
 from alphamod.symbol import NotAdmissibleError, beta
 from alphamod.transform import (MassCaptureError, SupportSpillWarning,
@@ -210,6 +211,68 @@ def test_band_matrix_stores_int32_indices(spec):
                      np.tile(xs, oms.size), grid)
     assert A.nnz > 0
     assert A.indices.dtype == np.int32 and A.indptr.dtype == np.int32
+
+
+def _batches(grid):
+    """(omegas, xs) batches of atoms on the grid (dt = 1/16, t in [-4, 4))
+    whose bands repeat in several ways."""
+    cov = build_covering(0.5, 0.5, 1.0, (-4.0, 4.0), (-4.0, 4.0))
+    nodes = cov.nodes()
+    oms = np.linspace(-4.0, 4.0, 5)
+    on = np.arange(-4.5, 4.5, 0.25)     # on the lattice, past both edges
+    off = -4.45 + 0.3 * np.arange(31)   # 0.3 is no multiple of 1/16
+    # one (omega, offset) whose first atom the left edge cuts
+    edge = grid.origin + grid.spacing * np.array([3.0, 50.0, 80.0])
+    return {"frame": (nodes[:, 3], nodes[:, 2]),
+            "on-lattice": (np.repeat(oms, on.size), np.tile(on, oms.size)),
+            "off-lattice": (np.repeat(oms, off.size),
+                            np.tile(off, oms.size)),
+            "left-edge": (np.full(3, 4.0), edge)}
+
+
+@pytest.mark.parametrize("batch", ["frame", "on-lattice", "off-lattice",
+                                   "left-edge"])
+@pytest.mark.parametrize("w", ORACLE_WINDOWS, ids=ORACLE_SPECS)
+def test_band_matrix_batch_equals_atoms_one_at_a_time(w, batch):
+    """An atom's row does not depend on the atoms built with it: the band
+    its batch shares with other atoms of the same (omega, offset) is,
+    bit for bit, the band it gets alone, also where the first atom of
+    the group is cut by the grid edge and where rows fill the grid."""
+    grid = SampledGrid.centered(128, 1.0 / 16.0)
+    oms, xs = _batches(grid)[batch]
+    A = _band_matrix(w, 0.5, oms, xs, grid)
+    counts = np.diff(A.indptr)
+    if batch == "left-edge" and np.isfinite(w.time_radius):
+        assert counts[0] < counts[1] == counts[2]
+    for m in range(xs.size):
+        one = _band_matrix(w, 0.5, oms[m:m + 1], xs[m:m + 1], grid)
+        row = slice(A.indptr[m], A.indptr[m + 1])
+        assert A.data[row].tobytes() == one.data.tobytes(), m
+        assert np.array_equal(A.indices[row], one.indices), m
+
+
+def test_band_matrix_memory_when_no_band_repeats():
+    """Worst case for the table of distinct bands: every atom has its own
+    (omega, offset), so the table is as large as the matrix's data.  The
+    build's peak stays within 2.5 times the bytes of the matrix's data
+    and indices: those two and the table make 1.8 times, and the
+    measured peak, with the per-atom arrays and one pass's temporaries,
+    is 2.04 times."""
+    w = parse_window_spec("gaussian")
+    grid = SampledGrid.centered(4096, 1.0 / 16.0)
+    # x steps of sqrt(2)/7: no two atoms share an offset from the lattice
+    xs = -120.0 + np.sqrt(2.0) / 7.0 * np.arange(1000)
+    oms = np.linspace(-4.0, 4.0, 16)
+    oms, xs = np.repeat(oms, xs.size), np.tile(xs, oms.size)
+    _band_matrix(w, 0.5, oms[:1], xs[:1], grid)  # imports scipy.sparse
+    tracemalloc.start()
+    try:
+        A = _band_matrix(w, 0.5, oms, xs, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert A.nnz > 10**6
+    assert peak <= 2.5 * (A.data.nbytes + A.indices.nbytes)
 
 
 def test_voice_values_are_inner_products(chirp, gauss):

@@ -14,8 +14,9 @@ file gets each checkout's commit and whether its tree differs from it,
 every run's result line and per-op times (each op's
 ``median_at_ref_speed_s`` from the record line that run.py prints before
 the result), the per-metric medians and quartiles of both sides, each
-side's per-op medians and each op's median change relative to the
-parent, the number of pairs in which the change is better, and the
+side's per-op medians, each op's median change relative to the parent
+and the number of pairs in which the change ran it faster, the number
+of pairs in which the change is better on each metric, and the
 machine (CPU count and model, Python, numpy and scipy versions).  At
 least ten seeds are required.  Nothing under ``perfbench/`` is
 imported.
@@ -83,10 +84,11 @@ def summary(runs: dict, end_to_end: dict) -> dict:
     """The incorrect runs and failed ops of each side; under "op_s",
     each side's median over its runs of each op's time at reference
     speed; under "op_change_rel", each op's change of that median
-    relative to the parent's; and under "metrics", medians and quartiles
-    per metric and side, the pairs in which the change is better, and
-    the no-regression verdict of each metric in end_to_end (name -> its
-    BENCHMARK.json entry)."""
+    relative to the parent's; under "op_better_in_pairs", the pairs in
+    which the change ran each op faster; and under "metrics", medians
+    and quartiles per metric and side, the pairs in which the change is
+    better, and the no-regression verdict of each metric in end_to_end
+    (name -> its BENCHMARK.json entry)."""
     metrics = {}
     op_s = {s: {op: median(r["op_s"][op] for r in runs[s])
                 for op in runs[s][0]["op_s"]} for s in SIDES}
@@ -97,6 +99,10 @@ def summary(runs: dict, end_to_end: dict) -> dict:
            "op_s": op_s,
            "op_change_rel": {op: op_s["change"][op] / t - 1.0
                              for op, t in op_s["parent"].items()},
+           "op_better_in_pairs": {
+               op: sum(c["op_s"][op] < p["op_s"][op]
+                       for p, c in zip(runs["parent"], runs["change"]))
+               for op in op_s["parent"]},
            "metrics": metrics}
     for name in runs["parent"][0]["metrics"]:
         vals = {s: [r["metrics"][name] for r in runs[s]] for s in SIDES}
