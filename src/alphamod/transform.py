@@ -12,34 +12,45 @@ resampling a stored discrete window: the dilation rate beta(w) is not an
 integer ratio and resampling would leak interpolation error into every
 identity checked downstream.
 
-Rows of atoms, for the voice transform and for the discrete frames
-alike, are held as one sparse matrix with a band per atom: the samples
-within beta(w) * Window.time_radius of x, where psi is not zero to
-double precision.  The window states that radius: half its support
-when compact, 3.53 for the Gaussian, and infinite otherwise, so the
-bandlimited window's rows fill the whole grid.  A band's entries
-depend only on w, on the offset t_c - x of the band's sample t_c
-nearest x, and on the sample offset from t_c.  Atoms that share
-(w, t_c - x), such as every x of the signal lattice at one frequency,
-share their band, and _band_matrix computes each distinct band once,
-in a table keyed by (w, t_c - x), and copies it to its atoms.  The
-entries agree with the atom formula evaluated sample by sample to
-about 7e-16 of the largest entry on a 2048-sample grid with
+The discrete frames hold their rows of atoms as one sparse matrix with
+a band per atom: the samples within beta(w) * Window.time_radius of x,
+where psi is not zero to double precision.  The window states that
+radius: half its support when compact, 3.53 for the Gaussian, and
+infinite otherwise, so the bandlimited window's rows fill the whole
+grid.  A band's entries depend only on w, on the offset t_c - x of the
+band's sample t_c nearest x, and on the sample offset from t_c.  Atoms
+that share (w, t_c - x), such as every x of the signal lattice at one
+frequency, share their band, and _band_matrix computes each distinct
+band once, in a table keyed by (w, t_c - x), and copies it to its
+atoms.  The entries agree with the atom formula evaluated sample by
+sample to about 7e-16 of the largest entry on a 2048-sample grid with
 |t| <= 64 and |w| <= 8.
 
-The voice transform and its synthesis build that matrix for blocks of
-consecutive atoms of about 2^18 entries each (_VOICE_BLOCK), one at a
-time, so their peak memory is one block, about 10 MiB, on any grid and
-for any window.  A block's rows are those of the whole grid's matrix,
-so the voice transform is bit-identical to its one-matrix product.
+The voice transform and its synthesis build no matrix.  The x nodes of
+the product grid serve every w, so the nodes that share an offset
+delta = t_c - x share one dense table of band entries per chunk of
+frequencies, with _band_matrix's formula and reach, and the transform
+on those nodes is one product of the table with the nodes' signal
+windows f(t_c + j*dt), which read 0 off the grid as the clipped bands
+do (_voice_bands).  Nodes on the signal lattice share one offset, and
+nodes a + k*s samples from the grid's origin, with a and s fractions
+of a small common denominator q, take at most q + 1 (q, and either
+side of a half-sample tie), computed as equal floats where they are
+equal in exact arithmetic (_node_samples).  The tables are built a
+block of at most _FILL entries at a time, so the peak memory is one
+block plus the nodes' windows and the map, and no scipy module is
+loaded.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .grids import Signal, SampledGrid, Weight, _write_csv, weighted_lp_norm
 from .quadrature import integrate
@@ -113,10 +124,19 @@ def _atom_rows(w: Window, alpha: float, omega: float, xs: np.ndarray,
                         grid).toarray()
 
 
-# table and matrix entries filled per pass of _band_matrix's loops:
-# passes of 2^14 to 2^17 entries built the benchmark's frame and voice
-# matrices equally fast, 2^13 1.2x and 2^20 1.3x slower in total
+# table and matrix entries filled per pass of _band_matrix's loops, and
+# per block of _voice_bands' tables: passes of 2^14 to 2^17 entries
+# built the benchmark's frame matrices equally fast, 2^13 1.2x and 2^20
+# 1.3x slower in total; blocks of 2^15 and 2^16 its off-lattice voice
+# tables equally fast, 2^17 1.15x slower
 _FILL = 1 << 16
+
+# multiply-adds per product of a voice table and its nodes' windows:
+# OpenBLAS runs a product of at most 2^18 on one thread.  A threaded one
+# first wakes another core, and on a 2-core VM that stalled for about
+# 16 ms a product in spells: there the benchmark's on-lattice voice
+# transform took 63 ms in whole products and 3 ms in products of 2^18
+_PRODUCT = 1 << 18
 
 
 def _band_matrix(w: Window, alpha: float, omegas: np.ndarray,
@@ -235,63 +255,152 @@ def _band_matrix(w: Window, alpha: float, omegas: np.ndarray,
     return sparse.csr_array((data, indices, indptr), shape=(xs.size, n))
 
 
-def _voice_matrix(w: Window, alpha: float, x_grid: SampledGrid,
-                  omega_grid: SampledGrid, grid: SampledGrid):
-    """Atoms of the product grid in VoiceMap order (omega-major)."""
-    return _band_matrix(w, alpha, np.repeat(omega_grid.coords, x_grid.n),
-                        np.tile(x_grid.coords, omega_grid.n), grid)
+# largest denominator of the node positions, in samples, that
+# _node_samples takes as exact: nodes q apart share an offset, so a
+# larger q leaves few nodes to a table on grids of practical size
+_DENOM = 1 << 10
 
 
-# stored entries per block of _voice_blocks: of 2^16 to 2^22, 2^18 ran
-# the benchmark's 256 x 256 voice grid fastest
-_VOICE_BLOCK = 1 << 18
+def _exact_ratio(num: Fraction, dt: Fraction, tol: float):
+    """The rational r of denominator <= _DENOM with |num - r*dt| <= tol,
+    or None when there is none."""
+    r = (num / dt).limit_denominator(_DENOM)
+    return r if abs(num - r * dt) <= tol else None
 
 
-def _voice_blocks(w: Window, alpha: float, x_grid: SampledGrid,
-                  omega_grid: SampledGrid, grid: SampledGrid):
-    """(atoms, omegas, xs) for consecutive blocks of _voice_matrix's rows:
-    atoms slices VoiceMap's flattened order, and _band_matrix on the
-    block holds at most _VOICE_BLOCK entries, or one atom."""
-    omegas = np.repeat(omega_grid.coords, x_grid.n)
-    xs = np.tile(x_grid.coords, omega_grid.n)
-    # _band_matrix stores fewer than 2 * reach / dt + 3 samples per atom
-    reach = np.max(beta(omega_grid.coords, alpha)) * w.time_radius
-    widest = min(grid.n, 2.0 * reach / grid.spacing + 3.0)
-    step = max(1, _VOICE_BLOCK // int(widest))
-    for a0 in range(0, xs.size, step):
-        atoms = slice(a0, a0 + step)
-        yield atoms, omegas[atoms], xs[atoms]
+def _node_samples(x_grid: SampledGrid, grid: SampledGrid):
+    """(mid, delta) of the nodes x_k: mid_k the index of the sample
+    nearest x_k, on the grid or off it, and delta_k = t_mid - x_k.
+
+    Node k lies a + k*s samples from the grid's origin.  When a and s are
+    rationals of denominator at most _DENOM, up to the rounding of the
+    grids' floats, mid and delta come from the exact residue, so that
+    offsets equal in exact arithmetic are equal floats; a node halfway
+    between two samples takes the even one, as rint does.  Otherwise
+    mid = rint((x - t_0)/dt) and delta = t_mid - x in floats, as
+    _band_matrix takes them.
+    """
+    dt = Fraction(grid.spacing)
+    a = _exact_ratio(Fraction(x_grid.origin) - Fraction(grid.origin), dt,
+                     math.ulp(x_grid.origin) + math.ulp(grid.origin))
+    s = _exact_ratio(Fraction(x_grid.spacing), dt, math.ulp(x_grid.spacing))
+    if a is not None and s is not None:
+        q = math.lcm(a.denominator, s.denominator)
+        aq, sq = int(a * q), int(s * q)
+        if abs(aq) + x_grid.n * abs(sq) < 2**60:  # positions in int64
+            p = aq + sq * np.arange(x_grid.n, dtype=np.int64)
+            mid, r = np.divmod(p, q)
+            mid += (2 * r > q) | ((2 * r == q) & (mid % 2 == 1))
+            return mid, grid.spacing * ((mid * q - p) / q)
+    mid = np.rint((x_grid.coords - grid.origin) / grid.spacing)
+    return mid.astype(np.int64), \
+        grid.origin + grid.spacing * mid - x_grid.coords
+
+
+def _voice_bands(w: Window, alpha: float, x_grid: SampledGrid,
+                 omega_grid: SampledGrid, grid: SampledGrid):
+    """(starts, width, bands) of the product grid's atoms.
+
+    Row k of the window matrix F[k, i] = f(t_{mid_k - J + i}), i < width
+    = 2J + 1, starts at starts[k] of f padded with width zeros on either
+    side, so samples off the grid read 0.  bands yields (rows, nodes, cols,
+    head, T) for a chunk of frequency rows and nodes that share an
+    offset delta (_node_samples): with omega = omega_grid.coords[rows],
+    head[m] * T[m, i] is the atom a_{x, omega[m]} at the sample
+    t_{mid - J + cols.start + i} of each such node x.  That is
+    _band_matrix's formula head(omega, delta) * phase(omega, j) *
+    psi((delta + j*dt) / beta(omega)) at the offset j from mid, within
+    the row's reach |j| <= J_omega, and 0 beyond.  J_omega is the least
+    reach that holds _band_matrix's band at every delta in [-dt/2, dt/2],
+    capped where no node's window meets the grid, and J the largest.
+    A chunk holds rows whose reach is at least 3/4 of its widest row's,
+    which sets its columns: of shares from 1/2 to 1 (one padded table),
+    3/4 built the benchmark's off-lattice tables fastest.  Tables are
+    built in blocks of at most _FILL entries (or one row, if wider), one
+    at a time; a yield covers at most _PRODUCT multiply-adds.
+    """
+    n, dt = grid.n, grid.spacing
+    mid, delta = _node_samples(x_grid, grid)
+    deltas, group = np.unique(delta, return_inverse=True)
+    nodes = np.argsort(group, kind="stable")
+    cuts = np.concatenate([[0], np.cumsum(np.bincount(group))])
+    om = omega_grid.coords
+    b = beta(om, alpha)
+    half = np.minimum(np.ceil(w.time_radius * b / dt + 0.5),
+                      max(mid.max(), n - 1 - mid.min())).astype(np.int64)
+    J = int(half.max())
+    width = 2 * J + 1
+    starts = np.clip(mid - J, -width, n) + width
+    # rows by reach, widest first, in chunks of at most _FILL entries
+    order = np.argsort(-half, kind="stable")
+    chunks, c0 = [], 0
+    for c in range(1, om.size + 1):
+        if (c == om.size or 4 * half[order[c]] < 3 * half[order[c0]]
+                or (c + 1 - c0) * (2 * half[order[c0]] + 1) > _FILL):
+            chunks.append(order[c0:c])
+            c0 = c
+
+    def bands():
+        for rows in chunks:
+            Jc = int(half[rows[0]])
+            j = np.arange(-Jc, Jc + 1)
+            phase = np.exp(2j * np.pi * np.outer(om[rows], dt * j))
+            phase[np.abs(j) > half[rows, None]] = 0.0
+            cols = slice(J - Jc, J + Jc + 1)
+            br = b[rows, None]
+            step = max(1, _FILL // phase.size)
+            per = max(1, _PRODUCT // phase.size)
+            for g0 in range(0, deltas.size, step):
+                dl = deltas[g0:g0 + step, None]
+                heads = np.exp(2j * np.pi * om[rows] * dl) / np.sqrt(b[rows])
+                tables = phase * w.time((dt * j + dl[..., None]) / br)
+                for g, head, T in zip(range(g0, deltas.size), heads, tables):
+                    ks = nodes[cuts[g]:cuts[g + 1]]
+                    for k in range(0, ks.size, per):
+                        yield rows, ks[k:k + per], cols, head, T
+
+    return starts, width, bands()
 
 
 def voice_transform(f: Signal, w: Window, alpha: float,
                     x_grid: SampledGrid, omega_grid: SampledGrid) -> VoiceMap:
     """V f(x, w) = <f, a_{x,w}> on the product grid; the x nodes need not
-    lie on the signal lattice.  Built in blocks of about 2^18 stored
-    entries, so the peak memory is one block (about 10 MiB) plus the
-    map; bit-identical to the product with _voice_matrix."""
-    conj_f = np.conj(f.values)
-    values = np.empty(omega_grid.n * x_grid.n, dtype=complex)
-    for atoms, omegas, xs in _voice_blocks(w, alpha, x_grid, omega_grid,
-                                           f.grid):
-        values[atoms] = _band_matrix(w, alpha, omegas, xs, f.grid) @ conj_f
-    values = f.grid.spacing * np.conj(values)
-    return VoiceMap(x_grid, omega_grid,
-                    values.reshape(omega_grid.n, x_grid.n))
+    lie on the signal lattice, nor on the signal grid.
+
+    The nodes' signal windows F, one row per node, are gathered once;
+    then each band table T of _voice_bands gives V on its frequencies
+    and nodes as head * (T @ F.T).  The peak memory is one block of
+    tables plus F and the map; no sparse matrix is built."""
+    starts, width, bands = _voice_bands(w, alpha, x_grid, omega_grid, f.grid)
+    padded = np.zeros(f.grid.n + 2 * width, dtype=complex)
+    padded[width:width + f.grid.n] = np.conj(f.values)
+    F = sliding_window_view(padded, width)[starts]
+    values = np.empty((omega_grid.n, x_grid.n), dtype=complex)
+    for rows, nodes, cols, head, T in bands:
+        values[rows[:, None], nodes] = head[:, None] * (T @ F[nodes, cols].T)
+    return VoiceMap(x_grid, omega_grid, f.grid.spacing * np.conj(values))
 
 
 def synthesize_voice(vm: VoiceMap, w: Window, alpha: float,
                      grid: SampledGrid) -> Signal:
     """Riemann sum of the inverse pairing:
-    g = sum V(x, w) a_{x,w} dx dw over the voice grid.  Summed over the
-    voice transform's blocks, with its peak memory; the order of the sum
-    moves g from the product with _voice_matrix by about 1e-15 relative."""
+    g = sum V(x, w) a_{x,w} dx dw over the voice grid.
+
+    The adjoint of voice_transform's products: each band table T gives
+    its nodes' windows (head * V).T @ T, and the windows are added into
+    g at their samples, those off the grid dropped."""
+    starts, width, bands = _voice_bands(w, alpha, vm.x_grid, vm.omega_grid,
+                                        grid)
+    C = np.zeros((vm.x_grid.n, width), dtype=complex)
+    for rows, nodes, cols, head, T in bands:
+        v = head[:, None] * vm.values[rows[:, None], nodes]
+        C[nodes, cols] += v.T @ T
+    at = (starts[:, None] + np.arange(width)).ravel()
+    size = grid.n + 2 * width
+    g = np.bincount(at, C.real.ravel(), size) \
+        + 1j * np.bincount(at, C.imag.ravel(), size)
     cell = vm.x_grid.spacing * vm.omega_grid.spacing
-    v = vm.values.ravel()
-    g = np.zeros(grid.n, dtype=complex)
-    for atoms, omegas, xs in _voice_blocks(w, alpha, vm.x_grid,
-                                           vm.omega_grid, grid):
-        g += _band_matrix(w, alpha, omegas, xs, grid).T @ v[atoms]
-    return Signal(grid, cell * g)
+    return Signal(grid, cell * g[width:width + grid.n])
 
 
 def dual_transform(f: Signal, w: Window, alpha: float, tab: SymbolTable,
@@ -347,30 +456,24 @@ def check_reproducing(f: Signal, w: Window, alpha: float, tab: SymbolTable,
     V f = integral of V f(y) R(y, .) dmu(y).
 
     The kernel integral is evaluated as V(A^{-1} synthesize(V f)), which
-    is the same operator applied with the atom matrix and its adjoint
-    instead of a dense kernel matrix; one atom matrix of the (x, w) grid,
-    built whole and once rather than in the voice transform's blocks,
-    serves V f, W f, the synthesis and V of the result.  Rejects grids
+    is the same operator applied with voice_transform and
+    synthesize_voice instead of a dense kernel matrix.  Rejects grids
     capturing less than 0.999 of ||f||^2 in the pairing
     <V f, W f> dmu.
     """
     fnorm = f.norm()
     if fnorm == 0.0:
         return 0.0
-    A = _voice_matrix(w, alpha, x_grid, omega_grid, f.grid)
     cell = x_grid.spacing * omega_grid.spacing
-
-    def voice(g: Signal) -> np.ndarray:
-        return g.grid.spacing * np.conj(A @ np.conj(g.values))
-
-    vf = voice(f)
-    wf = voice(apply_multiplier(f, tab, -1))
-    captured = float(np.real(cell * np.vdot(wf, vf))) / fnorm**2
+    vf = voice_transform(f, w, alpha, x_grid, omega_grid)
+    wf = dual_transform(f, w, alpha, tab, x_grid, omega_grid).values
+    captured = float(np.real(cell * np.vdot(wf, vf.values))) / fnorm**2
     if captured < 0.999:
         raise MassCaptureError(captured, 0.999)
-    g = apply_multiplier(Signal(f.grid, cell * (A.T @ vf)), tab, -1)
-    num = float(np.linalg.norm(voice(g) - vf))
-    return num / float(np.linalg.norm(vf))
+    g = apply_multiplier(synthesize_voice(vf, w, alpha, f.grid), tab, -1)
+    vg = voice_transform(g, w, alpha, x_grid, omega_grid).values
+    num = float(np.linalg.norm(vg - vf.values))
+    return num / float(np.linalg.norm(vf.values))
 
 
 def coorbit_norm(f: Signal, w: Window, alpha: float, tab: SymbolTable,

@@ -79,6 +79,7 @@ def test_summary_counts_wrong_runs_and_judges_each_metric():
     assert speed["change_better_in_pairs"] == 10
     assert speed["median_change_rel"] == pytest.approx(1.545 / 2.045 - 1)
     assert not speed["regressed"] and not speed["unresolved"]
+    assert speed["change_every_run_better"] and speed["quartiles_separate"]
     # per-op medians of each side show which op moved
     assert out["op_s"]["parent"] == {
         "analyze": pytest.approx(0.6 * 2.045),
@@ -91,8 +92,33 @@ def test_summary_counts_wrong_runs_and_judges_each_metric():
     # higher is better here, so 20 % less is a regression past the bound
     tput = out["metrics"]["throughput"]
     assert tput["change_better_in_pairs"] == 0 and tput["regressed"]
+    assert not tput["change_every_run_better"]
+    assert not tput["quartiles_separate"]
     # a metric outside BENCHMARK.json gets statistics but no verdict
     assert "regressed" not in out["metrics"]["ops"]
+    # one slow run of the change: its quartiles still separate from the
+    # parent's, but not every run is better
+    change[9]["metrics"]["pass_at_ref_speed_s"] = 2.5
+    # higher is better, so the change's q1 must lie above the parent's
+    # q3: throughput 0.9 in half the pairs and 1.5 in the others does not
+    for i, r in enumerate(change):
+        r["metrics"]["throughput"] = 0.9 if i % 2 else 1.5
+    out = bench_pairs.summary({"parent": parent, "change": change},
+                              END_TO_END)
+    speed = out["metrics"]["pass_at_ref_speed_s"]
+    assert speed["quartiles_separate"]
+    assert not speed["change_every_run_better"]
+    tput = out["metrics"]["throughput"]
+    assert tput["change_better_in_pairs"] == 5
+    assert not tput["quartiles_separate"]
+    # 1.2 throughout does, against one parent run of 1.3
+    for r in change:
+        r["metrics"]["throughput"] = 1.2
+    parent[4]["metrics"]["throughput"] = 1.3
+    tput = bench_pairs.summary({"parent": parent, "change": change},
+                               END_TO_END)["metrics"]["throughput"]
+    assert tput["quartiles_separate"]
+    assert not tput["change_every_run_better"]
 
 
 def test_summary_flags_a_spread_parent_as_unresolved():

@@ -117,7 +117,9 @@ def test_frame_info(tmp_path):
 
 _IMPORT_GUARD = """
 import sys
+import numpy as np
 from alphamod.cli import main
+from alphamod.grids import SampledGrid, Signal, save_signal_csv
 
 def loaded():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
@@ -131,6 +133,12 @@ assert main(["diagnostics", "--eps-list", "0.5", "--x-max", "1",
              "--omega-max", "2", *scan, "--output-dir", out]) in (0, 1)
 assert main(["covering-dump", "--output-dir", out]) == 0
 assert not loaded(), loaded()
+grid = SampledGrid.centered(128, 1 / 16)
+save_signal_csv(Signal(grid, np.exp(-grid.coords**2) + 0j), out + "/f.csv")
+assert main(["coorbit-norm", out + "/f.csv", "--grid-n", "128",
+             "--time-range=-3.9,3.9", "--freq-range=-2,2", *scan,
+             "--output-dir", out]) == 0
+assert not loaded(), loaded()
 assert main(["frame-info", "--alpha", "0.5", "--eps", "0.25", "--grid-n",
              "64", "--time-range=-8,8", "--freq-range=-2,2",
              "--output-dir", out]) == 0
@@ -140,9 +148,9 @@ assert not {"scipy.interpolate", "scipy.integrate"} & set(loaded()), loaded()
 
 
 def test_scans_and_the_gate_import_no_scipy(tmp_path):
-    """The symbol path runs on numpy alone; frames load scipy's sparse
-    matrices and solvers only when a frame op runs.  A fresh process, as
-    the test session itself has scipy loaded."""
+    """The symbol path and the voice transform run on numpy alone; frames
+    load scipy's sparse matrices and solvers only when a frame op runs.
+    A fresh process, as the test session itself has scipy loaded."""
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD,
                            str(tmp_path)], capture_output=True, text=True,

@@ -15,11 +15,14 @@ every run's result line and per-op times (each op's
 ``median_at_ref_speed_s`` from the record line that run.py prints before
 the result), the per-metric medians and quartiles of both sides, each
 side's per-op medians, each op's median change relative to the parent
-and the number of pairs in which the change ran it faster, the number
-of pairs in which the change is better on each metric, and the
-machine (CPU count and model, Python, numpy and scipy versions).  At
-least ten seeds are required.  Nothing under ``perfbench/`` is
-imported.
+and the number of pairs in which the change ran it faster, for each
+metric the number of pairs in which the change is better,
+``change_every_run_better`` (every run of the change is better than
+every run of the parent) and ``quartiles_separate`` (the change's worse
+quartile is better than the parent's better one: its q3 below the
+parent's q1 where lower is better), and the machine (CPU count and
+model, Python, numpy and scipy versions).  At least ten seeds are
+required.  Nothing under ``perfbench/`` is imported.
 
 Each end-to-end metric of the parent's ``BENCHMARK.json`` also gets a
 no-regression verdict, read against its ``better`` direction and its
@@ -87,8 +90,11 @@ def summary(runs: dict, end_to_end: dict) -> dict:
     relative to the parent's; under "op_better_in_pairs", the pairs in
     which the change ran each op faster; and under "metrics", medians
     and quartiles per metric and side, the pairs in which the change is
-    better, and the no-regression verdict of each metric in end_to_end
-    (name -> its BENCHMARK.json entry)."""
+    better, whether every run of the change is better than every run of
+    the parent, whether the change's worse quartile is better than the
+    parent's better one (the quartiles separate), and the no-regression
+    verdict of each metric in end_to_end (name -> its BENCHMARK.json
+    entry)."""
     metrics = {}
     op_s = {s: {op: median(r["op_s"][op] for r in runs[s])
                 for op in runs[s][0]["op_s"]} for s in SIDES}
@@ -117,17 +123,22 @@ def summary(runs: dict, end_to_end: dict) -> dict:
             worse_by(c, p, better) < 0
             for p, c in zip(vals["parent"], vals["change"]))
         entry["median_change_rel"] = change["median"] / parent["median"] - 1.0
+        entry["change_every_run_better"] = all(
+            worse_by(c, p, better) < 0
+            for p in vals["parent"] for c in vals["change"])
+        # the change's worse quartile is better than the parent's better one
+        lower = better != "higher"
+        entry["quartiles_separate"] = worse_by(
+            change["q3" if lower else "q1"], parent["q1" if lower else "q3"],
+            better) < 0
         if spec:
             entry["bound"] = spec["bound"]
             entry["regressed"] = worse_by(change["median"], parent["median"],
                                           better) > spec["bound"]
             entry["parent_iqr_rel"] = ((parent["q3"] - parent["q1"])
                                        / parent["median"])
-            every_run_better = all(worse_by(c, p, better) < 0
-                                   for p in vals["parent"]
-                                   for c in vals["change"])
             entry["unresolved"] = (entry["parent_iqr_rel"] > spec["bound"]
-                                   and not every_run_better)
+                                   and not entry["change_every_run_better"])
         metrics[name] = entry
     return out
 
