@@ -21,10 +21,10 @@ from .symbol import (CriticalPointNotApplicable, NotAdmissibleError,
                      RxiProfile, SymbolTable, admissibility_scan,
                      apply_multiplier, beta, p_alpha, p_alpha_inv, r_xi,
                      rxi_profile, symbol_m)
-from .transform import (MassCaptureError, SupportSpillWarning, VoiceMap,
-                        check_reproducing, coorbit_norm, dual_transform,
-                        kernel_K, make_atom, reproducing_kernel,
-                        synthesize_voice, voice_transform)
+from .transform import (MassCaptureError, VoiceMap, check_reproducing,
+                        coorbit_norm, dual_transform, kernel_K,
+                        reproducing_kernel, synthesize_voice,
+                        voice_transform)
 from .covering import (AlphaCovering, Box, CoveringDiagnostics,
                        CoveringGapError, UncoveredPointError,
                        build_covering, covering_diagnostics,

@@ -12,40 +12,36 @@ resampling a stored discrete window: the dilation rate beta(w) is not an
 integer ratio and resampling would leak interpolation error into every
 identity checked downstream.
 
-The discrete frames hold their rows of atoms as one sparse matrix with
-a band per atom: the samples within beta(w) * Window.time_radius of x,
-where psi is not zero to double precision.  The window states that
-radius: half its support when compact, 3.53 for the Gaussian, and
-infinite otherwise, so the bandlimited window's rows fill the whole
-grid.  A band's entries depend only on w, on the offset t_c - x of the
-band's sample t_c nearest x, and on the sample offset from t_c.  Atoms
-that share (w, t_c - x), such as every x of the signal lattice at one
-frequency, share their band, and _band_matrix computes each distinct
-band once, in a table keyed by (w, t_c - x), and copies it to its
-atoms.  The entries agree with the atom formula evaluated sample by
-sample to about 7e-16 of the largest entry on a 2048-sample grid with
-|t| <= 64 and |w| <= 8.
-
-The voice transform and its synthesis build no matrix.  The x nodes of
-the product grid serve every w, so the nodes that share an offset
-delta = t_c - x share one dense table of band entries per chunk of
-frequencies, with _band_matrix's formula and reach, and the transform
-on those nodes is one product of the table with the nodes' signal
-windows f(t_c + j*dt), which read 0 off the grid as the clipped bands
-do (_voice_bands).  Nodes on the signal lattice share one offset, and
-nodes a + k*s samples from the grid's origin, with a and s fractions
-of a small common denominator q, take at most q + 1 (q, and either
-side of a half-sample tie), computed as equal floats where they are
-equal in exact arithmetic (_node_samples).  The tables are built a
-block of at most _FILL entries at a time, so the peak memory is one
-block plus the nodes' windows and the map, and no scipy module is
+Frames and the voice transform build atoms with one band builder.  An
+atom's band is the samples within beta(w) * Window.time_radius of x,
+where psi is not zero to double precision (half the support of a
+compact window, 3.53 for the Gaussian, infinite for the bandlimited
+one).  With t_c the band's sample nearest x, the entry at t_c + j*dt is
+a head exp(2 pi i w (t_c - x)) beta^(-1/2) times a phase
+exp(2 pi i w j dt) times psi((t_c - x + j*dt) / beta), a function of
+(w, t_c - x, j) alone: _tables yields these factors, for the offsets
+|j| within _reach, and each user multiplies them.  Both phases are
+small where the atom is large, so they round no worse than the phase
+of each sample; a phase taken from the band's first sample instead is
+off by 7e-13 on full-width bandlimited rows with |t - x| up to 64, w 8.
+The entries agree with the atom formula evaluated sample by sample to
+about 7e-16 of the largest entry on a 2048-sample grid with |t| <= 64
+and |w| <= 8.  _band_matrix computes each distinct band of a frame once
+and copies it to every atom that shares it (1 340 bands among the
+20 293 atoms of the benchmark's analyze frame, 2 236 among the 20 527
+of its roundtrip frame).  The voice transform and its synthesis build
+no matrix: nodes that share an offset t_c - x share one dense table
+per chunk of frequencies, and the transform on them is one product of
+the table with their signal windows (_voice_bands).  Nodes a + k*s
+samples from the grid's origin, with a and s fractions of a small
+common denominator q, take at most q + 1 offsets, equal as floats where
+they are equal in exact arithmetic (_node_samples).  No scipy module is
 loaded.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -56,10 +52,6 @@ from .grids import Signal, SampledGrid, Weight, _write_csv, weighted_lp_norm
 from .quadrature import integrate
 from .symbol import NotAdmissibleError, SymbolTable, apply_multiplier, beta
 from .windows import Window
-
-
-class SupportSpillWarning(UserWarning):
-    """Atom mass leaking past the signal grid exceeds the tolerance."""
 
 
 class MassCaptureError(ValueError):
@@ -100,21 +92,6 @@ class VoiceMap:
         _write_csv(path, np.abs(self.values), "")
 
 
-def make_atom(w: Window, alpha: float, x: float, omega: float,
-              grid: SampledGrid) -> Signal:
-    """T_x M_w D_beta psi sampled on the grid; warns when more than
-    1e-6 of the atom's mass lies outside the grid."""
-    values = _atom_rows(w, alpha, omega, [x], grid)[0]
-    mass = grid.spacing * float(np.sum(np.abs(values) ** 2))
-    spill = 1.0 - mass / w.l2_norm**2
-    if spill > 1e-6:
-        warnings.warn(
-            f"atom at (x={x}, w={omega}) spills {spill:.2e} of its mass "
-            f"past the grid", SupportSpillWarning, stacklevel=2,
-        )
-    return Signal(grid, values)
-
-
 def _atom_rows(w: Window, alpha: float, omega: float, xs: np.ndarray,
                grid: SampledGrid) -> np.ndarray:
     """Dense matrix A[m, k] = a_{x_m, omega}(t_k) for one frequency row:
@@ -124,11 +101,10 @@ def _atom_rows(w: Window, alpha: float, omega: float, xs: np.ndarray,
                         grid).toarray()
 
 
-# table and matrix entries filled per pass of _band_matrix's loops, and
-# per block of _voice_bands' tables: passes of 2^14 to 2^17 entries
-# built the benchmark's frame matrices equally fast, 2^13 1.2x and 2^20
-# 1.3x slower in total; blocks of 2^15 and 2^16 its off-lattice voice
-# tables equally fast, 2^17 1.15x slower
+# entries per block of _tables and per pass of _band_matrix's gather:
+# passes of 2^14 to 2^17 entries built the benchmark's frame matrices
+# equally fast, 2^13 1.2x and 2^20 1.3x slower in total; blocks of 2^15
+# and 2^16 its off-lattice voice tables equally fast, 2^17 1.15x slower
 _FILL = 1 << 16
 
 # multiply-adds per product of a voice table and its nodes' windows:
@@ -139,6 +115,38 @@ _FILL = 1 << 16
 _PRODUCT = 1 << 18
 
 
+def _reach(w: Window, b, dt: float, cap: int) -> np.ndarray:
+    """Reach of atoms of dilation b: the offsets |j| <= reach from the
+    sample nearest x hold _band_matrix's band of the atom; at most cap."""
+    return np.minimum(np.ceil(w.time_radius * b / dt + 0.5),
+                      cap).astype(np.int64)
+
+
+def _tables(w: Window, alpha: float, dt: float, om: np.ndarray,
+            half: np.ndarray, deltas: np.ndarray):
+    """The factors of the band entries of the frequencies om at the
+    offsets deltas.  Yields first phase[r, J + j] = exp(2 pi i om[r] j dt)
+    for |j| <= half[r], 0 beyond, J = max(half); then (g0, heads, psi) for
+    blocks of at most _FILL entries of psi (or one offset, if wider):
+
+        heads[g, r] = exp(2 pi i om[r] deltas[g0 + g]) beta^(-1/2)
+        psi[g, r, J + j] = psi((deltas[g0 + g] + j*dt) / beta),
+
+    with beta = beta(om[r]).
+    """
+    b = beta(om, alpha)
+    J = int(half.max())
+    j = np.arange(-J, J + 1)
+    phase = np.exp(2j * np.pi * np.outer(om, dt * j))
+    phase[np.abs(j) > half[:, None]] = 0.0
+    yield phase
+    step = max(1, _FILL // phase.size)
+    for g0 in range(0, deltas.size, step):
+        dl = deltas[g0:g0 + step, None]
+        yield (g0, np.exp(2j * np.pi * om * dl) / np.sqrt(b),
+               w.time((dt * j + dl[..., None]) / b[:, None]))
+
+
 def _band_matrix(w: Window, alpha: float, omegas: np.ndarray,
                  xs: np.ndarray, grid: SampledGrid) -> sparse.csr_array:
     """CSR matrix of atoms on the grid, one matrix row per atom (x, omega)
@@ -147,25 +155,15 @@ def _band_matrix(w: Window, alpha: float, omegas: np.ndarray,
     Each matrix row holds the atom a_{x,omega}(t_k) of the module
     docstring on the samples t_k within beta(omega) * w.time_radius of
     x, with one sample of slack per side so that rounding never drops a
-    nonzero sample.  With t_c the band's sample nearest x,
-    delta = t_c - x and t_k = t_c + j*dt, the entry at offset j is
-
-        exp(2 pi i omega delta) beta^(-1/2)     (the band's head)
-        * exp(2 pi i omega j dt)                (a phase table entry)
-        * psi((delta + j*dt) / beta),
-
-    a function of (omega, delta, j) alone.  So the atoms are grouped by
-    exact (omega, delta), with no tolerance, and each group gets one row
-    of a table: the offsets its atoms store, at most as many entries as
-    they store together, filled once from the formula.  The matrix is
-    then gathered from the table, so a row is, bit for bit, the row its
-    atom gets alone.  Where t_k and delta are exact, as on dyadic grids,
-    delta + j*dt rounds to t_k - x to the last bit.  The phase table
-    holds twice the widest band per distinct omega.  Both phases are
-    small where the atom is large, so they round no worse than the phase
-    of each sample; a phase taken from the band's first sample instead
-    is off by 7e-13 on full-width bandlimited rows with |t - x| up to
-    64, omega 8.
+    nonzero sample.  With t_c the band's sample nearest x, the entry at
+    t_c + j*dt is a function of (omega, delta = t_c - x, j) alone.  So
+    the atoms are taken in runs of equal omega (a covering row each, for
+    a frame), and each distinct delta of a run, exact with no tolerance,
+    gets one table row: the offsets |j| <= _reach(omega), filled once
+    from _tables as (phase * head) * psi.  The matrix is then gathered
+    from the table, so a row is, bit for bit, the row its atom gets
+    alone.  Where t_k and delta are exact, as on dyadic grids,
+    delta + j*dt rounds to t_k - x to the last bit.
     """
     from scipy import sparse
     b = beta(omegas, alpha)
@@ -182,61 +180,39 @@ def _band_matrix(w: Window, alpha: float, omegas: np.ndarray,
     data = np.empty(nnz, dtype=complex)
     mid = np.clip(np.rint((xs - grid.origin) / dt), lo, hi - 1)
     delta = grid.origin + dt * mid - xs
-    mid = mid.astype(np.int64)
-    # group the atoms by exact (omega, delta), in order of (omega, delta)
-    key = np.empty(xs.size, dtype=complex)
-    key.real, key.imag = omegas, delta
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    new = np.ones(xs.size, dtype=bool)
-    new[1:] = key[1:] != key[:-1]
-    starts = np.flatnonzero(new)
-    group = np.empty(xs.size, dtype=np.int64)
-    group[order] = np.cumsum(new) - 1
-    first = order[starts]
-    # row g of the table holds group g's offsets j0[g] <= j <= j1[g] from
-    # row_at[g] on; an atom that stores nothing spans 1 <= j <= 0
-    j0 = np.minimum.reduceat((lo - mid)[order], starts)
-    j1 = np.maximum.reduceat((hi - 1 - mid)[order], starts)
-    widths = j1 - j0 + 1
-    row_at = np.concatenate([[0], np.cumsum(widths)])
-    table = np.empty(int(row_at[-1]), dtype=complex)
-    om, dl, bg = omegas[first], delta[first], b[first]
-    head = np.exp(2j * np.pi * om * dl) / np.sqrt(bg)
-    # row f of the phase table holds the offsets -J <= j <= J of freqs[f]
-    fnew = np.ones(om.size, dtype=bool)
-    fnew[1:] = om[1:] != om[:-1]
-    freqs, frow = om[fnew], np.cumsum(fnew) - 1
-    J = int(max(np.max(-j0, initial=0), np.max(j1, initial=0)))
-    phase = np.exp(2j * np.pi * np.outer(freqs, dt * np.arange(-J, J + 1)))
-    # positions in int32 where they fit (all below nnz, phase.size and
-    # 2n in size): the loops move half the bytes
-    itype = np.int32 if max(nnz, phase.size) + 2 * n < 2**31 else np.int64
-    # table entry p of group g is offset p + to_j[g]
-    to_j = (j0 - row_at[:-1]).astype(itype)
-    to_phase = (frow * (2 * J + 1) + J + to_j).astype(itype)
-    # whole groups per pass, about _FILL entries each
-    cuts = np.searchsorted(row_at, np.arange(_FILL, row_at[-1], _FILL))
-    for g0, g1 in zip([0, *cuts], [*cuts, first.size]):
-        p0, p1 = row_at[g0], row_at[g1]
-        c = widths[g0:g1]
-        p = np.arange(p0, p1, dtype=itype)
-        out = table[p0:p1]
-        q = np.repeat(to_phase[g0:g1], c)
-        q += p
-        # positions are in range; "clip" spares take a buffered copy
-        np.take(phase, q, out=out, mode="clip")
-        out *= np.repeat(head[g0:g1], c)
-        q = np.repeat(to_j[g0:g1], c)
-        q += p
-        u = dt * q
-        u += np.repeat(dl[g0:g1], c)
-        u /= np.repeat(bg[g0:g1], c)
-        out *= w.time(u)
-    # entry s of atom m sits at table[s + to_table[m]] and in grid
-    # column s + to_col[m]
+    # entry s of atom m sits in grid column s + to_col[m], at the offset
+    # j = s + to_mid[m] from mid
     to_col = lo - indptr[:-1]
-    to_table = (to_col - mid - to_j[group]).astype(itype)
+    to_mid = to_col - mid.astype(np.int64)
+    new = np.ones(xs.size, dtype=bool)
+    new[1:] = omegas[1:] != omegas[:-1]
+    starts = np.flatnonzero(new)
+    half = _reach(w, b[starts], dt, n - 1)
+    # each distinct delta of a run gets a table row of the offsets
+    # |j| <= J; entry s of atom m is table[s + to_table[m]]
+    runs, size = [], 0
+    to_table = np.empty(xs.size, dtype=np.int64)
+    for a0, a1, J in zip(starts, [*starts[1:], xs.size], half):
+        deltas, group = np.unique(delta[a0:a1], return_inverse=True)
+        np.add(group * (2 * J + 1) + (size + J), to_mid[a0:a1],
+               out=to_table[a0:a1])
+        runs.append((a0, deltas, size))
+        size += deltas.size * (2 * J + 1)
+    table = np.empty(size, dtype=complex)
+    for r, (a0, deltas, at) in enumerate(runs):
+        tables = _tables(w, alpha, dt, omegas[a0:a0 + 1], half[r:r + 1],
+                         deltas)
+        phase = next(tables)
+        rows = table[at:at + deltas.size * phase.size].reshape(
+            deltas.size, 1, phase.size)
+        for g0, heads, psi in tables:
+            block = rows[g0:g0 + len(heads)]
+            np.multiply(phase, heads[..., None], out=block)
+            block *= psi
+    # positions in int32 where they fit (all below nnz, the table's size
+    # and 2n in size): the gathers move half the bytes
+    itype = np.int32 if max(nnz, size) + 2 * n < 2**31 else np.int64
+    to_table = to_table.astype(itype)
     to_col = to_col.astype(itype)
     # whole atoms per pass, about _FILL entries each
     cuts = np.searchsorted(indptr, np.arange(_FILL, nnz, _FILL))
@@ -246,6 +222,7 @@ def _band_matrix(w: Window, alpha: float, omegas: np.ndarray,
         s = np.arange(s0, s1, dtype=itype)
         q = np.repeat(to_table[a0:a1], c)
         q += s
+        # positions are in range; "clip" spares take a buffered copy
         np.take(table, q, out=data[s0:s1], mode="clip")
         np.add(s, np.repeat(to_col[a0:a1], c), out=indices[s0:s1],
                casting="unsafe")
@@ -307,17 +284,15 @@ def _voice_bands(w: Window, alpha: float, x_grid: SampledGrid,
     head, T) for a chunk of frequency rows and nodes that share an
     offset delta (_node_samples): with omega = omega_grid.coords[rows],
     head[m] * T[m, i] is the atom a_{x, omega[m]} at the sample
-    t_{mid - J + cols.start + i} of each such node x.  That is
-    _band_matrix's formula head(omega, delta) * phase(omega, j) *
-    psi((delta + j*dt) / beta(omega)) at the offset j from mid, within
-    the row's reach |j| <= J_omega, and 0 beyond.  J_omega is the least
-    reach that holds _band_matrix's band at every delta in [-dt/2, dt/2],
-    capped where no node's window meets the grid, and J the largest.
+    t_{mid - J + cols.start + i} of each such node x: T = phase * psi
+    and head from _tables, at the offset j from mid within the row's
+    reach |j| <= J_omega (_reach, capped where no node's window meets
+    the grid), and 0 beyond; J is the largest reach.
     A chunk holds rows whose reach is at least 3/4 of its widest row's,
     which sets its columns: of shares from 1/2 to 1 (one padded table),
     3/4 built the benchmark's off-lattice tables fastest.  Tables are
-    built in blocks of at most _FILL entries (or one row, if wider), one
-    at a time; a yield covers at most _PRODUCT multiply-adds.
+    built a block of _tables at a time; a yield covers at most _PRODUCT
+    multiply-adds.
     """
     n, dt = grid.n, grid.spacing
     mid, delta = _node_samples(x_grid, grid)
@@ -326,8 +301,7 @@ def _voice_bands(w: Window, alpha: float, x_grid: SampledGrid,
     cuts = np.concatenate([[0], np.cumsum(np.bincount(group))])
     om = omega_grid.coords
     b = beta(om, alpha)
-    half = np.minimum(np.ceil(w.time_radius * b / dt + 0.5),
-                      max(mid.max(), n - 1 - mid.min())).astype(np.int64)
+    half = _reach(w, b, dt, max(mid.max(), n - 1 - mid.min()))
     J = int(half.max())
     width = 2 * J + 1
     starts = np.clip(mid - J, -width, n) + width
@@ -343,18 +317,13 @@ def _voice_bands(w: Window, alpha: float, x_grid: SampledGrid,
     def bands():
         for rows in chunks:
             Jc = int(half[rows[0]])
-            j = np.arange(-Jc, Jc + 1)
-            phase = np.exp(2j * np.pi * np.outer(om[rows], dt * j))
-            phase[np.abs(j) > half[rows, None]] = 0.0
             cols = slice(J - Jc, J + Jc + 1)
-            br = b[rows, None]
-            step = max(1, _FILL // phase.size)
+            tables = _tables(w, alpha, dt, om[rows], half[rows], deltas)
+            phase = next(tables)
             per = max(1, _PRODUCT // phase.size)
-            for g0 in range(0, deltas.size, step):
-                dl = deltas[g0:g0 + step, None]
-                heads = np.exp(2j * np.pi * om[rows] * dl) / np.sqrt(b[rows])
-                tables = phase * w.time((dt * j + dl[..., None]) / br)
-                for g, head, T in zip(range(g0, deltas.size), heads, tables):
+            for g0, heads, psi in tables:
+                for g, head, T in zip(range(g0, deltas.size), heads,
+                                      phase * psi):
                     ks = nodes[cuts[g]:cuts[g + 1]]
                     for k in range(0, ks.size, per):
                         yield rows, ks[k:k + per], cols, head, T

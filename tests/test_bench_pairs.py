@@ -130,6 +130,18 @@ def test_summary_flags_a_spread_parent_as_unresolved():
     assert speed["change_better_in_pairs"] == 5
 
 
+def test_src_lines_counts_the_package_modules(tmp_path):
+    pkg = tmp_path / "src" / "alphamod"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text("")
+    (pkg / "a.py").write_text("x = 1\ny = 2\n")
+    (pkg / "b.py").write_text("z = 3\n\nw = 4")  # no final newline
+    (pkg / "notes.txt").write_text("not\ncounted\n")
+    (tmp_path / "tools").mkdir()
+    (tmp_path / "tools" / "c.py").write_text("not counted\n")
+    assert bench_pairs.src_lines(tmp_path) == 5
+
+
 @pytest.mark.parametrize("correct, code", [(True, 0), (False, 1)])
 def test_main_exits_1_on_an_incorrect_run(tmp_path, monkeypatch, capsys,
                                           correct, code):
@@ -148,7 +160,9 @@ def test_main_exits_1_on_an_incorrect_run(tmp_path, monkeypatch, capsys,
                              str(tmp_path / "change"), "--workload", "symbol",
                              "--seeds", *map(str, range(10)),
                              "--out", str(out)]) == code
-    summ = json.loads(out.read_text())["workloads"]["symbol"]["summary"]
+    report = json.loads(out.read_text())
+    assert report["src_lines"] == {"parent": 0, "change": 0}
+    summ = report["workloads"]["symbol"]["summary"]
     assert summ["incorrect_runs"] == {"parent": 0,
                                       "change": 0 if correct else 10}
     assert ("incorrect runs" in capsys.readouterr().err) == (not correct)

@@ -20,9 +20,10 @@ metric the number of pairs in which the change is better,
 ``change_every_run_better`` (every run of the change is better than
 every run of the parent) and ``quartiles_separate`` (the change's worse
 quartile is better than the parent's better one: its q3 below the
-parent's q1 where lower is better), and the machine (CPU count and
-model, Python, numpy and scipy versions).  At least ten seeds are
-required.  Nothing under ``perfbench/`` is imported.
+parent's q1 where lower is better), each checkout's line count of
+``src/alphamod/*.py``, and the machine (CPU count and model, Python,
+numpy and scipy versions).  At least ten seeds are required.  Nothing
+under ``perfbench/`` is imported.
 
 Each end-to-end metric of the parent's ``BENCHMARK.json`` also gets a
 no-regression verdict, read against its ``better`` direction and its
@@ -152,6 +153,12 @@ def commit(checkout: Path) -> dict:
             "dirty": bool(git("status", "--porcelain"))}
 
 
+def src_lines(checkout: Path) -> int:
+    """Lines of the package's modules, src/alphamod/*.py, in a checkout."""
+    return sum(len(path.read_bytes().splitlines())
+               for path in (checkout / "src" / "alphamod").glob("*.py"))
+
+
 def machine() -> dict:
     model = ""
     try:
@@ -184,6 +191,7 @@ def main(argv=None) -> int:
     end_to_end = {m["name"]: m for m in bench["end_to_end"]}
     report = {"seconds": seconds, "seeds": args.seeds,
               "commits": {s: commit(dirs[s]) for s in SIDES},
+              "src_lines": {s: src_lines(dirs[s]) for s in SIDES},
               "machine": machine(), "workloads": {}}
     incorrect = 0
     for workload in args.workload:
