@@ -25,14 +25,13 @@ from .transform import (MassCaptureError, VoiceMap, check_reproducing,
                         coorbit_norm, dual_transform, kernel_K,
                         reproducing_kernel, synthesize_voice,
                         voice_transform)
-from .covering import (AlphaCovering, Box, CoveringDiagnostics,
+from .covering import (AlphaCovering, CoveringDiagnostics,
                        CoveringGapError, UncoveredPointError,
                        build_covering, covering_diagnostics,
-                       mutual_weight_bound, q_neighborhood)
+                       mutual_weight_bound)
 from .frames import (AlphaFrame, Coefficients, IterationError,
                      ReconstructionResult, analysis, estimate_frame_bounds,
-                     frame_operator_apply, load_coefficients, reconstruct,
-                     synthesis)
+                     load_coefficients, reconstruct, synthesis)
 from .diagnostics import (DiscretizationVerdict, KernelEstimate,
                           TruncationConfig, diagnostics_report,
                           discretization_condition, estimate_gamma,

@@ -33,23 +33,6 @@ class UncoveredPointError(ValueError):
     """Point lies outside every box of the covering."""
 
 
-@dataclass(frozen=True)
-class Box:
-    j: int
-    k: int
-    x_lo: float
-    x_hi: float
-    w_lo: float
-    w_hi: float
-
-    @property
-    def area(self) -> float:
-        return (self.x_hi - self.x_lo) * (self.w_hi - self.w_lo)
-
-    def contains(self, x: float, omega: float) -> bool:
-        return (self.x_lo < x < self.x_hi) and (self.w_lo < omega < self.w_hi)
-
-
 @dataclass(eq=False)
 class AlphaCovering:
     """The boxes U_{j,k} meeting a rectangle, as a table of rows.
@@ -79,26 +62,6 @@ class AlphaCovering:
         self.betas = beta(self.omegas, self.alpha)
         self.halves = 2.0 * self.eps * self.c / self.betas
         self.n_boxes = int(np.sum(self.k_hi - self.k_lo + 1))
-
-    def row(self, j: int) -> int:
-        """Index of row j in the table; KeyError when j is not a row."""
-        r = int(np.searchsorted(self.js, j))
-        if r == self.js.size or self.js[r] != j:
-            raise KeyError(j)
-        return r
-
-    def x_node(self, j: int, k: int) -> float:
-        return float(self.eps * self.betas[self.row(j)] * k)
-
-    def box(self, j: int, k: int) -> Box:
-        r = self.row(j)
-        w, h, step = self.omegas[r], self.halves[r], self.eps * self.betas[r]
-        return Box(j, k, step * (k - 1), step * (k + 1), w - h, w + h)
-
-    def boxes(self):
-        for j, k0, k1 in zip(self.js, self.k_lo, self.k_hi):
-            for k in range(k0, k1 + 1):
-                yield self.box(int(j), k)
 
     def _box_index(self):
         """Row index r and k (as floats) of every box, in row-major (j, k)
@@ -272,43 +235,6 @@ def covering_diagnostics(cov: AlphaCovering,
     )
 
 
-def _row_boxes(cov: AlphaCovering, t, omegas):
-    """Boxes containing the points (t[m], omegas[i]), one covering row at
-    a time.
-
-    Yields (r, band, k, inside) for every row r (an index into the row
-    table) whose frequency band meets omegas.  band marks the omegas
-    inside the band; k has shape (len(t), 2) and holds the only
-    two boxes of the row that can contain t[m], and inside marks those
-    that do and lie in the row's k-range.
-    """
-    t = np.asarray(t, dtype=float)
-    bands = np.abs(np.asarray(omegas, dtype=float)[None, :]
-                   - cov.omegas[:, None]) < cov.halves[:, None]
-    for r in np.nonzero(bands.any(axis=1))[0]:
-        u = t / (cov.eps * cov.betas[r])
-        k = np.floor(u)[:, None] + np.array([0.0, 1.0])
-        inside = ((np.abs(u[:, None] - k) < 1.0)
-                  & (k >= cov.k_lo[r]) & (k <= cov.k_hi[r]))
-        yield r, bands[r], k, inside
-
-
-def q_neighborhood(cov: AlphaCovering, point: tuple[float, float]):
-    """Boxes containing the point and their union's bounding box.
-
-    Returns (boxes, (x_lo, x_hi, w_lo, w_hi)).
-    """
-    x, omega = float(point[0]), float(point[1])
-    hits = [cov.box(int(cov.js[r]), int(kk))
-            for r, _, k, inside in _row_boxes(cov, [x], [omega])
-            for kk in k[inside]]
-    if not hits:
-        raise UncoveredPointError(f"point ({x}, {omega}) is not covered")
-    bbox = (min(b.x_lo for b in hits), max(b.x_hi for b in hits),
-            min(b.w_lo for b in hits), max(b.w_hi for b in hits))
-    return hits, bbox
-
-
 def q_samples(cov: AlphaCovering, t, omegas, density: int):
     """Interior density x density samples of every box containing a
     point (t[m], omegas[i]), one covering row at a time.
@@ -316,17 +242,24 @@ def q_samples(cov: AlphaCovering, t, omegas, density: int):
     Yields (band, z_t, inside, z_w) for every row whose frequency band
     meets omegas: band marks the omegas inside the band, z_w holds the
     row's density sample frequencies, and z_t, of shape
-    (len(t), 2 * density), the sample times of the two boxes of the row
-    that can contain t[m]; inside marks the samples whose box contains
-    t[m] and lies in the row's k-range.  Each box side is sampled at
-    linspace(lo, hi, density + 2)[1:-1].
+    (len(t), 2 * density), the sample times of the only two boxes of the
+    row that can contain t[m]; inside marks the samples whose box
+    contains t[m] and lies in the row's k-range.  Each box side is
+    sampled at linspace(lo, hi, density + 2)[1:-1].
     """
+    t = np.asarray(t, dtype=float)
+    bands = np.abs(np.asarray(omegas, dtype=float)[None, :]
+                   - cov.omegas[:, None]) < cov.halves[:, None]
     frac = np.arange(1, density + 1) / (density + 1)
-    for r, band, k, inside in _row_boxes(cov, t, omegas):
-        w, h = cov.omegas[r], cov.halves[r]
+    for r in np.nonzero(bands.any(axis=1))[0]:
+        step, w, h = cov.eps * cov.betas[r], cov.omegas[r], cov.halves[r]
+        u = t / step
+        k = np.floor(u)[:, None] + np.array([0.0, 1.0])
+        inside = ((np.abs(u[:, None] - k) < 1.0)
+                  & (k >= cov.k_lo[r]) & (k <= cov.k_hi[r]))
         # equal to linspace up to rounding; the rounding of this form is
         # kept because snapped sample times can sit on exact grid ties
-        z_t = cov.eps * cov.betas[r] * (k[..., None] - 1.0 + 2.0 * frac)
+        z_t = step * (k[..., None] - 1.0 + 2.0 * frac)
         z_w = w - h + 2.0 * h * frac
-        yield (band, z_t.reshape(len(k), -1),
+        yield (bands[r], z_t.reshape(len(k), -1),
                np.repeat(inside, density, axis=1), z_w)

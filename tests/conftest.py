@@ -16,6 +16,20 @@ def dense_atom_rows(w, alpha, omega, xs, grid):
     return np.exp(2j * np.pi * omega * u) * prof / np.sqrt(b)
 
 
+def _box_table(cov):
+    """(j, k, x_lo, x_hi, w_lo, w_hi) of every box U_{j,k} =
+    eps*b*(k-1, k+1) x (w_j -+ 2*eps*c/b), b = beta(w_j), one row per box
+    in row-major (j, k) order: the box oracle, from the covering's row
+    table (j, w_j, k range) alone.  A row with k_lo > k_hi has no box."""
+    ks = [np.arange(k0, k1 + 1) for k0, k1 in zip(cov.k_lo, cov.k_hi)]
+    r = np.repeat(np.arange(cov.js.size), [k.size for k in ks])
+    k = np.concatenate(ks).astype(float)
+    b = beta(cov.omegas, cov.alpha)[r]
+    step, w, h = cov.eps * b, cov.omegas[r], 2.0 * cov.eps * cov.c / b
+    return np.column_stack([cov.js[r], k, step * (k - 1), step * (k + 1),
+                            w - h, w + h])
+
+
 @pytest.fixture(scope="session")
 def gauss():
     return gaussian_window()

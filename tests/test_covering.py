@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import _box_table
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +13,8 @@ from alphamod.covering import (CoveringGapError, UncoveredPointError,
                                _max_overlap, _uncovered_point,
                                build_covering, covering_diagnostics,
                                mutual_weight_bound, p_alpha, p_alpha_inv,
-                               q_neighborhood, q_samples)
+                               q_samples)
+from alphamod.diagnostics import oscillation_kernel
 from alphamod.symbol import beta
 
 
@@ -43,32 +45,36 @@ def test_frequency_nodes_follow_parametrization():
         assert w == pytest.approx(p_alpha(0.25 * j, 0.5))
 
 
+def _contains(boxes, x, omega):
+    """Which boxes of a _box_table hold the point (x, omega) inside; x and
+    omega may also be arrays of one point per box."""
+    return ((boxes[:, 2] < x) & (x < boxes[:, 3])
+            & (boxes[:, 4] < omega) & (omega < boxes[:, 5]))
+
+
 def test_box_geometry():
     eps, c, alpha = 0.25, 1.0, 0.5
     cov = build_covering(alpha, eps, c, (-4, 4), (-4, 4))
-    for box in cov.boxes():
-        b = beta(cov.omegas[cov.row(box.j)], alpha)
-        assert box.x_hi - box.x_lo == pytest.approx(2 * eps * b)
-        assert box.w_hi - box.w_lo == pytest.approx(4 * eps * c / b)
-        assert box.area == pytest.approx(8 * eps**2 * c, rel=1e-14)
+    j, _, x_lo, x_hi, w_lo, w_hi = _box_table(cov).T
+    assert j.size == cov.n_boxes
+    b = beta(p_alpha(eps * j, alpha), alpha)
+    np.testing.assert_allclose(x_hi - x_lo, 2 * eps * b, rtol=1e-12)
+    np.testing.assert_allclose(w_hi - w_lo, 4 * eps * c / b, rtol=1e-12)
+    np.testing.assert_allclose((x_hi - x_lo) * (w_hi - w_lo),
+                               8 * eps**2 * c, rtol=1e-14)
 
 
 def test_boxes_contain_their_nodes():
     cov = build_covering(0.5, 0.25, 1.0, (-4, 4), (-4, 4))
-    for j, k, x, om in cov.nodes():
-        assert cov.box(int(j), int(k)).contains(x, om)
-
-
-def _box_table(cov):
-    """(x_lo, x_hi, w_lo, w_hi) of every box, one row per box."""
-    return np.array([(b.x_lo, b.x_hi, b.w_lo, b.w_hi)
-                     for b in cov.boxes()]).reshape(-1, 4)
+    boxes, nodes = _box_table(cov), cov.nodes()
+    assert np.array_equal(nodes[:, :2], boxes[:, :2])
+    assert _contains(boxes, nodes[:, 2], nodes[:, 3]).all()
 
 
 def _max_overlap_brute(cov):
     """The most boxes meeting one box, itself included, over every pair of
     boxes: oracle for _max_overlap."""
-    boxes = _box_table(cov)
+    boxes = _box_table(cov)[:, 2:]
     worst = 0
     for blk in np.array_split(boxes, max(1, len(boxes) // 256)):
         meets = ((boxes[:, 0] < blk[:, 1:2]) & (boxes[:, 1] > blk[:, :1])
@@ -84,7 +90,7 @@ def _covers_brute(cov):
     an uncovered stretch of the open boxes starts at one of them."""
     t0, t1 = cov.time_range
     f0, f1 = cov.freq_range
-    boxes = _box_table(cov)
+    boxes = _box_table(cov)[:, 2:]
     steps = cov.eps * cov.betas
     ts = np.concatenate([np.linspace(t0, t1, 64), steps * (cov.k_lo - 1),
                          steps * (cov.k_hi + 1)])
@@ -131,7 +137,7 @@ def test_max_overlap_counts_every_box(args, want):
     assert _max_overlap_brute(cov) == want
 
 
-def test_covering_gap_detected():
+def test_covering_gap_detected(gauss, gauss_tab):
     # bands too thin for the node spacing, and bands (0.5 j -+ 0.25) that
     # only touch, leaving the line omega = 0.75 uncovered
     for args in ((0.5, 0.25, 0.2, (-4, 4), (-4, 4)),
@@ -141,9 +147,12 @@ def test_covering_gap_detected():
         with pytest.raises(CoveringGapError, match=re.escape(str(point))):
             build_covering(*args)
         assert not covering_diagnostics(cov).covers_region
-        assert not any(b.contains(*point) for b in cov.boxes())
+        assert not _contains(_box_table(cov), *point).any()
+        # no box samples the gap point, so the oscillation kernel raises
+        # before any quadrature (the table's alpha is never read)
         with pytest.raises(UncoveredPointError):
-            q_neighborhood(cov, point)
+            oscillation_kernel(gauss, cov.alpha, gauss_tab, cov, (0.0, 0.0),
+                               point)
 
 
 def test_validate_false_skips_probe():
@@ -176,7 +185,7 @@ def test_gap_and_overlap_match_brute_force_oracles():
         verdicts.append(point is None)
         assert verdicts[-1] == _covers_brute(cov)
         if point is not None:
-            assert not any(b.contains(*point) for b in cov.boxes())
+            assert not _contains(_box_table(cov), *point).any()
         assert _max_overlap(cov) == _max_overlap_brute(cov)
     assert any(verdicts) and not all(verdicts)
     # a covering with gaps (see test_covering_gap_detected), a gapless
@@ -212,13 +221,12 @@ def test_covering_with_a_missing_row():
     # (row 10 sits at omega = 1023, band (-1, 2047)) meet it too
     cov = build_covering(0.9, 1.0, 1.0, (-4, 4), (3, 4))
     assert cov.js.tolist() == [*range(-9, 0), *range(1, 11)]
-    with pytest.raises(KeyError):
-        cov.row(0)
-    boxes = list(cov.boxes())
+    assert 0 not in cov.js
+    boxes = _box_table(cov)
     nodes = cov.nodes()
     assert cov.n_boxes == len(boxes) == len(nodes)
-    assert np.array_equal(nodes[:, :2], [(b.j, b.k) for b in boxes])
-    assert all(b.contains(x, om) for b, (_, _, x, om) in zip(boxes, nodes))
+    assert np.array_equal(nodes[:, :2], boxes[:, :2])
+    assert _contains(boxes, nodes[:, 2], nodes[:, 3]).all()
     diag = covering_diagnostics(cov)
     assert diag.covers_region and diag.moderate
     assert diag.max_overlap == _max_overlap_brute(cov)
@@ -267,49 +275,41 @@ def test_weight_variation_shrinks_with_eps():
     assert vals[0] > vals[1] > vals[2] > 1.0
 
 
-def test_q_neighborhood_contains_point():
-    cov = build_covering(0.5, 0.25, 1.0, (-4, 4), (-4, 4))
-    pt = (0.7, 1.3)
-    boxes, bbox = q_neighborhood(cov, pt)
-    assert boxes
-    x0, x1, w0, w1 = bbox
-    assert x0 <= pt[0] <= x1 and w0 <= pt[1] <= w1
-    assert any(b.contains(*pt) for b in boxes)
-
-
-def test_q_samples_match_q_neighborhood_boxes():
+def test_q_samples_match_the_boxes_containing_the_point():
     cov = build_covering(0.5, 0.25, 1.0, (-4, 4), (-4, 4))
     density = 3
+    boxes = _box_table(cov)
     rng = np.random.default_rng(11)
     points = list(zip(rng.uniform(-4, 4, 25), rng.uniform(-4, 4, 25)))
     # points in the first and last box of a row, where the k-range cuts
     # one of the two candidate boxes away
     for j in (cov.js[0] + 3, 0, cov.js[-1] - 3):
-        r = cov.row(j)
+        r = int(np.searchsorted(cov.js, j))
         k0, k1, w = cov.k_lo[r], cov.k_hi[r], cov.omegas[r]
+        step = cov.eps * cov.betas[r]
         half = 0.5 * cov.eps * beta(w, cov.alpha)
-        points += [(cov.x_node(j, k0) - half, w),
-                   (cov.x_node(j, k1) + half, w)]
+        points += [(step * k0 - half, w), (step * k1 + half, w)]
     def key(z):  # an order that ulp differences cannot change
         return round(z[0], 9), round(z[1], 9)
 
+    hits = 0
     for t, omega in points:
-        boxes = [b for b in cov.boxes() if b.contains(t, omega)]
-        assert ({(b.j, b.k) for b in q_neighborhood(cov, (t, omega))[0]}
-                == {(b.j, b.k) for b in boxes})
+        held = boxes[_contains(boxes, t, omega)]
+        hits += len(held)
         want = sorted(
             ((zt, zw)
-             for b in boxes
-             for zt in np.linspace(b.x_lo, b.x_hi, density + 2)[1:-1]
-             for zw in np.linspace(b.w_lo, b.w_hi, density + 2)[1:-1]),
+             for _, _, x_lo, x_hi, w_lo, w_hi in held
+             for zt in np.linspace(x_lo, x_hi, density + 2)[1:-1]
+             for zw in np.linspace(w_lo, w_hi, density + 2)[1:-1]),
             key=key)
         got = sorted(
             ((zt, zw)
              for _, z_t, inside, z_w in q_samples(cov, [t], [omega], density)
              for zt in z_t[inside] for zw in z_w),
             key=key)
-        assert len(got) == len(want) == density**2 * len(boxes)
+        assert len(got) == len(want) == density**2 * len(held)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    assert hits >= len(points)
 
 
 def test_nodes_csv_roundtrip(tmp_path):
@@ -319,6 +319,10 @@ def test_nodes_csv_roundtrip(tmp_path):
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     assert data.shape == (cov.n_boxes, 8)
     assert np.max(np.abs(data[:, :4] - cov.nodes())) == 0.0
+    # x_lo, x_hi, w_lo, w_hi, the box columns that covering-dump writes
+    boxes = _box_table(cov)
+    assert np.array_equal(data[:, :2], boxes[:, :2])
+    assert np.array_equal(data[:, 4:], boxes[:, 2:])
 
 
 def test_domain_validation():

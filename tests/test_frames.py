@@ -14,8 +14,8 @@ from alphamod.symbol import admissibility_scan
 from alphamod.transform import coorbit_norm
 from alphamod.frames import (AlphaFrame, Coefficients, IterationError,
                              _S_block, _S_bounds, analysis,
-                             estimate_frame_bounds, frame_operator_apply,
-                             load_coefficients, reconstruct, synthesis)
+                             estimate_frame_bounds, load_coefficients,
+                             reconstruct, synthesis)
 from alphamod.grids import (GridMismatchError, SampledGrid, Signal,
                             inner_product)
 from alphamod.windows import Window, gaussian_window, parse_window_spec
@@ -80,6 +80,29 @@ def _rel(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
 
 
+def _apply_S(f, fr):
+    """The frame operator S f = synthesis(analysis(f))."""
+    return synthesis(analysis(f, fr), fr)
+
+
+def _dense_S(fr):
+    """The frame operator as a dense n x n matrix, column by column."""
+    grid = fr.signal_grid
+    return np.column_stack([_apply_S(Signal(grid, e), fr).values
+                            for e in np.eye(grid.n, dtype=complex)])
+
+
+def _atom_value(coeffs, f, j, k):
+    """Coefficient (j, k), found by its row in the frame's node table, and
+    <f, atom_{j,k}> from the dense atom formula at x = eps*beta_j*k."""
+    fr, cov = coeffs.frame, coeffs.frame.covering
+    (i,) = np.flatnonzero((fr.nodes()[:, 0] == j) & (fr.nodes()[:, 1] == k))
+    r = int(np.searchsorted(cov.js, j))
+    atom = dense_atom_rows(fr.window, fr.alpha, cov.omegas[r],
+                           [cov.eps * cov.betas[r] * k], fr.signal_grid)[0]
+    return coeffs.values[i], inner_product(f, Signal(fr.signal_grid, atom))
+
+
 @pytest.mark.parametrize("spec", ["gaussian", "bspline:2", "bump:1.0",
                                   "bandlimited:1.0"])
 def test_engine_matches_dense_oracle(spec):
@@ -101,7 +124,7 @@ def test_engine_matches_dense_oracle(spec):
     assert _rel(synthesis(c, fr).values, c.values @ M) <= 1e-12
     V = np.column_stack([f.values, rand_signal(grid, 10).values])
     assert _rel(_S_block(V, fr), M.T @ (dt * (M.conj() @ V))) <= 1e-12
-    Sf = frame_operator_apply(f, fr).values
+    Sf = _apply_S(f, fr).values
     assert _rel(Sf, M.T @ (dt * (M.conj() @ f.values))) <= 1e-12
 
 
@@ -117,14 +140,8 @@ def test_analysis_values_are_inner_products(small_frame):
     r = cov.js.size // 2
     j, k0, k1 = cov.js[r], cov.k_lo[r], cov.k_hi[r]
     for k in (k0, (k0 + k1) // 2, k1):
-        atom = small_frame.atom(j, k)
-        assert coeffs.value_at(j, k) == pytest.approx(
-            inner_product(f, atom), abs=1e-12)
-    # a k past either end of the row, or a j that is not a row, is not
-    # an atom of the frame
-    for jj, kk in ((j, k0 - 1), (j, k1 + 1), (cov.js[-1] + 1, k0)):
-        with pytest.raises(KeyError):
-            coeffs.value_at(jj, kk)
+        got, want = _atom_value(coeffs, f, j, k)
+        assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_frame_on_a_covering_with_a_missing_row(gauss):
@@ -135,10 +152,10 @@ def test_frame_on_a_covering_with_a_missing_row(gauss):
     f = rand_signal(fr.signal_grid, 12)
     coeffs = analysis(f, fr)
     for j in (-1, 1, 4):
-        r = cov.row(j)
+        r = int(np.searchsorted(cov.js, j))
         for k in (cov.k_lo[r], cov.k_hi[r]):
-            assert coeffs.value_at(j, k) == pytest.approx(
-                inner_product(f, fr.atom(j, k)), abs=1e-12)
+            got, want = _atom_value(coeffs, f, j, k)
+            assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_analysis_synthesis_adjoint(small_frame):
@@ -156,8 +173,8 @@ def test_analysis_synthesis_adjoint(small_frame):
 def test_frame_operator_hermitian_psd(small_frame):
     f = rand_signal(small_frame.signal_grid, 3)
     g = rand_signal(small_frame.signal_grid, 4)
-    Sf = frame_operator_apply(f, small_frame)
-    Sg = frame_operator_apply(g, small_frame)
+    Sf = _apply_S(f, small_frame)
+    Sg = _apply_S(g, small_frame)
     assert inner_product(Sf, g) == pytest.approx(inner_product(f, Sg),
                                                  rel=1e-10)
     quad = inner_product(Sf, f)
@@ -174,11 +191,23 @@ def test_grid_mismatch_rejected(small_frame):
 
 
 def test_synthesis_refuses_coefficients_of_another_frame(small_frame,
-                                                         snug_frame):
+                                                         snug_frame, gauss):
     c = analysis(rand_signal(snug_frame.signal_grid), snug_frame)
     assert snug_frame.n_atoms != small_frame.n_atoms
     with pytest.raises(ValueError, match="different frame"):
         synthesis(c, small_frame)
+    # the same atom count on mirrored frequency ranges, other nodes
+    grid = SampledGrid.centered(64, 0.25)
+    up, down = (AlphaFrame(build_covering(0.5, 0.25, 1.0, (-8.0, 8.0),
+                                          band), gauss, grid)
+                for band in ((-1.5, 2.5), (-2.5, 1.5)))
+    assert up.n_atoms == down.n_atoms == 1600
+    c = analysis(rand_signal(grid), up)
+    with pytest.raises(ValueError, match="different frame"):
+        synthesis(c, down)
+    # a frame with the same nodes is the same index
+    twin = AlphaFrame(up.covering, gauss, grid)
+    assert np.array_equal(synthesis(c, twin).values, synthesis(c, up).values)
 
 
 def test_assembled_frame_operator_matches_S_block(small_frame):
@@ -198,11 +227,7 @@ def test_bounds_against_dense_operator(name, request):
     A_est, B_est = estimate_frame_bounds(fr)
     grid = fr.signal_grid
     n = grid.n
-    S = np.empty((n, n), dtype=complex)
-    for k in range(n):
-        e = np.zeros(n, dtype=complex)
-        e[k] = 1.0
-        S[:, k] = frame_operator_apply(Signal(grid, e), fr).values
+    S = _dense_S(fr)
     top = float(np.linalg.eigvalsh(0.5 * (S + S.conj().T))[-1])
     assert B_est == pytest.approx(top, rel=1e-10)
 
@@ -228,7 +253,7 @@ def test_bounds_sandwich_rayleigh_quotients(small_frame):
     assert 0 < A_est <= B_est
     f0, f1 = small_frame.covering.freq_range
     f = band_limited_signal(small_frame.signal_grid, f0, f1, seed=5)
-    quad = inner_product(frame_operator_apply(f, small_frame), f).real
+    quad = inner_product(_apply_S(f, small_frame), f).real
     assert A_est * f.norm() ** 2 <= quad * (1 + 1e-9)
     assert quad <= B_est * f.norm() ** 2 * (1 + 1e-9)
 
@@ -369,10 +394,8 @@ def test_reconstruction_stops_at_the_first_nonfinite_iterate(small_frame):
 def test_reconstruction_residual_is_the_true_residual(small_frame):
     """residual is ||b - S x|| / ||b|| for b = S f and the returned x,
     recomputed here with a dense S built column by column."""
-    grid = small_frame.signal_grid
-    S = np.column_stack([frame_operator_apply(Signal(grid, e), small_frame)
-                         .values for e in np.eye(grid.n, dtype=complex)])
-    f = rand_signal(grid, 4)
+    S = _dense_S(small_frame)
+    f = rand_signal(small_frame.signal_grid, 4)
     tol = 1e-8
     res = reconstruct(f, small_frame, tol=tol)
     b = S @ f.values
@@ -485,7 +508,7 @@ def test_fourier_diagonal_is_a_riemann_sum_of_the_symbol(spec, eps, tol):
     tab = admissibility_scan(w, 0.5, xi_max=8.0, n_nodes=257)
     t = grid.coords
     diag = np.array([
-        inner_product(frame_operator_apply(e, fr), e).real
+        inner_product(_apply_S(e, fr), e).real
         for e in (Signal(grid, np.exp(2j * np.pi * xi * t)
                          / np.sqrt(grid.n * grid.spacing)) for xi in xis)])
     ratio = eps**2 * diag / tab(xis)
