@@ -273,8 +273,8 @@ def _weighted_mass(row_sums: np.ndarray, omegas: np.ndarray,
     return d_omega * float(np.sum(weight.mutual(omegas, omega_star) * x_int))
 
 
-# bytes of a working block: omega rows in _rho_once; in _osc the gather
-# buffers, and z spectra with their half transforms: 4 MiB
+# bytes of a working block: omega rows in _rho_once, and _osc's z
+# spectra with their half transforms: 4 MiB
 _BLOCK = 1 << 22
 
 
@@ -374,22 +374,25 @@ def _osc(engine: _SliceEngine, cov: AlphaCovering, density: int,
     exp(-2 pi i y_w (y_t - x_t)) exp(-2 pi i y_w u[at]).  The first
     factor goes into R(x, y); the second into each z frequency's slices
     R(x, z) = P[at], read on the u window [lo, hi) a covering row
-    gathers.  A row's gather is laid out (z, b, i * a) over the y_w in
-    its band, so the sup over z is a maximum of contiguous planes, taken
-    in chunks of z on squared moduli (the sum of squares of the
-    difference's float view), with one sqrt per covering row.  A sample
+    gathers.  A row lays R(x, y) out (b, i * a) over the y_w in its band
+    and splits it into real and imaginary planes; per z frequency it
+    splits Q = R(x, z) times the second factor on the window likewise,
+    and per column of sample indices it gathers planes of R(x, y)'s
+    size from Q and folds the squared modulus of the difference,
+    (re - re)^2 + (im - im)^2, into a running max: the same floats in
+    any order of z, and one sqrt per covering row.  A sample
     outside its time's box reuses an inside one of the same time; a time
     with none gets 0 from the row.  Samples that snap to one u index
     read the same R(x, z), so a time gathers its distinct indices once
     (a row gathers its widest count, a time with fewer repeats its own):
     the max is over the same set, so osc is the same bit for bit.  At an
     odd density a time's two boxes share (density - 1) / 2 sample times,
-    and narrow boxes snap several samples to one index.  The chunk
-    buffer and its squared modulus (24 bytes an element) hold
-    max(_BLOCK / 24, osc.size) elements, at least one z-plane.  A row's
-    real z spectra and their half transforms (16 bytes a spectrum
-    sample) with the window read from them (16 bytes a u sample) fill at
-    most max(_BLOCK, one z frequency).
+    and narrow boxes snap several samples to one index.  Besides the
+    planes and the max (40 bytes an element of R(x, y)) and Q in complex
+    and split form (32 bytes an element), a row's real z spectra and
+    their half transforms (16 bytes a spectrum sample) with the windows
+    read from them (16 bytes a u sample) fill at most max(_BLOCK, one z
+    frequency).
     Returns an array of shape (len(x_w), len(y_w), b).
     """
     x_t, x_w, y_t, y_w = (np.atleast_1d(np.asarray(v, dtype=float))
@@ -401,8 +404,6 @@ def _osc(engine: _SliceEngine, cov: AlphaCovering, density: int,
                          lo, at.max() + 1)[..., at - lo]
     base *= np.exp(2j * np.pi * y_w[:, None] * (y_t - x_t))
     osc = np.zeros(base.shape)
-    cap = max(_BLOCK // 24, osc.size)
-    block, mod = np.empty(cap, complex), np.empty(cap)
     for band, z_t, inside, z_w in q_samples(cov, y_t, y_w, density):
         keep = inside.any(axis=0)
         if not keep.any():
@@ -419,8 +420,10 @@ def _osc(engine: _SliceEngine, cov: AlphaCovering, density: int,
         at = (at - lo).T
         post = np.exp(-2j * np.pi * engine.u[lo:hi, None] * y_w[band])
         R_y = base[:, band].transpose(2, 0, 1).reshape(base.shape[2], -1)
-        row, plane = np.zeros(R_y.shape), np.empty(R_y.shape)
+        R2 = np.stack((R_y.real, R_y.imag))
+        row, g = np.zeros(R_y.shape), np.empty(R2.shape)
         Q = np.empty((hi - lo, R_y.shape[1]), complex)
+        Q2 = np.empty((2, *Q.shape))
         n_z = max(1, _BLOCK // (16 * (engine.n + hi - lo) * len(x_w)))
         for c in range(0, len(z_w), n_z):
             F = engine.slices(x_hat, engine.right_hat(z_w[c:c + n_z]),
@@ -428,15 +431,12 @@ def _osc(engine: _SliceEngine, cov: AlphaCovering, density: int,
             for Fz in F.transpose(1, 2, 0):
                 np.multiply(Fz[:, :, None], post[:, None, :],
                             out=Q.reshape(hi - lo, len(x_w), -1))
-                for k in range(0, len(at), cap // R_y.size):
-                    ks = at[k:k + cap // R_y.size]
-                    g = block[:ks.size * R_y.shape[1]].reshape(*ks.shape, -1)
-                    m = mod[:g.size].reshape(g.shape)
-                    np.take(Q, ks, axis=0, out=g, mode="clip")
-                    d = np.subtract(g, R_y, out=g).view(float)
-                    np.square(d, out=d)
-                    np.add(d[..., ::2], d[..., 1::2], out=m)
-                    np.maximum(row, np.maximum.reduce(m, out=plane), out=row)
+                np.stack((Q.real, Q.imag), out=Q2)
+                for ks in at:
+                    np.take(Q2, ks, axis=1, out=g, mode="clip")
+                    g -= R2
+                    np.square(g, out=g)
+                    np.maximum(row, np.add(*g, out=g[0]), out=row)
         np.sqrt(row, out=row)
         row *= inside.any(axis=1)[:, None]
         osc[:, band] = np.maximum(osc[:, band],

@@ -130,6 +130,29 @@ def test_summary_flags_a_spread_parent_as_unresolved():
     assert speed["change_better_in_pairs"] == 5
 
 
+@pytest.mark.parametrize("steps, met", [
+    ([-0.05] * 10, True),
+    ([-0.05] * 8 + [0.0] * 2, False),   # wins 8 of 10; ties count for neither
+    ([-0.01] * 10, False),              # a median step inside the IQR
+], ids=["met", "eight_of_ten", "inside_iqr"])
+def test_gain_met_needs_nine_pairs_and_a_step_past_the_parent_iqr(steps,
+                                                                  met):
+    # the parent's median is 1.02 and its q3 - q1 is 0.025
+    base = [1.00 + 0.01 * (i % 5) for i in range(10)]
+    parent = [_run(i, p, throughput=p) for i, p in enumerate(base)]
+    change = [_run(i, p + d, throughput=p - d)
+              for i, (p, d) in enumerate(zip(base, steps))]
+    out = bench_pairs.summary({"parent": parent, "change": change},
+                              END_TO_END)["metrics"]
+    speed, tput = out["pass_at_ref_speed_s"], out["throughput"]
+    assert speed["parent"]["q3"] - speed["parent"]["q1"] == pytest.approx(
+        0.025)
+    assert speed["change_better_in_pairs"] == tput[
+        "change_better_in_pairs"] == sum(d < 0 for d in steps)
+    # lower is better for the one, higher for the other
+    assert speed["gain_met"] is tput["gain_met"] is met
+
+
 def test_src_lines_counts_the_package_modules(tmp_path):
     pkg = tmp_path / "src" / "alphamod"
     pkg.mkdir(parents=True)

@@ -71,15 +71,24 @@ def test_boxes_contain_their_nodes():
     assert _contains(boxes, nodes[:, 2], nodes[:, 3]).all()
 
 
+def _meets(boxes, blk):
+    """meets[i, m]: the open boxes blk[i] and boxes[m] meet."""
+    return ((boxes[:, 0] < blk[:, 1:2]) & (boxes[:, 1] > blk[:, :1])
+            & (boxes[:, 2] < blk[:, 3:]) & (boxes[:, 3] > blk[:, 2:3]))
+
+
 def _max_overlap_brute(cov):
     """The most boxes meeting one box, itself included, over every pair of
-    boxes: oracle for _max_overlap."""
+    boxes: oracle for _max_overlap.  Each block of boxes is compared with
+    the boxes that meet its bounding box, a superset of those that meet
+    one of its boxes."""
     boxes = _box_table(cov)[:, 2:]
     worst = 0
-    for blk in np.array_split(boxes, max(1, len(boxes) // 256)):
-        meets = ((boxes[:, 0] < blk[:, 1:2]) & (boxes[:, 1] > blk[:, :1])
-                 & (boxes[:, 2] < blk[:, 3:]) & (boxes[:, 3] > blk[:, 2:3]))
-        worst = max(worst, int(meets.sum(axis=1).max()))
+    for blk in np.array_split(boxes, max(1, len(boxes) // 64)):
+        hull = np.r_[blk[:, 0].min(), blk[:, 1].max(),
+                     blk[:, 2].min(), blk[:, 3].max()]
+        near = boxes[_meets(boxes, hull[None])[0]]
+        worst = max(worst, int(_meets(near, blk).sum(axis=1).max()))
     return worst
 
 

@@ -335,6 +335,22 @@ def test_rho_blocks_do_not_change_rho(gauss, gauss_tab, monkeypatch):
     assert _rho_once(*args) == whole
 
 
+def test_osc_z_chunks_do_not_change_osc(gauss, gauss_tab, monkeypatch):
+    """_osc folds every z frequency into a running max, so one z
+    frequency per slices call (three by default here) gives osc bit for
+    bit, in both call shapes of estimate_gamma.  The (-1.5, 1) covering
+    leaves some times without an inside sample in a row."""
+    engine = _SliceEngine(gauss, 0.5, gauss_tab, omega_max=4.0, u_max=6.0)
+    cov = build_covering(0.5, 0.5, 1.0, (-1.5, 1.0), (-4, 4))
+    u_in = engine.u[np.abs(engine.u) <= 2.0]
+    omegas, probes = np.linspace(-3.0, 3.0, 13), np.array([-2.0, 0.5, 1.75])
+    for args in [(0.0, probes, u_in, omegas), (u_in, omegas, 0.0, probes)]:
+        whole = _osc(engine, cov, 3, *args)
+        with monkeypatch.context() as m:
+            m.setattr(diagnostics, "_BLOCK", 1)
+            assert np.array_equal(_osc(engine, cov, 3, *args), whole)
+
+
 def test_estimate_rho_weight_monotone(gauss, gauss_tab):
     r0 = estimate_rho(gauss, 0.5, 0.0, gauss_tab, LIGHT).value
     r1 = estimate_rho(gauss, 0.5, 1.0, gauss_tab, LIGHT).value

@@ -18,9 +18,12 @@ side's per-op medians, each op's median change relative to the parent
 and the number of pairs in which the change ran it faster, for each
 metric the number of pairs in which the change is better,
 ``change_every_run_better`` (every run of the change is better than
-every run of the parent) and ``quartiles_separate`` (the change's worse
+every run of the parent), ``quartiles_separate`` (the change's worse
 quartile is better than the parent's better one: its q3 below the
-parent's q1 where lower is better), each checkout's line count of
+parent's q1 where lower is better) and ``gain_met`` (the change is better
+in at least 9 of 10 pairs, ties counting for neither side, and its
+median is better than the parent's by more than the parent's q3 - q1:
+the rule a claimed gain must meet), each checkout's line count of
 ``src/alphamod/*.py``, and the machine (CPU count and model, Python,
 numpy and scipy versions).  At least ten seeds are required.  Nothing
 under ``perfbench/`` is imported.
@@ -93,7 +96,9 @@ def summary(runs: dict, end_to_end: dict) -> dict:
     and quartiles per metric and side, the pairs in which the change is
     better, whether every run of the change is better than every run of
     the parent, whether the change's worse quartile is better than the
-    parent's better one (the quartiles separate), and the no-regression
+    parent's better one (the quartiles separate), whether a claimed gain
+    is met (gain_met: better in 9 of 10 pairs, by a median step wider
+    than the parent's interquartile range), and the no-regression
     verdict of each metric in end_to_end (name -> its BENCHMARK.json
     entry)."""
     metrics = {}
@@ -132,6 +137,10 @@ def summary(runs: dict, end_to_end: dict) -> dict:
         entry["quartiles_separate"] = worse_by(
             change["q3" if lower else "q1"], parent["q1" if lower else "q3"],
             better) < 0
+        step = (parent["median"] - change["median"]) * (1 if lower else -1)
+        entry["gain_met"] = (10 * entry["change_better_in_pairs"]
+                             >= 9 * len(vals["parent"])
+                             and step > parent["q3"] - parent["q1"])
         if spec:
             entry["bound"] = spec["bound"]
             entry["regressed"] = worse_by(change["median"], parent["median"],
