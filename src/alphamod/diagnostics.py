@@ -374,13 +374,12 @@ def _osc(engine: _SliceEngine, cov: AlphaCovering, density: int,
     exp(-2 pi i y_w (y_t - x_t)) exp(-2 pi i y_w u[at]).  The first
     factor goes into R(x, y); the second into each z frequency's slices
     R(x, z) = P[at], read on the u window [lo, hi) a covering row
-    gathers.  A row lays R(x, y) out (b, i * a) over the y_w in its band
-    and splits it into real and imaginary planes; per z frequency it
-    splits Q = R(x, z) times the second factor on the window likewise,
-    and per column of sample indices it gathers planes of R(x, y)'s
-    size from Q and folds the squared modulus of the difference,
-    (re - re)^2 + (im - im)^2, into a running max: the same floats in
-    any order of z, and one sqrt per covering row.  A sample
+    gathers.  A row splits R(x, y), laid out (b, i * a) over the y_w in
+    its band, into real and imaginary planes, and likewise each z
+    frequency's Q = R(x, z) times the second factor; each column of
+    sample indices gathers planes of that size from Q and folds
+    (re - re)^2 + (im - im)^2 into a running max, with one sqrt per
+    covering row.  A sample
     outside its time's box reuses an inside one of the same time; a time
     with none gets 0 from the row.  Samples that snap to one u index
     read the same R(x, z), so a time gathers its distinct indices once
